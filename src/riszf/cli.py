@@ -18,12 +18,10 @@ from .channel import PhaseShifts
 from .config import default_profile, parse_config_file
 from .errors import ConfigError, NumericalError
 from .estimation import compute_statistics
-from .harness import FIGURE_IDS, Scenario, reproduce, run_scenario, write_scenario_outputs
+from .harness import (FIGURE_IDS, PHASE_CASES, SWEEP_AXES, Scenario, reproduce, run_scenario,
+                      write_scenario_outputs)
 from .optimizer import mm_optimize
 from .rate import exact_rate_mc
-
-_CASES = ["case1_align_nearest", "case2_align_farthest", "case3_random",
-          "case4_identity", "case5_maxsum", "case6_maxmin"]
 
 
 @click.group()
@@ -62,7 +60,7 @@ def _emit_rows(ctx, rows, scenario):
 
 
 @cli.command()
-@click.option("--case", type=click.Choice(_CASES), default="case4_identity",
+@click.option("--case", type=click.Choice(PHASE_CASES), default="case4_identity",
               show_default=True, help="Phase-shift design.")
 @click.pass_context
 def rate(ctx, case):
@@ -145,10 +143,10 @@ def optimize(ctx, objective, max_iter, rel_tol):
 
 
 @cli.command()
-@click.option("--axis", type=click.Choice(["N", "M", "p", "delta", "bits"]), required=True)
+@click.option("--axis", type=click.Choice(SWEEP_AXES), required=True)
 @click.option("--values", required=True,
               help="Comma-separated, strictly increasing sweep values.")
-@click.option("--case", type=click.Choice(_CASES), default="case4_identity",
+@click.option("--case", type=click.Choice(PHASE_CASES), default="case4_identity",
               show_default=True)
 @click.pass_context
 def sweep(ctx, axis, values, case):

@@ -1,12 +1,17 @@
 """RIS phase-shift design by majorization-minimization.
 
 The per-user rate under statistical CSI is a ratio of quadratic forms in the
-unit-modulus control vector v:  f_k(v) = ln(1 + v^H B v / v^H C_k v).  Both
-the sum-rate and the (log-sum-exp smoothed) min-rate objectives admit linear
-touching minorants whose constrained argmax is a pure phase alignment, so
-every iteration is closed-form.  An extrapolation step with backtracking
-keeps the accepted objective sequence nondecreasing while accelerating
-convergence.
+unit-modulus control vector v:  f_k(v) = ln(1 + v^H B v / v^H C_k v).  B is
+I/N plus a rank-K term in the row space of G = H1^H diag(a_N) (K x N), and
+every C_k is a scaled B minus a rank-one term in the same space, so the
+problem is stored as O(NK) factors and f_k depends on v only through G v.
+Both the sum-rate and the (log-sum-exp smoothed) min-rate objectives admit
+linear touching minorants whose constrained argmax is a pure phase alignment,
+so every iteration is closed-form and costs O(NK).  An extrapolation step
+with backtracking keeps the accepted objective sequence nondecreasing while
+accelerating convergence.  The surrogates are those of Sun, Babu & Palomar,
+"Majorization-Minimization Algorithms in Signal Processing, Communications,
+and Machine Learning", IEEE TSP 2017.
 """
 
 from __future__ import annotations
@@ -22,44 +27,17 @@ from .config import SystemConfig
 from .errors import ConfigError, NumericalError
 from .estimation import compute_statistics
 
-_POWER_ITER_MAX = 20_000
-
-
-def _power_iteration(h: np.ndarray, tol: float) -> tuple[float, float]:
-    """Largest eigenvalue of a Hermitian matrix with a residual certificate.
-
-    Returns (rayleigh, residual) where ||H x - rayleigh x|| = residual for
-    the final unit iterate x.  Deterministic: the start vector comes from a
-    fixed-seed generator.
-    """
-    n = h.shape[0]
-    h_norm = float(np.linalg.norm(h))
-    if h_norm == 0.0:
-        return 0.0, 0.0
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    lam, resid = 0.0, math.inf
-    for _ in range(_POWER_ITER_MAX):
-        y = h @ x
-        lam = float(np.real(np.conj(x) @ y))
-        resid = float(np.linalg.norm(y - lam * x))
-        if resid <= tol * h_norm:
-            break
-        y_norm = np.linalg.norm(y)
-        if y_norm == 0.0:
-            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            x /= np.linalg.norm(x)
-            continue
-        x = y / y_norm
-    return lam, resid
+# relative upward padding of the exact top eigenvalues, so that rounding in the
+# K x K eigenproblem cannot leave a bound below the dense spectrum
+_BOUND_PAD = 1e-12
 
 
 def lambda_max(h: np.ndarray, tol: float = 1e-8) -> float:
-    """Largest eigenvalue of a Hermitian matrix via power iteration.
+    """Largest eigenvalue of a Hermitian matrix.
 
-    Certifies ||H x - lam x|| <= tol * ||H||_F; rejects inputs whose
-    Hermitian-symmetry deviation exceeds 1e-8 relative.
+    Rejects inputs whose Hermitian-symmetry deviation exceeds 1e-8 relative.
+    The dense Hermitian eigensolver is accurate to machine precision; ``tol``
+    is accepted for compatibility and is always met.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -67,45 +45,74 @@ def lambda_max(h: np.ndarray, tol: float = 1e-8) -> float:
     h_norm = float(np.linalg.norm(h))
     if h_norm > 0 and np.linalg.norm(h - h.conj().T) > 1e-8 * h_norm:
         raise ConfigError("matrix is not Hermitian")
-    lam, resid = _power_iteration(h, tol)
-    if resid > tol * h_norm:
-        raise NumericalError(f"power iteration did not certify tolerance "
-                             f"{tol:g} (residual {resid:g}, scale {h_norm:g})")
-    return lam
+    return float(np.linalg.eigvalsh(h)[-1])
 
 
 @dataclass(frozen=True)
 class FractionalProblem:
     """Data of the phase-design problem: f_k(v) = ln(1 + v^H B v / v^H C_k v).
 
-    ``num_mat`` is the shared numerator matrix B (Hermitian, eigenvalues
-    >= 1/N); ``den_mats[k]`` the per-user denominator matrix C_k (Hermitian
-    PSD); ``los_rows[k]`` the whitened cascaded-LoS row used to assemble C_k.
-    ``spectral_bounds[k]`` caches an upper bound on the top eigenvalue of
-    C_k + B (power-iteration value plus its residual), used by the
-    minorizing surrogates.
+    Only O(NK) factors are stored:
+
+        B   = I/N + rho G^H Lam^{-1} G
+        C_k = scale ([Lam^{-1}]_kk B - rho z_k z_k^H)
+
+    ``g`` is G = H1^H diag(a_N) (K x N); ``los_rows`` is Z = Lam^{-1} G, the
+    whitened cascaded-LoS rows (row k is z_k^H); ``lam_inv_diag`` is the real
+    diagonal of Lam^{-1}; ``rho = beta delta / (delta + 1)`` and
+    ``scale = (p sum(eps) + sigma2) / (p (M - K))``.  With u = G v and
+    y = Z v every quadratic form costs O(NK):
+
+        v^H B v   = ||v||^2 / N + rho Re(u^H y)
+        v^H C_k v = scale ([Lam^{-1}]_kk v^H B v - rho |y_k|^2)
+
+    ``spectral_bounds[k]`` is the top eigenvalue of C_k + B, padded up by a
+    relative 1e-12, used by the minorizing surrogates.  ``num_mat`` (N x N)
+    and ``den_mats`` (K x N x N) assemble the dense matrices on demand for
+    checks at small N; the optimizer never forms them.
     """
 
-    num_mat: np.ndarray
-    den_mats: np.ndarray
+    g: np.ndarray
     los_rows: np.ndarray
+    lam_inv_diag: np.ndarray
+    rho: float
+    scale: float
     spectral_bounds: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.num_mat.shape[0]
+        return self.g.shape[1]
 
     @property
     def k(self) -> int:
-        return self.den_mats.shape[0]
+        return self.g.shape[0]
+
+    @property
+    def num_mat(self) -> np.ndarray:
+        """Dense B, assembled on demand (O(N^2) memory)."""
+        num = self.rho * (self.g.conj().T @ self.los_rows)
+        num[np.diag_indices_from(num)] += 1.0 / self.n
+        return 0.5 * (num + num.conj().T)
+
+    @property
+    def den_mats(self) -> np.ndarray:
+        """Dense C_k stacked along axis 0, assembled on demand (O(K N^2) memory)."""
+        # row k of los_rows is z_k^H, so z_k z_k^H conjugates it on the left
+        rank_one = np.conj(self.los_rows)[:, :, None] * self.los_rows[:, None, :]
+        den = self.scale * (self.lam_inv_diag[:, None, None] * self.num_mat
+                            - self.rho * rank_one)
+        return 0.5 * (den + den.conj().transpose(0, 2, 1))
 
 
 def build_problem(config: SystemConfig) -> FractionalProblem:
-    """Assemble the fractional-programming data from the scenario statistics.
+    """Assemble the low-rank fractional-programming data from the scenario statistics.
 
-    B   = I/N + rho * G^H lam^{-1} G            (G = H1^H diag(a_N), rho = beta*delta/(delta+1))
-    C_k = (p sum(eps) + sigma2)/(p (M-K)) * ([lam^{-1}]_kk B - rho z_k z_k^H)
-    z_k = row k of lam^{-1} G.
+    G = H1^H diag(a_N), Z = Lam^{-1} G, rho = beta delta / (delta + 1).  The
+    spectral bounds are exact: C_k + B = c_k I + rho G^H M_k G with
+    c_k = (1 + scale [Lam^{-1}]_kk) / N and the PSD K x K matrix
+    M_k = N c_k Lam^{-1} - scale l_k l_k^H (l_k = column k of Lam^{-1}).  One
+    QR G^H = Q R reduces the top eigenvalue to c_k + rho lambda_max(R M_k R^H),
+    a K x K problem.  Total cost O(N K^2); no N x N matrix is formed.
     """
     los = build_los(config)
     stats = compute_statistics(config)
@@ -117,36 +124,43 @@ def build_problem(config: SystemConfig) -> FractionalProblem:
                              "(invalid configuration?)") from exc
     lam_inv = scipy.linalg.cho_solve(factor, np.eye(config.K, dtype=complex))
     z = lam_inv @ g
+    lam_inv_diag = np.real(np.diag(lam_inv)).copy()
     rho = config.beta * config.delta / (config.delta + 1.0)
-
-    num = rho * (g.conj().T @ z)
-    num[np.diag_indices_from(num)] += 1.0 / config.N
-    num = 0.5 * (num + num.conj().T)
-
     scale = ((config.p * float(stats.epsilon.sum()) + config.sigma2)
              / (config.p * (config.M - config.K)))
-    den = np.empty((config.K, config.N, config.N), dtype=complex)
+
+    r = np.linalg.qr(g.conj().T, mode="r")
+    r_lam = r @ lam_inv                      # column k is R l_k
+    r_lam_r = r_lam @ r.conj().T
+    weight = 1.0 + scale * lam_inv_diag
     bounds = np.empty(config.K)
     for k in range(config.K):
-        # stored row k is z_k^H, so the rank-one matrix z_k z_k^H conjugates it
-        ck = scale * (np.real(lam_inv[k, k]) * num - rho * np.outer(np.conj(z[k]), z[k]))
-        ck = 0.5 * (ck + ck.conj().T)
-        den[k] = ck
-        lam_top, resid = _power_iteration(ck + num, tol=1e-8)
-        bounds[k] = lam_top + resid
-    return FractionalProblem(num_mat=num, den_mats=den, los_rows=z,
-                             spectral_bounds=bounds)
+        m = weight[k] * r_lam_r - scale * np.outer(r_lam[:, k], np.conj(r_lam[:, k]))
+        # M_k is PSD, so the top eigenvalue is never below c_k
+        top = max(float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1]), 0.0)
+        bounds[k] = (weight[k] / config.N + rho * top) * (1.0 + _BOUND_PAD)
+    return FractionalProblem(g=g, los_rows=z, lam_inv_diag=lam_inv_diag, rho=rho,
+                             scale=scale, spectral_bounds=bounds)
+
+
+def _quadratic_forms(problem: FractionalProblem, v: np.ndarray
+                     ) -> tuple[float, np.ndarray, np.ndarray]:
+    """``(v^H B v, [v^H C_k v]_k, y = Z v)`` in O(NK)."""
+    u = problem.g @ v
+    y = problem.los_rows @ v
+    vbv = (float(np.real(np.vdot(v, v))) / problem.n
+           + problem.rho * float(np.real(np.vdot(u, y))))
+    vcv = problem.scale * (problem.lam_inv_diag * vbv - problem.rho * np.abs(y) ** 2)
+    return vbv, vcv, y
 
 
 def fractional_objective(problem: FractionalProblem, v: np.ndarray) -> np.ndarray:
     """Per-user values f_k(v) = ln(1 + v^H B v / v^H C_k v), in nats."""
-    v = np.asarray(v, dtype=complex)
-    num = float(np.real(np.conj(v) @ (problem.num_mat @ v)))
-    den = np.real(np.einsum("i,kij,j->k", np.conj(v), problem.den_mats, v))
-    if np.any(den <= 0.0):
+    vbv, vcv, _ = _quadratic_forms(problem, np.asarray(v, dtype=complex))
+    if np.any(vcv <= 0.0):
         raise NumericalError("denominator quadratic form is not positive "
                              "(degenerate problem)")
-    return np.log1p(num / den)
+    return np.log1p(vbv / vcv)
 
 
 def rates_from_objective(config: SystemConfig, values: np.ndarray) -> np.ndarray:
@@ -171,24 +185,22 @@ def surrogate_maxsum(v_n: np.ndarray, problem: FractionalProblem
     """
     v_n = np.asarray(v_n, dtype=complex)
     n = v_n.size
-    bv = problem.num_mat @ v_n
-    vbv = float(np.real(np.conj(v_n) @ bv))
-    const = np.empty(problem.k)
-    fvec = np.empty((problem.k, n), dtype=complex)
-    for k in range(problem.k):
-        cv = problem.den_mats[k] @ v_n
-        vcv = float(np.real(np.conj(v_n) @ cv))
-        if vcv <= 0.0:
-            raise NumericalError(f"user {k}: denominator quadratic form vanished "
-                                 "at the expansion point")
-        omega = 1.0 / vcv
-        psi = vbv / (vcv * (vcv + vbv))
-        lam = problem.spectral_bounds[k]
-        fvec[k] = omega * bv - psi * (cv + bv - lam * v_n)
-        f_val = math.log1p(vbv / vcv)
-        const[k] = (f_val - vbv / vcv
-                    - psi * (lam * n - (vcv + vbv))
-                    - n * psi * lam)
+    vbv, vcv, y = _quadratic_forms(problem, v_n)
+    vanished = np.flatnonzero(vcv <= 0.0)
+    if vanished.size:
+        raise NumericalError(f"user {vanished[0]}: denominator quadratic form vanished "
+                             "at the expansion point")
+    # B v = v/N + rho G^H y and C_k v = scale ([Lam^{-1}]_kk B v - rho y_k z_k)
+    bv = v_n / problem.n + problem.rho * np.conj(np.conj(y) @ problem.g)
+    cv = problem.scale * (problem.lam_inv_diag[:, None] * bv
+                          - problem.rho * y[:, None] * np.conj(problem.los_rows))
+    omega = 1.0 / vcv
+    psi = vbv / (vcv * (vcv + vbv))
+    lam = problem.spectral_bounds
+    fvec = omega[:, None] * bv - psi[:, None] * (cv + bv - lam[:, None] * v_n)
+    const = (np.log1p(vbv / vcv) - vbv / vcv
+             - psi * (lam * n - (vcv + vbv))
+             - n * psi * lam)
     return const, fvec
 
 

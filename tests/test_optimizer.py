@@ -1,12 +1,16 @@
+import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riszf.channel import PhaseShifts, alignment_response
+from riszf.channel import PhaseShifts, alignment_response, build_los, h1_matrix
+from riszf.config import default_profile
 from riszf.errors import ConfigError
+from riszf.estimation import compute_statistics
 from riszf.optimizer import (FractionalProblem, OptTrace, align_phase, build_problem,
                              fractional_objective, lambda_max, maxmin_step, maxsum_step,
                              mm_optimize, quantize_phase, smoothed_min, surrogate_maxsum)
@@ -58,7 +62,103 @@ def test_problem_spectral_bounds_dominate():
         assert prob.spectral_bounds[k] >= top - 1e-12 * abs(top)
 
 
-# --- power iteration --------------------------------------------------------------
+def _dense_problem(cfg):
+    """B and the stacked C_k assembled entry by entry from the scenario statistics.
+
+    Independent of FractionalProblem's factors: this is the direct N x N
+    construction, usable as an oracle at small N.
+    """
+    los = build_los(cfg)
+    stats = compute_statistics(cfg)
+    g = h1_matrix(cfg, los).conj().T * los.a_n
+    lam_inv = np.linalg.inv(stats.lam)
+    z = lam_inv @ g
+    rho = cfg.beta * cfg.delta / (cfg.delta + 1.0)
+    num = rho * (g.conj().T @ z)
+    num[np.diag_indices_from(num)] += 1.0 / cfg.N
+    num = 0.5 * (num + num.conj().T)
+    scale = ((cfg.p * float(stats.epsilon.sum()) + cfg.sigma2)
+             / (cfg.p * (cfg.M - cfg.K)))
+    den = np.empty((cfg.K, cfg.N, cfg.N), dtype=complex)
+    for k in range(cfg.K):
+        ck = scale * (np.real(lam_inv[k, k]) * num - rho * np.outer(np.conj(z[k]), z[k]))
+        den[k] = 0.5 * (ck + ck.conj().T)
+    return num, den
+
+
+def _dense_surrogate(num, den, bounds, v):
+    """The surrogate's (const, fvec) from dense matrix-vector products."""
+    n = v.size
+    bv = num @ v
+    vbv = float(np.real(np.conj(v) @ bv))
+    const = np.empty(den.shape[0])
+    fvec = np.empty((den.shape[0], n), dtype=complex)
+    for k in range(den.shape[0]):
+        cv = den[k] @ v
+        vcv = float(np.real(np.conj(v) @ cv))
+        omega = 1.0 / vcv
+        psi = vbv / (vcv * (vcv + vbv))
+        fvec[k] = omega * bv - psi * (cv + bv - bounds[k] * v)
+        const[k] = (math.log1p(vbv / vcv) - vbv / vcv
+                    - psi * (bounds[k] * n - (vcv + vbv)) - n * psi * bounds[k])
+    return const, fvec
+
+
+def _dense_objective(num, den, v):
+    vbv = np.real(np.conj(v) @ num @ v)
+    vcv = np.real(np.einsum("i,kij,j->k", np.conj(v), den, v))
+    return np.log1p(vbv / vcv)
+
+
+def test_low_rank_problem_matches_dense_oracle():
+    rng = np.random.default_rng(11)
+    for _ in range(8):
+        cfg = random_config(rng)
+        prob = build_problem(cfg)
+        num, den = _dense_problem(cfg)
+
+        for k in range(cfg.K):
+            top = np.linalg.eigvalsh(den[k] + num).max()
+            assert top <= prob.spectral_bounds[k] <= top * (1 + 1e-10)
+
+        for _ in range(3):
+            v = PhaseShifts.random(cfg.N, rng).v
+            np.testing.assert_allclose(fractional_objective(prob, v),
+                                       _dense_objective(num, den, v), rtol=1e-10)
+            const, fvec = surrogate_maxsum(v, prob)
+            d_const, d_fvec = _dense_surrogate(num, den, prob.spectral_bounds, v)
+            np.testing.assert_allclose(const, d_const, rtol=1e-10,
+                                       atol=1e-10 * np.abs(d_const).max())
+            np.testing.assert_allclose(fvec, d_fvec, rtol=1e-10,
+                                       atol=1e-10 * np.abs(d_fvec).max())
+
+            dense_sum = np.exp(1j * np.angle(d_fvec.sum(axis=0)))
+            np.testing.assert_allclose(maxsum_step(v, prob), dense_sum, atol=1e-9)
+            values = _dense_objective(num, den, v)
+            weights = np.exp(-cfg.mu * (values - values.min()))
+            weights /= weights.sum()
+            prox = 2.0 * cfg.mu * np.max(np.sum(np.abs(d_fvec) ** 2, axis=1))
+            dense_min = np.exp(1j * np.angle(weights @ d_fvec + prox * v))
+            np.testing.assert_allclose(maxmin_step(v, prob, cfg.mu), dense_min, atol=1e-9)
+
+
+def test_large_n_problem_stays_low_rank():
+    # K N^2 complex entries would need ~550 GB here; the factors need ~17 MB
+    cfg = default_profile(N=65536)
+    start = time.perf_counter()
+    prob = build_problem(cfg)
+    stored = sum(getattr(prob, f.name).nbytes for f in dataclasses.fields(prob)
+                 if isinstance(getattr(prob, f.name), np.ndarray))
+    assert stored < 4 * cfg.K * cfg.N * 16
+    for objective in ("sum", "min"):
+        trace = mm_optimize(cfg, objective=objective, max_iter=5, problem=prob)
+        objs = [val for _, val, _ in trace.iterates]
+        assert all(b >= a - 1e-12 for a, b in zip(objs, objs[1:]))
+        np.testing.assert_allclose(np.abs(trace.final_v.v), 1.0, atol=1e-9)
+    assert time.perf_counter() - start < 10.0
+
+
+# --- top eigenvalue ----------------------------------------------------------------
 
 def test_lambda_max_trivial_cases():
     assert lambda_max(np.eye(5)) == pytest.approx(1.0, abs=1e-8)
