@@ -11,8 +11,8 @@ from .channel import (ChannelRealization, PhaseShifts, build_los, decompose_grid
 from .config import SystemConfig, dbm_to_watt, default_profile, parse_config_file, watt_to_dbm
 from .errors import ConfigError, NumericalError
 from .estimation import ChannelStatistics, compute_statistics, mmse_estimate
-from .optimizer import (FractionalProblem, OptTrace, align_phase, build_problem,
-                        lambda_max, mm_optimize, quantize_phase)
+from .optimizer import (FractionalProblem, OptTrace, align_phase, build_problem, mm_optimize,
+                        quantize_phase)
 from .rate import (MonteCarloRate, RateReport, exact_rate_mc, phase_independent_bound,
                    rate_lower_bound, power_scaling_limit, rate_no_ris, rate_report,
                    required_antennas, upper_bound)
@@ -25,7 +25,7 @@ __all__ = [
     "ConfigError", "NumericalError",
     "ChannelStatistics", "compute_statistics", "mmse_estimate",
     "FractionalProblem", "OptTrace", "align_phase", "build_problem",
-    "lambda_max", "mm_optimize", "quantize_phase",
+    "mm_optimize", "quantize_phase",
     "MonteCarloRate", "RateReport", "exact_rate_mc", "phase_independent_bound",
     "rate_lower_bound", "power_scaling_limit", "rate_no_ris", "rate_report",
     "required_antennas", "upper_bound",

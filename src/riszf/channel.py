@@ -127,18 +127,24 @@ class LosComponents:
     """Deterministic LoS quantities of a scenario.
 
     ``hbar`` stacks the per-user RIS responses as columns (N x K); ``a_m``
-    and ``a_n`` are the BS arrival / RIS departure steering vectors; and
-    ``hbar2 = a_m a_n^H`` is the rank-one LoS part of the RIS-BS link.
+    and ``a_n`` are the BS arrival / RIS departure steering vectors.  The
+    LoS part of the RIS-BS link is rank one, a_m a_n^H, so only its two
+    factors are stored and every closed form works from the cascaded
+    response a_n^H Phi hbar_k (see :func:`alignment_response`).
     """
 
     hbar: np.ndarray
     a_m: np.ndarray
     a_n: np.ndarray
-    hbar2: np.ndarray
+
+    @property
+    def hbar2(self) -> np.ndarray:
+        """Dense rank-one LoS factor a_m a_n^H (M x N), assembled on demand."""
+        return np.outer(self.a_m, np.conj(self.a_n))
 
 
 def build_los(config: SystemConfig) -> LosComponents:
-    """Steering vectors and the rank-one RIS-BS LoS factor for ``config``."""
+    """Steering vectors of ``config``: O(NK) memory, no M x N array."""
     hbar = np.stack(
         [steering_vector(config.N, az, el, config.d_over_lambda)
          for az, el in config.user_ris_angles],
@@ -146,7 +152,7 @@ def build_los(config: SystemConfig) -> LosComponents:
     )
     a_m = steering_vector(config.M, config.bs_aoa[0], config.bs_aoa[1], config.d_over_lambda)
     a_n = steering_vector(config.N, config.ris_aod[0], config.ris_aod[1], config.d_over_lambda)
-    return LosComponents(hbar=hbar, a_m=a_m, a_n=a_n, hbar2=np.outer(a_m, np.conj(a_n)))
+    return LosComponents(hbar=hbar, a_m=a_m, a_n=a_n)
 
 
 def h1_matrix(config: SystemConfig, los: LosComponents | None = None) -> np.ndarray:
@@ -156,30 +162,35 @@ def h1_matrix(config: SystemConfig, los: LosComponents | None = None) -> np.ndar
     return los.hbar * np.sqrt(config.alpha)
 
 
-def aggregated_mean(config: SystemConfig, phase: PhaseShifts,
-                    los: LosComponents | None = None) -> np.ndarray:
-    """Deterministic mean of the aggregated channel (M x K).
-
-    Column k is sqrt(alpha_k * beta * delta / (delta + 1)) * hbar2 @ Phi @ hbar_k;
-    this is the only non-random part of Q.
-    """
-    if los is None:
-        los = build_los(config)
-    h1 = h1_matrix(config, los)
-    scale = math.sqrt(config.beta * config.delta / (config.delta + 1.0))
-    return scale * (los.hbar2 @ (phase.phi_diag[:, None] * h1))
-
-
 def alignment_response(config: SystemConfig, phase: PhaseShifts,
                        los: LosComponents | None = None) -> np.ndarray:
     """Per-user beam response a_N^H @ Phi @ hbar_k (length K).
 
     Modulus N means the RIS beam is perfectly aligned to that user; the
-    triangle inequality caps it at N.
+    triangle inequality caps it at N.  This is the only code that forms
+    a_N-weighted sums over the RIS elements: the cascaded LoS response is
+    a_N^H Phi H1 = sqrt(alpha) * alignment_response, and its conjugate is
+    w = H1^H Phi^H a_N.
     """
     if los is None:
         los = build_los(config)
     return np.conj(phase.v * los.a_n) @ los.hbar
+
+
+def aggregated_mean(config: SystemConfig, phase: PhaseShifts,
+                    los: LosComponents | None = None) -> np.ndarray:
+    """Deterministic mean of the aggregated channel (M x K).
+
+    The mean is sqrt(beta delta / (delta + 1)) a_M (a_N^H Phi H1), so column
+    k is sqrt(alpha_k beta delta / (delta + 1)) a_N^H Phi hbar_k * a_M; this
+    is the only non-random part of Q.  Formed as one outer product in O(MK),
+    without the M x N LoS matrix.
+    """
+    if los is None:
+        los = build_los(config)
+    scale = math.sqrt(config.beta * config.delta / (config.delta + 1.0))
+    row = np.sqrt(config.alpha) * alignment_response(config, phase, los)
+    return scale * np.outer(los.a_m, row)
 
 
 @dataclass(frozen=True)
@@ -205,8 +216,12 @@ class ChannelRealization:
 
 
 def _complex_randn(rng, shape) -> np.ndarray:
-    """i.i.d. CN(0, 1): real and imaginary parts N(0, 1/2)."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+    """i.i.d. CN(0, 1): real and imaginary parts N(0, 1/2), real part drawn first."""
+    out = np.empty(shape, dtype=complex)
+    out.real = rng.standard_normal(shape)
+    out.imag = rng.standard_normal(shape)
+    out /= math.sqrt(2.0)
+    return out
 
 
 def sample_channels(config: SystemConfig, phase: PhaseShifts, rng_seed,
@@ -225,9 +240,12 @@ def sample_channels(config: SystemConfig, phase: PhaseShifts, rng_seed,
 
     h1 = h1_matrix(config, los)
     h2_nlos = _complex_randn(rng, (config.M, config.N))
-    h2 = math.sqrt(config.beta / (config.delta + 1.0)) * (
-        math.sqrt(config.delta) * los.hbar2 + h2_nlos
-    )
+    # h2 = sqrt(beta/(delta+1)) (sqrt(delta) a_m a_n^H + NLoS), built in place
+    # so a draw holds only two M x N arrays
+    h2 = los.hbar2
+    h2 *= math.sqrt(config.delta)
+    h2 += h2_nlos
+    h2 *= math.sqrt(config.beta / (config.delta + 1.0))
     d = _complex_randn(rng, (config.M, config.K)) * np.sqrt(config.gamma)
     q = h2 @ (phase.phi_diag[:, None] * h1) + d
     pilot_scale = math.sqrt(config.sigma2 / (config.tau * config.p))

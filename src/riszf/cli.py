@@ -59,6 +59,16 @@ def _emit_rows(ctx, rows, scenario):
         click.echo(p)
 
 
+def _emit_json(ctx, payload):
+    text = json.dumps(payload, indent=1)
+    if ctx.obj["out"] is None:
+        click.echo(text)
+    else:
+        with open(ctx.obj["out"], "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+        click.echo(ctx.obj["out"])
+
+
 @cli.command()
 @click.option("--case", type=click.Choice(PHASE_CASES), default="case4_identity",
               show_default=True, help="Phase-shift design.")
@@ -100,13 +110,7 @@ def mse(ctx, validate):
         payload["epsilon_empirical_se"] = (err_power.std(axis=0, ddof=1)
                                            / np.sqrt(trials)).tolist()
         payload["trials"] = trials
-    text = json.dumps(payload, indent=1)
-    if ctx.obj["out"] is None:
-        click.echo(text)
-    else:
-        with open(ctx.obj["out"], "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        click.echo(ctx.obj["out"])
+    _emit_json(ctx, payload)
 
 
 @cli.command()
@@ -133,13 +137,7 @@ def optimize(ctx, objective, max_iter, rel_tol):
         "sum_rate": mc.sum_rate,
         "min_rate": float(mc.rates.min()),
     }
-    text = json.dumps(payload, indent=1)
-    if ctx.obj["out"] is None:
-        click.echo(text)
-    else:
-        with open(ctx.obj["out"], "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        click.echo(ctx.obj["out"])
+    _emit_json(ctx, payload)
 
 
 @cli.command()

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (ChannelRealization, PhaseShifts, aggregated_mean, build_los,
+from .channel import (ChannelRealization, PhaseShifts, aggregated_mean, alignment_response,
                       steering_gram)
 from .config import SystemConfig
 from .errors import ConfigError
@@ -110,9 +110,7 @@ def qhat_gram_mean(config: SystemConfig, phase: PhaseShifts) -> np.ndarray:
     w = H1^H Phi^H a_N; the random part contributes M * lam and the rank-one
     LoS part the rest.
     """
-    los = build_los(config)
     stats = compute_statistics(config)
-    h1 = los.hbar * np.sqrt(config.alpha)
-    w = h1.conj().T @ (phase.v * los.a_n)
+    w = np.sqrt(config.alpha) * np.conj(alignment_response(config, phase))
     rho = config.beta * config.delta / (config.delta + 1.0)
     return config.M * (stats.lam + rho * np.outer(w, np.conj(w)))

@@ -24,8 +24,8 @@ from .channel import PhaseShifts
 from .config import SystemConfig, default_profile
 from .errors import ConfigError, NumericalError
 from .optimizer import align_phase, build_problem, mm_optimize, quantize_phase
-from .rate import (exact_rate_mc, phase_independent_bound, phase_independent_snr, rate_lower_bound,
-                   power_scaling_limit, required_antennas, upper_bound)
+from .rate import (phase_independent_snr, power_scaling_limit, rate_lower_bound, rate_report,
+                   required_antennas)
 
 SCHEMA_VERSION = 1
 
@@ -212,18 +212,16 @@ def _run_point(scenario: Scenario, index: int, value,
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=scenario.seed, spawn_key=(index, 1)))
             phase, opt_iters = resolve_phase(config, scenario, rng)
-        mc = exact_rate_mc(config, phase, scenario.trials, _point_seed(scenario.seed, index))
-        lb = rate_lower_bound(config, phase)
-        floor_bound, _ = phase_independent_bound(config)
-        ub, _ = upper_bound(config, phase)
+        report = rate_report(config, phase, scenario.trials, _point_seed(scenario.seed, index))
     except NumericalError:
         return _nan_row(sweep_value, "numerical_failure", k, time.perf_counter() - start)
-    min_idx = int(np.argmin(mc.rates))
+    mc_rate, mc_se, lb = report.mc_rate, report.mc_std_error, report.lower_bound
+    min_idx = int(np.argmin(mc_rate))
     return ResultRow(
         sweep_value=sweep_value, error="",
-        mc_rate=mc.rates, mc_se=mc.std_errors, lower_bound=lb, floor_bound=floor_bound, ub=ub,
-        sum_rate_mc=float(mc.rates.sum()), sum_rate_mc_se=mc.sum_rate_se,
-        min_rate_mc=float(mc.rates[min_idx]), min_rate_mc_se=float(mc.std_errors[min_idx]),
+        mc_rate=mc_rate, mc_se=mc_se, lower_bound=lb, floor_bound=report.floor_bound,
+        ub=report.ub, sum_rate_mc=float(mc_rate.sum()), sum_rate_mc_se=report.mc_sum_rate_se,
+        min_rate_mc=float(mc_rate[min_idx]), min_rate_mc_se=float(mc_se[min_idx]),
         sum_rate_lb=float(lb.sum()), min_rate_lb=float(lb.min()),
         opt_iterations=opt_iters, wall_time_s=time.perf_counter() - start,
     )
@@ -275,6 +273,14 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _write_table(path, header: list[str], rows: list[list]) -> None:
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_fmt(v) for v in row))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def row_values(row: ResultRow) -> list:
     values = [row.sweep_value, row.error, row.opt_iterations]
     for j in range(row.mc_rate.size):
@@ -287,11 +293,7 @@ def row_values(row: ResultRow) -> list:
 
 def write_rows_csv(rows: list[ResultRow], path, k: int) -> None:
     """Write rows as UTF-8 CSV with full-precision (repr) floats."""
-    lines = [",".join(csv_header(k))]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row_values(row)))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_table(path, csv_header(k), [row_values(row) for row in rows])
 
 
 def write_rows_json(rows: list[ResultRow], path, k: int) -> None:
@@ -370,14 +372,6 @@ _FIG_CASES = {
     "fig3b": ("case1_align_nearest", "case2_align_farthest", "case3_random",
               "case5_maxsum", "case6_maxmin"),
 }
-
-
-def _write_table(path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def reproduce(figure_id: str, out_dir, config: SystemConfig | None = None,

@@ -32,22 +32,6 @@ from .estimation import compute_statistics
 _BOUND_PAD = 1e-12
 
 
-def lambda_max(h: np.ndarray, tol: float = 1e-8) -> float:
-    """Largest eigenvalue of a Hermitian matrix.
-
-    Rejects inputs whose Hermitian-symmetry deviation exceeds 1e-8 relative.
-    The dense Hermitian eigensolver is accurate to machine precision; ``tol``
-    is accepted for compatibility and is always met.
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ConfigError(f"expected a square matrix, got shape {h.shape}")
-    h_norm = float(np.linalg.norm(h))
-    if h_norm > 0 and np.linalg.norm(h - h.conj().T) > 1e-8 * h_norm:
-        raise ConfigError("matrix is not Hermitian")
-    return float(np.linalg.eigvalsh(h)[-1])
-
-
 @dataclass(frozen=True)
 class FractionalProblem:
     """Data of the phase-design problem: f_k(v) = ln(1 + v^H B v / v^H C_k v).
@@ -111,8 +95,9 @@ def build_problem(config: SystemConfig) -> FractionalProblem:
     spectral bounds are exact: C_k + B = c_k I + rho G^H M_k G with
     c_k = (1 + scale [Lam^{-1}]_kk) / N and the PSD K x K matrix
     M_k = N c_k Lam^{-1} - scale l_k l_k^H (l_k = column k of Lam^{-1}).  One
-    QR G^H = Q R reduces the top eigenvalue to c_k + rho lambda_max(R M_k R^H),
-    a K x K problem.  Total cost O(N K^2); no N x N matrix is formed.
+    QR G^H = Q R reduces the top eigenvalue to c_k + rho times the top
+    eigenvalue of the K x K matrix R M_k R^H.  Total cost O(N K^2); no N x N
+    or M x N matrix is formed.
     """
     los = build_los(config)
     stats = compute_statistics(config)

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .channel import (PhaseShifts, aggregated_mean, alignment_response, build_los,
-                      h1_matrix, sample_channels)
+                      sample_channels)
 from .config import SystemConfig
 from .errors import NumericalError
 from .estimation import ChannelStatistics, compute_statistics, random_component_power
@@ -36,13 +36,6 @@ def _hermitian_inverse_diag(mat: np.ndarray, context: str) -> np.ndarray:
     return np.real(np.diag(inv))
 
 
-def _los_cascade(config: SystemConfig, phase: PhaseShifts, los=None) -> np.ndarray:
-    """w = H1^H Phi^H a_N (length K), the cascaded LoS response."""
-    if los is None:
-        los = build_los(config)
-    return h1_matrix(config, los).conj().T @ (phase.v * los.a_n)
-
-
 def _interference_floor(config: SystemConfig, stats: ChannelStatistics) -> float:
     """Residual interference-plus-noise power p * sum(epsilon) + sigma2."""
     return config.p * float(stats.epsilon.sum()) + config.sigma2
@@ -54,9 +47,8 @@ def _rates_from_snr(config: SystemConfig, snr: np.ndarray) -> np.ndarray:
 
 def rate_lower_bound_snr(config: SystemConfig, phase: PhaseShifts) -> np.ndarray:
     """Per-user SNR of the statistical-CSI lower bound (length K)."""
-    los = build_los(config)
     stats = compute_statistics(config)
-    w = _los_cascade(config, phase, los)
+    w = np.sqrt(config.alpha) * np.conj(alignment_response(config, phase))
     rho = config.beta * config.delta / (config.delta + 1.0)
     mat = stats.lam + rho * np.outer(w, np.conj(w))
     inv_diag = _hermitian_inverse_diag(mat, "rate lower bound")
@@ -90,7 +82,6 @@ def rate_no_ris(config: SystemConfig) -> np.ndarray:
 
 def phase_independent_snr(config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     """(exact, approximate) per-user SNR of the phase-independent lower bound."""
-    los = build_los(config)
     stats = compute_statistics(config)
     prefactor = config.p * (config.M - config.K) / _interference_floor(config, stats)
     inv_diag = _hermitian_inverse_diag(stats.lam, "phase-independent lower bound")
@@ -118,13 +109,12 @@ def upper_bound(config: SystemConfig, phase: PhaseShifts) -> tuple[np.ndarray, n
     the aligned bound replaces it by its maximum N^2, attained when the
     phases are aligned to user k.
     """
-    los = build_los(config)
     stats = compute_statistics(config)
     prefactor = config.p * (config.M - config.K) / _interference_floor(config, stats)
     c = random_component_power(config)
     diag_term = c**2 / (c + config.sigma2 / (config.tau * config.p))
     los_gain = config.alpha * config.beta * config.delta / (config.delta + 1.0)
-    response = np.abs(alignment_response(config, phase, los)) ** 2
+    response = np.abs(alignment_response(config, phase)) ** 2
     general = prefactor * (diag_term + response * los_gain)
     aligned = prefactor * (diag_term + config.N**2 * los_gain)
     return _rates_from_snr(config, general), _rates_from_snr(config, aligned)
@@ -141,10 +131,9 @@ def power_scaling_limit(config: SystemConfig, phase: PhaseShifts,
     """
     if e_u <= 0:
         raise NumericalError("power-scaling constant e_u must be positive")
-    los = build_los(config)
     a = config.alpha * config.beta / (config.delta + 1.0)
     xi_diag = a**2 / (a + config.sigma2 / (config.tau * e_u))
-    w = _los_cascade(config, phase, los)
+    w = np.sqrt(config.alpha) * np.conj(alignment_response(config, phase))
     rho = config.beta * config.delta / (config.delta + 1.0)
     xi = np.diag(xi_diag).astype(complex) + rho * np.outer(w, np.conj(w)) / config.N
     with np.errstate(divide="ignore"):
@@ -250,6 +239,7 @@ class RateReport:
 
     mc_rate: np.ndarray
     mc_std_error: np.ndarray
+    mc_sum_rate_se: float
     lower_bound: np.ndarray
     floor_bound: np.ndarray
     floor_bound_approx: np.ndarray
@@ -263,12 +253,17 @@ class RateReport:
 
 def rate_report(config: SystemConfig, phase: PhaseShifts, trials: int,
                 seed: int) -> RateReport:
-    """Monte-Carlo rate plus every closed-form bound, in one pass."""
+    """Monte-Carlo rate plus every closed-form bound at one operating point.
+
+    Runs :func:`exact_rate_mc`, :func:`rate_lower_bound`,
+    :func:`phase_independent_bound` and :func:`upper_bound` in turn; each
+    call derives its own statistics.
+    """
     mc = exact_rate_mc(config, phase, trials, seed)
     floor_bound, floor_bound_approx = phase_independent_bound(config)
     ub, ub_aligned = upper_bound(config, phase)
     return RateReport(
-        mc_rate=mc.rates, mc_std_error=mc.std_errors,
+        mc_rate=mc.rates, mc_std_error=mc.std_errors, mc_sum_rate_se=mc.sum_rate_se,
         lower_bound=rate_lower_bound(config, phase),
         floor_bound=floor_bound, floor_bound_approx=floor_bound_approx, ub=ub, ub_aligned=ub_aligned,
         trials=trials, seed=seed, tau_overhead=config.tau_overhead,

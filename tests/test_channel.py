@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,13 @@ from hypothesis import strategies as st
 from riszf.channel import (ChannelRealization, PhaseShifts, aggregated_mean,
                            alignment_response, build_los, decompose_grid, h1_matrix,
                            sample_channels, steering_gram, steering_vector)
+from riszf.config import default_profile
 from riszf.errors import ConfigError
+from riszf.optimizer import align_phase, build_problem
+from riszf.rate import (phase_independent_bound, power_scaling_limit, rate_lower_bound,
+                        upper_bound)
 
-from conftest import toy_config
+from conftest import random_config, toy_config
 
 
 # --- grid decomposition ------------------------------------------------------
@@ -224,6 +229,50 @@ def test_alignment_response_bounds(reference_config):
     resp = alignment_response(reference_config, ph)
     assert resp.shape == (reference_config.K,)
     assert np.all(np.abs(resp) <= reference_config.N * (1 + 1e-12))
+
+
+def test_aggregated_mean_matches_dense_oracle():
+    # the factored mean against the dense rank-one LoS product a_m a_n^H Phi H1
+    rng = np.random.default_rng(31)
+    configs = [random_config(rng) for _ in range(6)]
+    configs.append(configs[0].replace(delta=0.0))
+    configs.append(configs[1].replace(alpha=np.zeros(configs[1].K), beta=0.0))
+    for cfg in configs:
+        ph = PhaseShifts.random(cfg.N, rng)
+        los = build_los(cfg)
+        scale = math.sqrt(cfg.beta * cfg.delta / (cfg.delta + 1.0))
+        dense = scale * (np.outer(los.a_m, np.conj(los.a_n))
+                         @ (ph.phi_diag[:, None] * h1_matrix(cfg, los)))
+        mean = aggregated_mean(cfg, ph, los)
+        assert mean.shape == (cfg.M, cfg.K)
+        np.testing.assert_allclose(mean, dense, rtol=1e-12,
+                                   atol=1e-12 * np.abs(dense).max())
+
+
+def test_los_closed_forms_allocate_no_mxn_array():
+    cfg = default_profile(N=65536)
+    limit = 6 * cfg.K * cfg.N * 16           # one dense M x N array is 64 MiB here
+    phase = PhaseShifts.identity(cfg.N)
+    calls = {
+        "build_los": lambda: build_los(cfg),
+        "align_phase": lambda: align_phase(cfg, 0),
+        "rate_lower_bound": lambda: rate_lower_bound(cfg, phase),
+        "upper_bound": lambda: upper_bound(cfg, phase),
+        "phase_independent_bound": lambda: phase_independent_bound(cfg),
+        "power_scaling_limit": lambda: power_scaling_limit(cfg, phase, 10.0),
+        "build_problem": lambda: build_problem(cfg),
+    }
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name, call in calls.items():
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            peaks[name] = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert all(peak < limit for peak in peaks.values()), peaks
 
 
 def test_h1_matrix_scaling(reference_config):

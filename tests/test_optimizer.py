@@ -12,7 +12,7 @@ from riszf.config import default_profile
 from riszf.errors import ConfigError
 from riszf.estimation import compute_statistics
 from riszf.optimizer import (FractionalProblem, OptTrace, align_phase, build_problem,
-                             fractional_objective, lambda_max, maxmin_step, maxsum_step,
+                             fractional_objective, maxmin_step, maxsum_step,
                              mm_optimize, quantize_phase, smoothed_min, surrogate_maxsum)
 from riszf.rate import rate_lower_bound, rate_lower_bound_snr
 
@@ -156,30 +156,6 @@ def test_large_n_problem_stays_low_rank():
         assert all(b >= a - 1e-12 for a, b in zip(objs, objs[1:]))
         np.testing.assert_allclose(np.abs(trace.final_v.v), 1.0, atol=1e-9)
     assert time.perf_counter() - start < 10.0
-
-
-# --- top eigenvalue ----------------------------------------------------------------
-
-def test_lambda_max_trivial_cases():
-    assert lambda_max(np.eye(5)) == pytest.approx(1.0, abs=1e-8)
-    assert lambda_max(np.diag([1.0, 2.0, 5.0])) == pytest.approx(5.0, abs=1e-8)
-    assert lambda_max(np.zeros((3, 3))) == 0.0
-
-
-def test_lambda_max_dense_oracle():
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        h = a @ a.conj().T
-        expected = np.linalg.eigvalsh(h).max()
-        assert lambda_max(h, tol=1e-10) == pytest.approx(expected, rel=1e-8)
-
-
-def test_lambda_max_rejects_non_hermitian():
-    with pytest.raises(ConfigError):
-        lambda_max(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ConfigError):
-        lambda_max(np.ones((2, 3)))
 
 
 # --- surrogate ---------------------------------------------------------------------
