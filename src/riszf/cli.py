@@ -18,8 +18,8 @@ from .channel import PhaseShifts
 from .config import default_profile, parse_config_file
 from .errors import ConfigError, NumericalError
 from .estimation import compute_statistics
-from .harness import (FIGURE_IDS, PHASE_CASES, SWEEP_AXES, Scenario, reproduce, run_scenario,
-                      write_scenario_outputs)
+from .harness import (FIGURE_IDS, PHASE_CASES, SWEEP_AXES, Scenario, csv_header, csv_text,
+                      reproduce, row_values, run_scenario, write_scenario_outputs)
 from .optimizer import mm_optimize
 from .rate import exact_rate_mc
 
@@ -48,11 +48,8 @@ def cli(ctx, config_path, seed, trials, out_path, fmt):
 def _emit_rows(ctx, rows, scenario):
     out = ctx.obj["out"]
     if out is None:
-        from .harness import csv_header, row_values
-        header = csv_header(scenario.config.K)
-        click.echo(",".join(header))
-        for row in rows:
-            click.echo(",".join(str(v) for v in row_values(row)))
+        click.echo(csv_text(csv_header(scenario.config.K), [row_values(row) for row in rows]),
+                   nl=False)
         return
     paths = write_scenario_outputs(rows, scenario, out, fmt=ctx.obj["fmt"])
     for p in paths:

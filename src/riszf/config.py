@@ -44,7 +44,8 @@ class SystemConfig:
     link, ``beta`` for the RIS-BS link, ``gamma[k]`` for the direct user-BS
     link.  ``delta`` is the Rician factor of the RIS-BS link (0 = Rayleigh,
     large = pure LoS).  ``alpha``/``beta`` may be zero to model a switched-off
-    RIS; the direct links must carry power (``gamma > 0``).
+    RIS; the direct links must carry power (``gamma > 0``).  Every value must
+    be finite.
 
     Angles are (azimuth, elevation) pairs in radians: ``user_ris_angles[k]``
     for the arrival at the RIS from user k, ``ris_aod`` for the departure
@@ -123,6 +124,11 @@ class SystemConfig:
                 raise ConfigError(f"user_ris_dist must have shape ({self.K},), got {dist.shape}")
             dist.setflags(write=False)
             object.__setattr__(self, "user_ris_dist", dist)
+        for name in ("delta", "beta", "alpha", "gamma", "user_ris_angles", "ris_aod",
+                     "bs_aoa", "d_over_lambda", "mu", "user_ris_dist"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ConfigError(f"{name} must be finite")
 
     @property
     def tau_overhead(self) -> float:

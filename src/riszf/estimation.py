@@ -14,7 +14,25 @@ import numpy as np
 from .channel import (ChannelRealization, PhaseShifts, aggregated_mean, alignment_response,
                       steering_gram)
 from .config import SystemConfig
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
+
+
+def hermitian_inverse(mat: np.ndarray, context: str) -> np.ndarray:
+    """Inverse of a Hermitian positive-definite matrix from its Cholesky factor.
+
+    With mat = L L^H the inverse is L^{-H} L^{-1}.  Raises
+    :class:`NumericalError` naming ``context`` when ``mat`` is not finite or
+    not positive definite.
+    """
+    if not np.all(np.isfinite(mat)):
+        raise NumericalError(f"{context}: matrix is not finite (invalid configuration?)")
+    try:
+        chol = np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{context}: matrix is not positive definite "
+                             "(invalid configuration?)") from exc
+    chol_inv = np.linalg.inv(chol)
+    return chol_inv.conj().T @ chol_inv
 
 
 def random_component_power(config: SystemConfig) -> np.ndarray:

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import __version__
 from .channel import PhaseShifts
@@ -40,9 +39,8 @@ class Scenario:
     """One experiment: a config, a phase design, and an optional sweep.
 
     ``phase_design`` is one of :data:`PHASE_CASES` or an explicit
-    :class:`PhaseShifts`.  ``nearest_user``/``farthest_user`` override the
-    indices used by the alignment cases; by default they come from the
-    config's ``user_ris_dist`` metadata.
+    :class:`PhaseShifts`.  The alignment cases take the nearest and farthest
+    users from the config's ``user_ris_dist`` metadata.
     """
 
     config: SystemConfig
@@ -51,10 +49,6 @@ class Scenario:
     sweep_values: tuple = ()
     trials: int = 2000
     seed: int = 0
-    nearest_user: int | None = None
-    farthest_user: int | None = None
-    opt_max_iter: int = 500
-    opt_rel_tol: float = 1e-6
 
     def __post_init__(self):
         if isinstance(self.phase_design, str) and self.phase_design not in PHASE_CASES:
@@ -112,28 +106,22 @@ def _nan_row(sweep_value, error, k, wall_time) -> ResultRow:
                      opt_iterations=0, wall_time_s=wall_time)
 
 
-def _alignment_indices(config: SystemConfig, scenario: Scenario) -> tuple[int, int]:
-    nearest, farthest = scenario.nearest_user, scenario.farthest_user
-    if nearest is None or farthest is None:
-        if config.user_ris_dist is None:
-            raise ConfigError("alignment cases need nearest_user/farthest_user or a "
-                              "config with user_ris_dist metadata")
-        if nearest is None:
-            nearest = int(np.argmin(config.user_ris_dist))
-        if farthest is None:
-            farthest = int(np.argmax(config.user_ris_dist))
-    return nearest, farthest
+def _alignment_indices(config: SystemConfig) -> tuple[int, int]:
+    """(nearest, farthest) user by the config's ``user_ris_dist`` metadata."""
+    if config.user_ris_dist is None:
+        raise ConfigError("alignment cases need a config with user_ris_dist metadata")
+    return int(np.argmin(config.user_ris_dist)), int(np.argmax(config.user_ris_dist))
 
 
-def resolve_phase(config: SystemConfig, scenario: Scenario, rng,
-                  extra_inits: tuple[PhaseShifts, ...] = ()) -> tuple[PhaseShifts, int]:
+def resolve_phase(config: SystemConfig, scenario: Scenario, rng) -> tuple[PhaseShifts, int]:
     """Turn a phase design into concrete phases; returns (phase, optimizer iters).
 
     The optimizer cases warm-start from the best of the four heuristic cases
-    under their own objective (plus any ``extra_inits``); monotonicity of the
-    optimizer then guarantees they never fall below that heuristic.  The
-    min-rate case additionally seeds from the sum-rate solution, so its
-    minimum rate dominates every other case of the same run.
+    under their own objective; monotonicity of the optimizer then guarantees
+    they never fall below that heuristic.  The min-rate case additionally
+    seeds from the sum-rate solution, so its minimum rate dominates every
+    other case of the same run.  Both run :func:`mm_optimize` with its
+    default iteration cap and tolerance.
     """
     design = scenario.phase_design
     if isinstance(design, PhaseShifts):
@@ -145,7 +133,7 @@ def resolve_phase(config: SystemConfig, scenario: Scenario, rng,
         return PhaseShifts.identity(config.N), 0
     if design == "case3_random":
         return PhaseShifts.random(config.N, rng), 0
-    nearest, farthest = _alignment_indices(config, scenario)
+    nearest, farthest = _alignment_indices(config)
     if design == "case1_align_nearest":
         return align_phase(config, nearest), 0
     if design == "case2_align_farthest":
@@ -153,7 +141,6 @@ def resolve_phase(config: SystemConfig, scenario: Scenario, rng,
 
     candidates = [align_phase(config, nearest), align_phase(config, farthest),
                   PhaseShifts.random(config.N, rng), PhaseShifts.identity(config.N)]
-    candidates.extend(extra_inits)
     objective = "sum" if design == "case5_maxsum" else "min"
 
     def sum_score(phase):
@@ -166,16 +153,13 @@ def resolve_phase(config: SystemConfig, scenario: Scenario, rng,
     iterations = 0
     if objective == "min":
         sum_trace = mm_optimize(config, objective="sum",
-                                init=max(candidates, key=sum_score),
-                                max_iter=scenario.opt_max_iter,
-                                rel_tol=scenario.opt_rel_tol, problem=problem)
+                                init=max(candidates, key=sum_score), problem=problem)
         iterations += sum_trace.iterations
         candidates.append(sum_trace.final_v)
 
     score = sum_score if objective == "sum" else min_score
     trace = mm_optimize(config, objective=objective, init=max(candidates, key=score),
-                        max_iter=scenario.opt_max_iter,
-                        rel_tol=scenario.opt_rel_tol, problem=problem)
+                        problem=problem)
     return trace.final_v, iterations + trace.iterations
 
 
@@ -273,12 +257,17 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_table(path, header: list[str], rows: list[list]) -> None:
+def csv_text(header: list[str], rows: list[list]) -> str:
+    """CSV text with full-precision (repr) floats, one line per row plus the header."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _write_table(path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(csv_text(header, rows))
 
 
 def row_values(row: ResultRow) -> list:
@@ -344,18 +333,16 @@ def write_scenario_outputs(rows, scenario: Scenario, out_path, fmt: str = "csv",
 def solve_antennas_for_snr(config: SystemConfig, N: int, C0: float, k: int) -> float:
     """Antenna count at which the phase-independent bound reaches SNR C0.
 
-    Numerically inverts the exact bound for user k over a real-valued
-    antenna count (delta forced to 0, N replaced).  Serves as the numerical
-    counterpart of :func:`riszf.rate.required_antennas`.
+    Inverts the exact bound for user k over a real-valued antenna count
+    (delta forced to 0, N replaced).  The bound's SNR is per_antenna (m - K),
+    linear in the antenna count m, so the inverse is K + C0 / per_antenna.
+    Serves as the exact-bound counterpart of
+    :func:`riszf.rate.required_antennas`.
     """
     cfg = config.replace(N=int(N), delta=0.0)
     snr_ref = float(phase_independent_snr(cfg)[0][k])
     per_antenna = snr_ref / (cfg.M - cfg.K)
-
-    def objective(m):
-        return per_antenna * (m - cfg.K) - C0
-
-    return float(brentq(objective, cfg.K + 1e-9, 1e15, xtol=1e-9, rtol=1e-14))
+    return cfg.K + C0 / per_antenna
 
 
 # --- figure reproduction ------------------------------------------------------

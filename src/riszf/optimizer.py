@@ -20,12 +20,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .channel import PhaseShifts, build_los, h1_matrix
 from .config import SystemConfig
 from .errors import ConfigError, NumericalError
-from .estimation import compute_statistics
+from .estimation import compute_statistics, hermitian_inverse
 
 # relative upward padding of the exact top eigenvalues, so that rounding in the
 # K x K eigenproblem cannot leave a bound below the dense spectrum
@@ -102,12 +101,7 @@ def build_problem(config: SystemConfig) -> FractionalProblem:
     los = build_los(config)
     stats = compute_statistics(config)
     g = h1_matrix(config, los).conj().T * los.a_n
-    try:
-        factor = scipy.linalg.cho_factor(stats.lam, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("estimate correlation matrix is not positive definite "
-                             "(invalid configuration?)") from exc
-    lam_inv = scipy.linalg.cho_solve(factor, np.eye(config.K, dtype=complex))
+    lam_inv = hermitian_inverse(stats.lam, "estimate correlation matrix")
     z = lam_inv @ g
     lam_inv_diag = np.real(np.diag(lam_inv)).copy()
     rho = config.beta * config.delta / (config.delta + 1.0)

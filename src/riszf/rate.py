@@ -13,27 +13,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .channel import (PhaseShifts, aggregated_mean, alignment_response, build_los,
                       sample_channels)
 from .config import SystemConfig
 from .errors import NumericalError
-from .estimation import ChannelStatistics, compute_statistics, random_component_power
+from .estimation import (ChannelStatistics, compute_statistics, hermitian_inverse,
+                         random_component_power)
 
 #: Attempts per Monte-Carlo trial before a singular Gram matrix is fatal.
 _MAX_RESAMPLE = 32
-
-
-def _hermitian_inverse_diag(mat: np.ndarray, context: str) -> np.ndarray:
-    """Diagonal of the inverse of a Hermitian positive-definite matrix."""
-    try:
-        factor = scipy.linalg.cho_factor(mat, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"{context}: matrix is not positive definite "
-                             "(invalid configuration?)") from exc
-    inv = scipy.linalg.cho_solve(factor, np.eye(mat.shape[0], dtype=complex))
-    return np.real(np.diag(inv))
 
 
 def _interference_floor(config: SystemConfig, stats: ChannelStatistics) -> float:
@@ -51,7 +40,7 @@ def rate_lower_bound_snr(config: SystemConfig, phase: PhaseShifts) -> np.ndarray
     w = np.sqrt(config.alpha) * np.conj(alignment_response(config, phase))
     rho = config.beta * config.delta / (config.delta + 1.0)
     mat = stats.lam + rho * np.outer(w, np.conj(w))
-    inv_diag = _hermitian_inverse_diag(mat, "rate lower bound")
+    inv_diag = np.real(np.diag(hermitian_inverse(mat, "rate lower bound")))
     return config.p * (config.M - config.K) / (_interference_floor(config, stats) * inv_diag)
 
 
@@ -84,7 +73,7 @@ def phase_independent_snr(config: SystemConfig) -> tuple[np.ndarray, np.ndarray]
     """(exact, approximate) per-user SNR of the phase-independent lower bound."""
     stats = compute_statistics(config)
     prefactor = config.p * (config.M - config.K) / _interference_floor(config, stats)
-    inv_diag = _hermitian_inverse_diag(stats.lam, "phase-independent lower bound")
+    inv_diag = np.real(np.diag(hermitian_inverse(stats.lam, "phase-independent lower bound")))
     c = random_component_power(config)
     approx = prefactor * c**2 / (c + config.sigma2 / (config.tau * config.p))
     return prefactor / inv_diag, approx
@@ -140,7 +129,7 @@ def power_scaling_limit(config: SystemConfig, phase: PhaseShifts,
         pilot_limited = e_u / (config.tau * e_u / config.sigma2 + (config.delta + 1.0)
                                / (config.alpha * config.beta))
     prefactor = e_u * (config.M - config.K) / (float(pilot_limited.sum()) + config.sigma2)
-    inv_diag = _hermitian_inverse_diag(xi, "power-scaling limit")
+    inv_diag = np.real(np.diag(hermitian_inverse(xi, "power-scaling limit")))
     return prefactor / inv_diag, prefactor * xi_diag
 
 
@@ -182,8 +171,8 @@ def exact_rate_mc(config: SystemConfig, phase: PhaseShifts, trials: int,
     """Monte-Carlo average of the exact per-user ZF rate.
 
     Each trial draws a fresh realization, forms the MMSE estimate, applies
-    the ZF receiver A = Qhat (Qhat^H Qhat)^{-1} through a Hermitian solve,
-    and evaluates
+    the ZF receiver A = Qhat (Qhat^H Qhat)^{-1} through the Cholesky factor
+    of the K x K Gram, and evaluates
         tau_overhead * log2(1 + p / (p sum_i |a_k^H e_i|^2 + sigma2 |a_k|^2)).
     Trials use substreams derived from (seed, trial, attempt), so results are
     reproducible and independent of evaluation order.
@@ -193,7 +182,6 @@ def exact_rate_mc(config: SystemConfig, phase: PhaseShifts, trials: int,
     los = build_los(config)
     stats = compute_statistics(config)
     mean = aggregated_mean(config, phase, los)
-    eye = np.eye(config.K, dtype=complex)
 
     per_trial = np.empty((trials, config.K))
     retries = 0
@@ -204,18 +192,17 @@ def exact_rate_mc(config: SystemConfig, phase: PhaseShifts, trials: int,
             realization = sample_channels(config, phase, rng, los)
             qhat = mean + stats.kappa * (realization.q - mean + realization.pilot_noise)
             err = realization.q - qhat
-            gram = qhat.conj().T @ qhat
             try:
-                factor = scipy.linalg.cho_factor(gram, lower=True)
-            except np.linalg.LinAlgError:
+                gram_inv = hermitian_inverse(qhat.conj().T @ qhat, "estimate Gram matrix")
+            except NumericalError:
                 retries += 1
                 continue
             break
         else:
             raise NumericalError(f"trial {t}: Gram matrix stayed singular after "
                                  f"{_MAX_RESAMPLE} redraws")
-        leakage = scipy.linalg.cho_solve(factor, qhat.conj().T @ err)
-        rx_norm2 = np.real(np.diag(scipy.linalg.cho_solve(factor, eye)))
+        leakage = gram_inv @ (qhat.conj().T @ err)
+        rx_norm2 = np.real(np.diag(gram_inv))
         interference = config.p * np.sum(np.abs(leakage) ** 2, axis=1)
         sinr = config.p / (interference + config.sigma2 * rx_norm2)
         per_trial[t] = config.tau_overhead * np.log2(1.0 + sinr)

@@ -30,6 +30,11 @@ def test_dbm_round_trip():
     dict(beta=-1e-9),
     dict(mu=0.0),
     dict(d_over_lambda=0.0),
+    dict(delta=np.inf),         # every value must be finite
+    dict(delta=np.nan),
+    dict(beta=np.inf),
+    dict(mu=np.inf),
+    dict(d_over_lambda=np.nan),
 ])
 def test_invalid_scalars_rejected(changes):
     cfg = toy_config()
@@ -45,6 +50,14 @@ def test_invalid_arrays_rejected():
         cfg.replace(gamma=np.array([1.0, 0.0, 1.0]))  # direct links must carry power
     with pytest.raises(ConfigError):
         cfg.replace(alpha=np.array([1.0, -1.0, 1.0]))
+    for changes in (dict(alpha=np.array([1.0, np.inf, 1.0])),  # every value must be finite
+                    dict(gamma=np.array([1.0, 1.0, np.inf])),
+                    dict(user_ris_angles=np.array([[0.1, 0.2], [np.nan, 0.2], [0.3, 0.4]])),
+                    dict(ris_aod=(np.inf, 0.5)),
+                    dict(bs_aoa=(0.5, np.nan)),
+                    dict(user_ris_dist=np.array([1.0, np.inf, 2.0]))):
+        with pytest.raises(ConfigError):
+            cfg.replace(**changes)
 
 
 def test_ris_off_configs_allowed():

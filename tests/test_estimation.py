@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from riszf.channel import PhaseShifts, aggregated_mean, build_los, sample_channels
-from riszf.errors import ConfigError
-from riszf.estimation import (ChannelStatistics, compute_statistics, mmse_estimate,
-                              qhat_gram_mean, random_component_power)
+from riszf.channel import (PhaseShifts, aggregated_mean, alignment_response, build_los,
+                           sample_channels)
+from riszf.errors import ConfigError, NumericalError
+from riszf.estimation import (ChannelStatistics, compute_statistics, hermitian_inverse,
+                              mmse_estimate, qhat_gram_mean, random_component_power)
 
-from conftest import toy_config
+from conftest import random_config, toy_config
 
 
 def test_statistics_ranges(reference_config):
@@ -196,3 +197,29 @@ def test_mmse_column_formula():
 def test_statistics_type():
     stats = compute_statistics(toy_config())
     assert isinstance(stats, ChannelStatistics)
+
+
+def test_hermitian_inverse_matches_dense_oracle():
+    rng = np.random.default_rng(21)
+    mats = []
+    for k in range(1, 9):
+        a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        mats.append(a @ a.conj().T + 0.1 * np.eye(k))
+    for _ in range(6):
+        cfg = random_config(rng)
+        lam = compute_statistics(cfg).lam
+        w = np.sqrt(cfg.alpha) * np.conj(alignment_response(cfg, PhaseShifts.random(cfg.N, rng)))
+        rho = cfg.beta * cfg.delta / (cfg.delta + 1.0)
+        mats += [lam, lam + rho * np.outer(w, np.conj(w))]
+    for mat in mats:
+        inv = hermitian_inverse(mat, "test")
+        oracle = np.linalg.inv(mat)
+        assert np.linalg.norm(inv - oracle) <= 1e-12 * np.linalg.norm(oracle)
+        np.testing.assert_allclose(np.diag(inv).real, np.diag(oracle).real, rtol=1e-12)
+
+
+def test_hermitian_inverse_rejects_indefinite_and_nonfinite():
+    with pytest.raises(NumericalError, match="indefinite probe"):
+        hermitian_inverse(np.diag([1.0, -1.0]).astype(complex), "indefinite probe")
+    with pytest.raises(NumericalError, match="nan probe"):
+        hermitian_inverse(np.array([[1.0, np.nan], [np.nan, 1.0]], dtype=complex), "nan probe")

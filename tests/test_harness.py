@@ -1,4 +1,9 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,8 +256,15 @@ def test_cli_sweep_stdout(tmp_path, capsys):
     code = cli_main(["--config", str(cfg_path), "--trials", "10",
                      "sweep", "--axis", "N", "--values", "8,16"])
     assert code == 0
-    lines = capsys.readouterr().out.strip().split("\n")
+    stdout = capsys.readouterr().out
+    lines = stdout.strip().split("\n")
     assert len(lines) == 3  # header + 2 rows
+    # stdout carries the same bytes as the --out file
+    out_csv = tmp_path / "sweep.csv"
+    code = cli_main(["--config", str(cfg_path), "--trials", "10", "--out", str(out_csv),
+                     "sweep", "--axis", "N", "--values", "8,16"])
+    assert code == 0
+    assert out_csv.read_bytes() == stdout.encode("utf-8")
 
 
 def test_cli_reproduce(tmp_path):
@@ -267,6 +279,21 @@ def test_cli_exit_codes(tmp_path):
     assert cli_main(["--config", str(bad), "rate"]) == 2
     assert cli_main(["bogus-command"]) == 2
     assert cli_main(["sweep", "--axis", "N", "--values", "16,8"]) == 2
+    inf_alpha = tmp_path / "inf.cfg"
+    write_config_file(default_profile(K=2, M=8, N=8), inf_alpha)
+    inf_alpha.write_text(re.sub(r"(?m)^alpha = .*$", "alpha = inf, 1e-6", inf_alpha.read_text()))
+    assert cli_main(["--config", str(inf_alpha), "rate"]) == 2
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = ("import sys, riszf.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_help():
