@@ -45,7 +45,10 @@ class SystemConfig:
     link.  ``delta`` is the Rician factor of the RIS-BS link (0 = Rayleigh,
     large = pure LoS).  ``alpha``/``beta`` may be zero to model a switched-off
     RIS; the direct links must carry power (``gamma > 0``).  Every value must
-    be finite.
+    be finite.  Construction (and :meth:`replace`) is the one check on
+    scenario values: integral counts are stored as ``int``, scalars as
+    ``float``, arrays as read-only float arrays, and anything else raises
+    :class:`ConfigError`.
 
     Angles are (azimuth, elevation) pairs in radians: ``user_ris_angles[k]``
     for the arrival at the RIS from user k, ``ris_aod`` for the departure
@@ -76,18 +79,23 @@ class SystemConfig:
     def __post_init__(self):
         for name in ("M", "N", "K", "tau_c", "tau"):
             value = getattr(self, name)
-            if int(value) != value or value < 1:
+            if not (math.isfinite(value) and int(value) == value and value >= 1):
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
             object.__setattr__(self, name, int(value))
+        for name in ("p", "sigma2", "delta", "beta", "d_over_lambda", "mu"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if self.K >= self.M:
             raise ConfigError(f"ZF needs K < M, got K={self.K}, M={self.M}")
         if self.tau < self.K:
             raise ConfigError(f"orthogonal pilots need tau >= K, got tau={self.tau}, K={self.K}")
         if self.tau > self.tau_c:
             raise ConfigError(f"tau={self.tau} exceeds the coherence interval tau_c={self.tau_c}")
-        if not (self.p > 0.0 and math.isfinite(self.p)):
+        if self.p <= 0.0:
             raise ConfigError(f"transmit power must be positive, got p={self.p}")
-        if not (self.sigma2 > 0.0 and math.isfinite(self.sigma2)):
+        if self.sigma2 <= 0.0:
             raise ConfigError(f"noise power must be positive, got sigma2={self.sigma2}")
         if self.delta < 0.0:
             raise ConfigError(f"Rician factor must be nonnegative, got delta={self.delta}")
@@ -124,8 +132,7 @@ class SystemConfig:
                 raise ConfigError(f"user_ris_dist must have shape ({self.K},), got {dist.shape}")
             dist.setflags(write=False)
             object.__setattr__(self, "user_ris_dist", dist)
-        for name in ("delta", "beta", "alpha", "gamma", "user_ris_angles", "ris_aod",
-                     "bs_aoa", "d_over_lambda", "mu", "user_ris_dist"):
+        for name in ("alpha", "gamma", "user_ris_angles", "ris_aod", "bs_aoa", "user_ris_dist"):
             value = getattr(self, name)
             if value is not None and not np.all(np.isfinite(value)):
                 raise ConfigError(f"{name} must be finite")
@@ -179,30 +186,27 @@ class CircleGeometry:
     d_ris_bs: float
 
 
-def circle_layout(K, bs_xy=(0.0, 0.0), ris_xy=(0.0, 700.0),
-                  center_xy=(10.0, 700.0), radius=10.0,
-                  min_distance=1.0) -> CircleGeometry:
+def circle_layout(K) -> CircleGeometry:
     """Place K users on a circle and return link distances, nearest-first.
 
-    Users sit at deterministic equally spaced slots and are ordered by
-    increasing user-RIS distance: index 0 is the nearest user, index K-1
-    the farthest.  Distances are floored at ``min_distance`` (the far-field
-    reference of the path-loss model), which matters when a slot lands on
-    the RIS itself.
+    The BS sits at (0, 0), the RIS at (0, 700) and the users on a circle of
+    radius 10 m centered at (10, 700), at deterministic equally spaced
+    slots.  Users are ordered by increasing user-RIS distance: index 0 is
+    the nearest user, index K-1 the farthest.  Distances are floored at 1 m
+    (the far-field reference of the path-loss model), which matters when a
+    slot lands on the RIS itself.
     """
     slots = np.pi * (2.0 * np.arange(K) + 1.0) / K
-    pos = np.stack([center_xy[0] + radius * np.cos(slots),
-                    center_xy[1] + radius * np.sin(slots)], axis=1)
-    d_ur = np.maximum(np.hypot(pos[:, 0] - ris_xy[0], pos[:, 1] - ris_xy[1]), min_distance)
-    d_ub = np.maximum(np.hypot(pos[:, 0] - bs_xy[0], pos[:, 1] - bs_xy[1]), min_distance)
-    d_rb = max(math.hypot(ris_xy[0] - bs_xy[0], ris_xy[1] - bs_xy[1]), min_distance)
+    x, y = 10.0 + 10.0 * np.cos(slots), 700.0 + 10.0 * np.sin(slots)
+    d_ur = np.maximum(np.hypot(x, y - 700.0), 1.0)
+    d_ub = np.maximum(np.hypot(x, y), 1.0)
     order = np.argsort(d_ur, kind="stable")
-    return CircleGeometry(d_user_ris=d_ur[order], d_user_bs=d_ub[order], d_ris_bs=d_rb)
+    return CircleGeometry(d_user_ris=d_ur[order], d_user_bs=d_ub[order], d_ris_bs=700.0)
 
 
-def path_loss(distance, exponent, ref_loss_db=REF_LOSS_DB):
-    """Linear power gain at the given distance: 10^(-ref/10) * d^(-exponent)."""
-    return 10.0 ** (-ref_loss_db / 10.0) * np.asarray(distance, dtype=float) ** (-exponent)
+def path_loss(distance, exponent):
+    """Linear power gain at the given distance: 10^(-REF_LOSS_DB/10) * d^(-exponent)."""
+    return 10.0 ** (-REF_LOSS_DB / 10.0) * np.asarray(distance, dtype=float) ** (-exponent)
 
 
 def _coprime_stride(K: int) -> int:
@@ -264,22 +268,20 @@ DEFAULT_RIS_AOD = (1.1, 0.8)
 DEFAULT_BS_AOA = (2.2, 1.1)
 
 
-def default_profile(M=64, N=64, K=8, delta=1.0, tau_c=196, tau=None,
-                    p_dbm=30.0, sigma2_dbm=-104.0, d_over_lambda=0.5,
-                    mu=10.0, seed=None, exponents=DEFAULT_EXPONENTS) -> SystemConfig:
+def default_profile(M=64, N=64, K=8, delta=1.0, seed=None) -> SystemConfig:
     """Build the bundled reference scenario.
 
-    Geometry: BS at (0, 0), RIS at (0, 700), users on a circle of radius
-    10 m centered at (10, 700), ordered nearest-to-RIS first.  Path losses
-    follow ``path_loss`` with the given exponents.  User directions come
-    from the deterministic :func:`spread_angles` grid unless ``seed`` is an
-    integer, in which case they are drawn uniformly at random.  The scalar
-    defaults (K=8, M=N=64, delta=1, tau_c=196, tau=K, p=30 dBm,
-    sigma2=-104 dBm, mu=10) describe the default operating point; the
-    path-loss constants and angles are illustrative, not measurements.
+    Geometry: the :func:`circle_layout`, users ordered nearest-to-RIS
+    first.  Path losses follow :func:`path_loss` with
+    :data:`DEFAULT_EXPONENTS`.  User directions come from
+    :func:`beam_directions` (the tuned beam table for K <= 8, the
+    :func:`spread_angles` grid beyond) unless ``seed`` is an integer, in
+    which case they are drawn uniformly at random.  The scalar defaults
+    (K=8, M=N=64, delta=1, tau_c=196, tau=K, p=30 dBm, sigma2=-104 dBm,
+    mu=10) describe the default operating point; the path-loss constants
+    and angles are illustrative, not measurements.  Override any other
+    field through :meth:`SystemConfig.replace`.
     """
-    if tau is None:
-        tau = K
     geo = circle_layout(K)
     if seed is None:
         user_angles = beam_directions(K)
@@ -291,10 +293,10 @@ def default_profile(M=64, N=64, K=8, delta=1.0, tau_c=196, tau=None,
                                 rng.uniform(0.0, np.pi, K)], axis=1)
         ris_aod = (rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.0, np.pi))
         bs_aoa = (rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.0, np.pi))
-    exp_ur, exp_rb, exp_ub = exponents
+    exp_ur, exp_rb, exp_ub = DEFAULT_EXPONENTS
     return SystemConfig(
-        M=M, N=N, K=K, tau_c=tau_c, tau=tau,
-        p=dbm_to_watt(p_dbm), sigma2=dbm_to_watt(sigma2_dbm),
+        M=M, N=N, K=K, tau_c=196, tau=K,
+        p=dbm_to_watt(30.0), sigma2=dbm_to_watt(-104.0),
         delta=delta,
         beta=float(path_loss(geo.d_ris_bs, exp_rb)),
         alpha=path_loss(geo.d_user_ris, exp_ur),
@@ -302,34 +304,38 @@ def default_profile(M=64, N=64, K=8, delta=1.0, tau_c=196, tau=None,
         user_ris_angles=user_angles,
         ris_aod=ris_aod,
         bs_aoa=bs_aoa,
-        d_over_lambda=d_over_lambda,
-        mu=mu,
         user_ris_dist=geo.d_user_ris,
     )
 
 
 # --- flat key-value config files -------------------------------------------
 
-_SCALAR_INT_KEYS = ("M", "N", "K", "tau_c", "tau")
-_SCALAR_FLOAT_KEYS = ("delta", "beta", "d_over_lambda", "mu",
-                      "ris_aod_az", "ris_aod_el", "bs_aoa_az", "bs_aoa_el")
-_ARRAY_KEYS = ("alpha", "gamma", "user_ris_az", "user_ris_el", "user_ris_dist")
-_POWER_KEYS = {"p": ("p_w", "p_dbm"), "sigma2": ("sigma2_w", "sigma2_dbm")}
+def _float_list(text: str) -> list[float]:
+    return [float(tok) for tok in text.split(",")]
 
 
-def _parse_float_list(text):
-    try:
-        return np.array([float(tok) for tok in text.split(",")], dtype=float)
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse list value {text!r}") from exc
+#: Every config-file key with its value parser: the keys of
+#: :meth:`SystemConfig.to_dict` in order, then ``p_dbm``/``sigma2_dbm``,
+#: the dBm alternatives to ``p_w``/``sigma2_w``.
+_FILE_KEYS = {
+    "M": int, "N": int, "K": int, "tau_c": int, "tau": int,
+    "p_w": float, "sigma2_w": float, "delta": float, "beta": float,
+    "alpha": _float_list, "gamma": _float_list,
+    "user_ris_az": _float_list, "user_ris_el": _float_list,
+    "ris_aod_az": float, "ris_aod_el": float, "bs_aoa_az": float, "bs_aoa_el": float,
+    "d_over_lambda": float, "mu": float, "user_ris_dist": _float_list,
+    "p_dbm": float, "sigma2_dbm": float,
+}
 
 
 def parse_config_file(path) -> SystemConfig:
     """Read a flat ``key = value`` config file into a :class:`SystemConfig`.
 
     Blank lines and ``#`` comments are ignored; arrays are comma-separated.
-    Powers must carry an explicit unit suffix: ``p_dbm``/``p_w`` and
-    ``sigma2_dbm``/``sigma2_w`` (exactly one of each pair).
+    The keys are those of :meth:`SystemConfig.to_dict`; the fields with a
+    default (``d_over_lambda``, ``mu``, ``user_ris_dist``) may be left out.
+    Powers carry an explicit unit suffix: exactly one of ``p_w``/``p_dbm``
+    and one of ``sigma2_w``/``sigma2_dbm``.
     """
     raw = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -344,72 +350,49 @@ def parse_config_file(path) -> SystemConfig:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
             raw[key] = value
 
-    known = set(_SCALAR_INT_KEYS) | set(_SCALAR_FLOAT_KEYS) | set(_ARRAY_KEYS)
-    for watt_key, dbm_key in _POWER_KEYS.values():
-        known.update((watt_key, dbm_key))
-    unknown = sorted(set(raw) - known)
+    unknown = sorted(set(raw) - set(_FILE_KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-
-    fields = {}
+    values = {}
     try:
-        for key in _SCALAR_INT_KEYS:
-            if key in raw:
-                fields[key] = int(raw[key])
-        for key in _SCALAR_FLOAT_KEYS:
-            if key in raw:
-                fields[key] = float(raw[key])
+        for key, text in raw.items():
+            values[key] = _FILE_KEYS[key](text)
     except ValueError as exc:
-        raise ConfigError(f"cannot parse scalar value: {exc}") from exc
-    for key in _ARRAY_KEYS:
-        if key in raw:
-            fields[key] = _parse_float_list(raw[key])
-    for name, (watt_key, dbm_key) in _POWER_KEYS.items():
-        if (watt_key in raw) == (dbm_key in raw):
+        raise ConfigError(f"cannot parse {key} = {text!r}") from exc
+    for name in ("p", "sigma2"):
+        watt_key, dbm_key = f"{name}_w", f"{name}_dbm"
+        if (watt_key in values) == (dbm_key in values):
             raise ConfigError(f"exactly one of {watt_key!r} or {dbm_key!r} is required")
-        if watt_key in raw:
-            fields[name] = float(raw[watt_key])
-        else:
-            fields[name] = dbm_to_watt(float(raw[dbm_key]))
-
-    required = ["M", "N", "K", "tau_c", "tau", "delta", "beta", "alpha", "gamma",
-                "user_ris_az", "user_ris_el", "ris_aod_az", "ris_aod_el",
-                "bs_aoa_az", "bs_aoa_el"]
-    missing = sorted(key for key in required if key not in fields)
+        if dbm_key in values:
+            try:
+                values[watt_key] = dbm_to_watt(values.pop(dbm_key))
+            except OverflowError as exc:
+                raise ConfigError(f"{dbm_key} = {raw[dbm_key]} is out of range") from exc
+    optional = {f.name for f in dataclasses.fields(SystemConfig)
+                if f.default is not dataclasses.MISSING}
+    missing = [key for key in _FILE_KEYS
+               if key not in values and key not in optional and not key.endswith("_dbm")]
     if missing:
         raise ConfigError(f"missing config keys: {', '.join(missing)}")
+    if len(values["user_ris_az"]) != len(values["user_ris_el"]):
+        raise ConfigError("user_ris_az and user_ris_el must have the same length")
 
-    angles = np.stack([fields.pop("user_ris_az"), fields.pop("user_ris_el")], axis=1)
-    kwargs = dict(
-        M=fields["M"], N=fields["N"], K=fields["K"],
-        tau_c=fields["tau_c"], tau=fields["tau"],
-        p=fields["p"], sigma2=fields["sigma2"],
-        delta=fields["delta"], beta=fields["beta"],
-        alpha=fields["alpha"], gamma=fields["gamma"],
-        user_ris_angles=angles,
-        ris_aod=(fields.pop("ris_aod_az"), fields.pop("ris_aod_el")),
-        bs_aoa=(fields.pop("bs_aoa_az"), fields.pop("bs_aoa_el")),
+    return SystemConfig(
+        p=values.pop("p_w"), sigma2=values.pop("sigma2_w"),
+        user_ris_angles=np.stack([values.pop("user_ris_az"), values.pop("user_ris_el")], axis=1),
+        ris_aod=(values.pop("ris_aod_az"), values.pop("ris_aod_el")),
+        bs_aoa=(values.pop("bs_aoa_az"), values.pop("bs_aoa_el")),
+        **values,
     )
-    for optional in ("d_over_lambda", "mu", "user_ris_dist"):
-        if optional in fields:
-            kwargs[optional] = fields[optional]
-    return SystemConfig(**kwargs)
 
 
 def write_config_file(config: SystemConfig, path) -> None:
     """Write ``config`` in the flat key-value format (round-trips exactly)."""
-    d = config.to_dict()
     lines = []
-    for key in ("M", "N", "K", "tau_c", "tau"):
-        lines.append(f"{key} = {d[key]}")
-    lines.append(f"p_w = {d['p_w']!r}")
-    lines.append(f"sigma2_w = {d['sigma2_w']!r}")
-    for key in ("delta", "beta", "d_over_lambda", "mu",
-                "ris_aod_az", "ris_aod_el", "bs_aoa_az", "bs_aoa_el"):
-        lines.append(f"{key} = {d[key]!r}")
-    for key in ("alpha", "gamma", "user_ris_az", "user_ris_el"):
-        lines.append(f"{key} = " + ", ".join(repr(x) for x in d[key]))
-    if d["user_ris_dist"] is not None:
-        lines.append("user_ris_dist = " + ", ".join(repr(x) for x in d["user_ris_dist"]))
+    for key, value in config.to_dict().items():
+        if isinstance(value, list):
+            lines.append(f"{key} = " + ", ".join(map(repr, value)))
+        elif value is not None:
+            lines.append(f"{key} = {value!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -61,6 +61,8 @@ class Scenario:
             values = tuple(float(v) for v in self.sweep_values)
             if not values:
                 raise ConfigError("sweep_values must be non-empty when sweeping")
+            if not np.all(np.isfinite(values)):
+                raise ConfigError(f"sweep values must be finite, got {values}")
             if any(b <= a for a, b in zip(values, values[1:])):
                 raise ConfigError("sweep values must be strictly increasing")
             object.__setattr__(self, "sweep_values", values)
@@ -164,15 +166,10 @@ def resolve_phase(config: SystemConfig, scenario: Scenario, rng) -> tuple[PhaseS
 
 
 def _apply_axis(config: SystemConfig, axis: str | None, value) -> SystemConfig:
+    """The config at one sweep point; :class:`SystemConfig` checks the value."""
     if axis is None or axis == "bits":
         return config
-    if axis in ("N", "M"):
-        return config.replace(**{axis: int(value)})
-    if axis == "p":
-        return config.replace(p=float(value))
-    if axis == "delta":
-        return config.replace(delta=float(value))
-    raise ConfigError(f"unknown sweep axis {axis!r}")
+    return config.replace(**{axis: value})
 
 
 def _point_seed(seed: int, index: int) -> int:
@@ -186,13 +183,12 @@ def _run_point(scenario: Scenario, index: int, value,
     k = scenario.config.K
     try:
         config = _apply_axis(scenario.config, scenario.sweep_axis, value)
+        phase = None if base_phase is None else quantize_phase(base_phase, value)
     except ConfigError:
         return _nan_row(sweep_value, "invalid_config", k, time.perf_counter() - start)
     try:
-        if base_phase is not None:
-            phase = quantize_phase(base_phase, int(value))
-            opt_iters = 0
-        else:
+        opt_iters = 0
+        if phase is None:
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=scenario.seed, spawn_key=(index, 1)))
             phase, opt_iters = resolve_phase(config, scenario, rng)

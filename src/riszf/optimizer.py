@@ -142,11 +142,6 @@ def fractional_objective(problem: FractionalProblem, v: np.ndarray) -> np.ndarra
     return np.log1p(vbv / vcv)
 
 
-def rates_from_objective(config: SystemConfig, values: np.ndarray) -> np.ndarray:
-    """Convert objective values (nats) to rates in bits/s/Hz."""
-    return config.tau_overhead / math.log(2.0) * np.asarray(values)
-
-
 def smoothed_min(values: np.ndarray, mu: float) -> float:
     """Soft minimum -(1/mu) ln sum exp(-mu f_k), a lower bound on min f_k."""
     scaled = -mu * np.asarray(values, dtype=float)

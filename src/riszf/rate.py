@@ -19,7 +19,7 @@ from .channel import (PhaseShifts, aggregated_mean, alignment_response, build_lo
 from .config import SystemConfig
 from .errors import NumericalError
 from .estimation import (ChannelStatistics, compute_statistics, hermitian_inverse,
-                         random_component_power)
+                         mmse_estimate, random_component_power)
 
 #: Attempts per Monte-Carlo trial before a singular Gram matrix is fatal.
 _MAX_RESAMPLE = 32
@@ -190,8 +190,7 @@ def exact_rate_mc(config: SystemConfig, phase: PhaseShifts, trials: int,
             rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                                spawn_key=(t, attempt)))
             realization = sample_channels(config, phase, rng, los)
-            qhat = mean + stats.kappa * (realization.q - mean + realization.pilot_noise)
-            err = realization.q - qhat
+            qhat, err = mmse_estimate(config, realization, stats, mean)
             try:
                 gram_inv = hermitian_inverse(qhat.conj().T @ qhat, "estimate Gram matrix")
             except NumericalError:

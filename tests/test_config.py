@@ -1,5 +1,7 @@
 
 
+import json
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,8 @@ def test_dbm_round_trip():
     dict(beta=np.inf),
     dict(mu=np.inf),
     dict(d_over_lambda=np.nan),
+    dict(M=np.nan),             # integer fields too, before int() sees them
+    dict(N=np.inf),
 ])
 def test_invalid_scalars_rejected(changes):
     cfg = toy_config()
@@ -125,6 +129,12 @@ def test_config_file_round_trip(tmp_path):
     np.testing.assert_array_equal(parsed.gamma, cfg.gamma)
     np.testing.assert_array_equal(parsed.user_ris_angles, cfg.user_ris_angles)
     assert parsed.ris_aod == cfg.ris_aod and parsed.bs_aoa == cfg.bs_aoa
+    assert parsed.to_dict() == cfg.to_dict()
+    # numpy scalars are stored as Python floats, so they round-trip and serialize
+    numpy_scalars = cfg.replace(delta=np.float64(2.0), p=np.float32(0.5))
+    write_config_file(numpy_scalars, path)
+    assert parse_config_file(path).to_dict() == numpy_scalars.to_dict()
+    json.dumps(numpy_scalars.to_dict())
 
 
 def test_config_file_dbm_and_comments(tmp_path):
@@ -149,6 +159,9 @@ def test_config_file_dbm_and_comments(tmp_path):
     ("p_w = 1.0\n", "exactly one"),          # both p_w and p_dbm
     ("bogus_key = 3\n", "unknown"),
     ("", "missing"),
+    ("user_ris_el = 1.0\n", "same length"),
+    ("p_dbm = abc\n", "cannot parse p_dbm"),
+    ("p_dbm = 4000\n", "out of range"),     # 10^397 W overflows a float
 ])
 def test_config_file_errors(tmp_path, mutation, message):
     base = (
@@ -162,8 +175,11 @@ def test_config_file_errors(tmp_path, mutation, message):
     # base omits bs_aoa_el so the "" mutation exercises the missing-key path
     if message != "missing":
         base += "bs_aoa_el = 0.8\n"
+    # a mutation line replaces the base line with the same key
+    keys = {line.split("=")[0].strip() for line in mutation.splitlines()}
+    kept = [line + "\n" for line in base.splitlines() if line.split("=")[0].strip() not in keys]
     path = tmp_path / "bad.cfg"
-    path.write_text(base + mutation)
+    path.write_text("".join(kept) + mutation)
     with pytest.raises(ConfigError, match=message):
         parse_config_file(path)
 

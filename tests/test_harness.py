@@ -31,6 +31,8 @@ def test_scenario_validation(small_config):
     with pytest.raises(ConfigError):
         Scenario(config=small_config, sweep_axis="N", sweep_values=(32, 16))
     with pytest.raises(ConfigError):
+        Scenario(config=small_config, sweep_axis="N", sweep_values=(32, np.nan, 16))
+    with pytest.raises(ConfigError):
         Scenario(config=small_config, trials=0)
 
 
@@ -81,6 +83,13 @@ def test_run_scenario_infeasible_point_marked(small_config):
     assert rows[0].error == "invalid_config"
     assert np.isnan(rows[0].sum_rate_mc)
     assert rows[1].error == ""
+    # non-integral element counts and bit widths are invalid points too
+    for axis, values in (("N", (16.5, 32)), ("bits", (0, 2))):
+        sc = Scenario(config=small_config, phase_design="case4_identity",
+                      sweep_axis=axis, sweep_values=values, trials=10, seed=0)
+        rows = run_scenario(sc)
+        assert rows[0].error == "invalid_config"
+        assert rows[1].error == ""
 
 
 def test_run_scenario_bits_axis(small_config):
@@ -283,6 +292,11 @@ def test_cli_exit_codes(tmp_path):
     write_config_file(default_profile(K=2, M=8, N=8), inf_alpha)
     inf_alpha.write_text(re.sub(r"(?m)^alpha = .*$", "alpha = inf, 1e-6", inf_alpha.read_text()))
     assert cli_main(["--config", str(inf_alpha), "rate"]) == 2
+    bad_power = tmp_path / "power.cfg"
+    write_config_file(default_profile(K=2, M=8, N=8), bad_power)
+    bad_power.write_text(re.sub(r"(?m)^p_w = .*$", "p_dbm = abc", bad_power.read_text()))
+    assert cli_main(["--config", str(bad_power), "rate"]) == 2
+    assert cli_main(["sweep", "--axis", "N", "--values", "nan"]) == 2
 
 
 def test_cli_import_loads_no_scipy():
