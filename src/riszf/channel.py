@@ -251,3 +251,25 @@ def sample_channels(config: SystemConfig, phase: PhaseShifts, rng_seed,
     pilot_scale = math.sqrt(config.sigma2 / (config.tau * config.p))
     pilot_noise = pilot_scale * _complex_randn(rng, (config.M, config.K))
     return ChannelRealization(h1=h1, h2=h2, d=d, q=q, pilot_noise=pilot_noise, phase=phase)
+
+
+def sample_aggregated(config: SystemConfig, mean: np.ndarray, row_factor: np.ndarray,
+                      rng_seed, trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``trials`` aggregated channels in their M x K form, with pilot noise.
+
+    ``mean`` is the channel mean (:func:`aggregated_mean`) and ``row_factor``
+    a factor L of the row covariance R = L L^H of Q - mean
+    (:func:`riszf.estimation.row_covariance`).  Returns ``(q, pilot_noise)``,
+    each of shape (trials, M, K), with q = mean + W L^H and W i.i.d. CN(0, 1).
+    This has the distribution of :func:`sample_channels`' ``q`` at O(MK^2)
+    cost per trial: no M x N array is formed.  Draw order: W, then pilot
+    noise.
+    """
+    rng = np.random.default_rng(rng_seed)
+    shape = (trials, config.M, config.K)
+    q = _complex_randn(rng, shape) @ row_factor.conj().T
+    q += mean
+    pilot_scale = math.sqrt(config.sigma2 / (config.tau * config.p))
+    pilot_noise = _complex_randn(rng, shape)
+    pilot_noise *= pilot_scale
+    return q, pilot_noise

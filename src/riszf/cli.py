@@ -14,14 +14,14 @@ import sys
 import click
 import numpy as np
 
-from .channel import PhaseShifts
+from .channel import PhaseShifts, aggregated_mean
 from .config import default_profile, parse_config_file
 from .errors import ConfigError, NumericalError
-from .estimation import compute_statistics
+from .estimation import compute_statistics, shrink_estimate
 from .harness import (FIGURE_IDS, PHASE_CASES, SWEEP_AXES, Scenario, csv_header, csv_text,
                       reproduce, row_values, run_scenario, write_scenario_outputs)
 from .optimizer import mm_optimize
-from .rate import exact_rate_mc
+from .rate import exact_rate_mc, mc_draws
 
 
 @click.group()
@@ -92,17 +92,12 @@ def mse(ctx, validate):
         "mse_per_user": (config.M * stats.epsilon).tolist(),
     }
     if validate:
-        from .channel import sample_channels
-        from .estimation import mmse_estimate
         trials = ctx.obj["trials"]
-        phase = PhaseShifts.identity(config.N)
-        err_power = np.zeros((trials, config.K))
-        for t in range(trials):
-            rng = np.random.default_rng(np.random.SeedSequence(
-                entropy=ctx.obj["seed"], spawn_key=(t,)))
-            realization = sample_channels(config, phase, rng)
-            _, err = mmse_estimate(config, realization, stats=stats)
-            err_power[t] = np.sum(np.abs(err) ** 2, axis=0) / config.M
+        mean = aggregated_mean(config, PhaseShifts.identity(config.N))
+        err_power = np.concatenate([
+            np.sum(np.abs(shrink_estimate(q, pilot_noise, mean, stats.kappa)[1]) ** 2, axis=1)
+            for _, q, pilot_noise in mc_draws(config, mean, trials, ctx.obj["seed"])
+        ]) / config.M
         payload["epsilon_empirical"] = err_power.mean(axis=0).tolist()
         payload["epsilon_empirical_se"] = (err_power.std(axis=0, ddof=1)
                                            / np.sqrt(trials)).tolist()

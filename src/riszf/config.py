@@ -79,7 +79,11 @@ class SystemConfig:
     def __post_init__(self):
         for name in ("M", "N", "K", "tau_c", "tau"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and int(value) == value and value >= 1):
+            try:
+                valid = math.isfinite(value) and int(value) == value and value >= 1
+            except OverflowError:
+                raise ConfigError(f"{name} is too large to fit a float") from None
+            if not valid:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         for name in ("p", "sigma2", "delta", "beta", "d_over_lambda", "mu"):

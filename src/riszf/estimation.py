@@ -17,12 +17,12 @@ from .config import SystemConfig
 from .errors import ConfigError, NumericalError
 
 
-def hermitian_inverse(mat: np.ndarray, context: str) -> np.ndarray:
-    """Inverse of a Hermitian positive-definite matrix from its Cholesky factor.
+def cholesky_factor(mat: np.ndarray, context: str) -> np.ndarray:
+    """Lower Cholesky factor L (mat = L L^H) of a Hermitian positive-definite matrix.
 
-    With mat = L L^H the inverse is L^{-H} L^{-1}.  Raises
-    :class:`NumericalError` naming ``context`` when ``mat`` is not finite or
-    not positive definite.
+    Works on one matrix or on a stack (..., K, K).  Raises
+    :class:`NumericalError` naming ``context`` when ``mat`` or its factor is
+    not finite, or when ``mat`` is not positive definite.
     """
     if not np.all(np.isfinite(mat)):
         raise NumericalError(f"{context}: matrix is not finite (invalid configuration?)")
@@ -31,8 +31,19 @@ def hermitian_inverse(mat: np.ndarray, context: str) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"{context}: matrix is not positive definite "
                              "(invalid configuration?)") from exc
-    chol_inv = np.linalg.inv(chol)
-    return chol_inv.conj().T @ chol_inv
+    if not np.all(np.isfinite(chol)):
+        raise NumericalError(f"{context}: Cholesky factor is not finite")
+    return chol
+
+
+def hermitian_inverse(mat: np.ndarray, context: str) -> np.ndarray:
+    """Inverse of a Hermitian positive-definite matrix (or stack) from its Cholesky factor.
+
+    With mat = L L^H the inverse is L^{-H} L^{-1}; errors as in
+    :func:`cholesky_factor`.
+    """
+    chol_inv = np.linalg.inv(cholesky_factor(mat, context))
+    return chol_inv.conj().swapaxes(-1, -2) @ chol_inv
 
 
 def random_component_power(config: SystemConfig) -> np.ndarray:
@@ -93,6 +104,33 @@ def compute_statistics(config: SystemConfig) -> ChannelStatistics:
     return ChannelStatistics(kappa=kappa, epsilon=epsilon, lam=lam)
 
 
+def row_covariance(config: SystemConfig) -> np.ndarray:
+    """Covariance R of each row of Q - mean (K x K), for any phase.
+
+    Phi is unitary and the NLoS rows of H2 are i.i.d. CN(0, I), so every row
+    of the random part of Q is CN(0, R) with
+    R = beta/(delta+1) diag(sqrt(alpha)) S diag(sqrt(alpha)) + diag(gamma),
+    S the steering Gram of the user-RIS responses.  R is positive definite
+    because gamma > 0.
+    """
+    gram = steering_gram(config.N, config.user_ris_angles, config.d_over_lambda)
+    root = np.sqrt(config.alpha)
+    cov = (config.beta / (config.delta + 1.0)) * gram * np.outer(root, root)
+    cov[np.diag_indices_from(cov)] += config.gamma
+    return 0.5 * (cov + cov.conj().T)
+
+
+def shrink_estimate(q: np.ndarray, pilot_noise: np.ndarray, mean: np.ndarray,
+                    kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(qhat, q - qhat)`` with qhat = mean + kappa (q - mean + pilot_noise).
+
+    The MMSE formula of :func:`mmse_estimate` on raw arrays; ``q`` and
+    ``pilot_noise`` may be stacks (..., M, K) of draws.
+    """
+    qhat = mean + kappa * (q - mean + pilot_noise)
+    return qhat, q - qhat
+
+
 def mmse_estimate(config: SystemConfig, realization: ChannelRealization,
                   stats: ChannelStatistics | None = None,
                   mean: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -117,8 +155,7 @@ def mmse_estimate(config: SystemConfig, realization: ChannelRealization,
         stats = compute_statistics(config)
     if mean is None:
         mean = aggregated_mean(config, realization.phase)
-    qhat = mean + stats.kappa * (realization.q - mean + realization.pilot_noise)
-    return qhat, realization.q - qhat
+    return shrink_estimate(realization.q, realization.pilot_noise, mean, stats.kappa)
 
 
 def qhat_gram_mean(config: SystemConfig, phase: PhaseShifts) -> np.ndarray:

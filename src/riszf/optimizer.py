@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PhaseShifts, build_los, h1_matrix
+from .channel import LosComponents, PhaseShifts, build_los, h1_matrix
 from .config import SystemConfig
 from .errors import ConfigError, NumericalError
 from .estimation import compute_statistics, hermitian_inverse
@@ -29,6 +29,9 @@ from .estimation import compute_statistics, hermitian_inverse
 # relative upward padding of the exact top eigenvalues, so that rounding in the
 # K x K eigenproblem cannot leave a bound below the dense spectrum
 _BOUND_PAD = 1e-12
+
+# finest quantization grid a float64 phase in [0, 2 pi) can resolve
+_MAX_BITS = 52
 
 
 @dataclass(frozen=True)
@@ -87,7 +90,8 @@ class FractionalProblem:
         return 0.5 * (den + den.conj().transpose(0, 2, 1))
 
 
-def build_problem(config: SystemConfig) -> FractionalProblem:
+def build_problem(config: SystemConfig,
+                  los: LosComponents | None = None) -> FractionalProblem:
     """Assemble the low-rank fractional-programming data from the scenario statistics.
 
     G = H1^H diag(a_N), Z = Lam^{-1} G, rho = beta delta / (delta + 1).  The
@@ -98,7 +102,8 @@ def build_problem(config: SystemConfig) -> FractionalProblem:
     eigenvalue of the K x K matrix R M_k R^H.  Total cost O(N K^2); no N x N
     or M x N matrix is formed.
     """
-    los = build_los(config)
+    if los is None:
+        los = build_los(config)
     stats = compute_statistics(config)
     g = h1_matrix(config, los).conj().T * los.a_n
     lam_inv = hermitian_inverse(stats.lam, "estimate correlation matrix")
@@ -157,7 +162,14 @@ def surrogate_maxsum(v_n: np.ndarray, problem: FractionalProblem
         f_k(v) >= const[k] + 2 Re{fvec[k]^H v}   for all unit-modulus v,
     with equality at v = v_n.
     """
-    v_n = np.asarray(v_n, dtype=complex)
+    const, fvec, _ = _surrogate(np.asarray(v_n, dtype=complex), problem)
+    return const, fvec
+
+
+def _surrogate(v_n: np.ndarray, problem: FractionalProblem
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(const, fvec, f(v_n))``: the minorant of :func:`surrogate_maxsum` and
+    the objective values at v_n, from one evaluation of the quadratic forms."""
     n = v_n.size
     vbv, vcv, y = _quadratic_forms(problem, v_n)
     vanished = np.flatnonzero(vcv <= 0.0)
@@ -172,10 +184,11 @@ def surrogate_maxsum(v_n: np.ndarray, problem: FractionalProblem
     psi = vbv / (vcv * (vcv + vbv))
     lam = problem.spectral_bounds
     fvec = omega[:, None] * bv - psi[:, None] * (cv + bv - lam[:, None] * v_n)
-    const = (np.log1p(vbv / vcv) - vbv / vcv
+    values = np.log1p(vbv / vcv)
+    const = (values - vbv / vcv
              - psi * (lam * n - (vcv + vbv))
              - n * psi * lam)
-    return const, fvec
+    return const, fvec, values
 
 
 def _phase_align(coeff: np.ndarray, fallback: np.ndarray) -> np.ndarray:
@@ -203,8 +216,7 @@ def maxmin_step(v_n: np.ndarray, problem: FractionalProblem, mu: float) -> np.nd
     if mu <= 0.0:
         raise NumericalError("log-sum-exp sharpness mu must be positive")
     v_n = np.asarray(v_n, dtype=complex)
-    _, fvec = surrogate_maxsum(v_n, problem)
-    values = fractional_objective(problem, v_n)
+    _, fvec, values = _surrogate(v_n, problem)
     scaled = -mu * values
     scaled -= scaled.max()
     weights = np.exp(scaled)
@@ -340,7 +352,8 @@ def mm_optimize(config: SystemConfig, objective: str = "sum",
     return OptTrace(iterates=iterates, converged=converged, final_v=PhaseShifts(best_v))
 
 
-def align_phase(config: SystemConfig, k: int) -> PhaseShifts:
+def align_phase(config: SystemConfig, k: int,
+                los: LosComponents | None = None) -> PhaseShifts:
     """Phases that focus the RIS beam on user k (0-based).
 
     Sets theta_n = -angle(conj(a_N[n]) * hbar_k[n]), which makes the beam
@@ -348,7 +361,8 @@ def align_phase(config: SystemConfig, k: int) -> PhaseShifts:
     """
     if not 0 <= k < config.K:
         raise ConfigError(f"user index {k} out of range for K={config.K}")
-    los = build_los(config)
+    if los is None:
+        los = build_los(config)
     return PhaseShifts(np.conj(los.a_n) * los.hbar[:, k])
 
 
@@ -356,10 +370,11 @@ def quantize_phase(phase: PhaseShifts, bits: int) -> PhaseShifts:
     """Snap each phase to the nearest of the 2^bits uniform grid points.
 
     Grid points are 2*pi*m / 2^bits; exact ties go to the smaller angle.
-    The per-element phase error is at most pi / 2^bits.
+    The per-element phase error is at most pi / 2^bits.  A float64 phase
+    cannot resolve a finer grid, so ``bits`` is at most 52.
     """
-    if bits < 1 or int(bits) != bits:
-        raise ConfigError(f"bits must be a positive integer, got {bits!r}")
+    if not 1 <= bits <= _MAX_BITS or int(bits) != bits:
+        raise ConfigError(f"bits must be an integer from 1 to {_MAX_BITS}, got {bits!r}")
     levels = 2 ** int(bits)
     step = 2.0 * np.pi / levels
     theta = np.mod(np.angle(phase.phi_diag), 2.0 * np.pi)

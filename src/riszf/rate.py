@@ -14,15 +14,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (PhaseShifts, aggregated_mean, alignment_response, build_los,
-                      sample_channels)
+from .channel import (LosComponents, PhaseShifts, aggregated_mean, alignment_response,
+                      build_los, sample_aggregated)
 from .config import SystemConfig
-from .errors import NumericalError
-from .estimation import (ChannelStatistics, compute_statistics, hermitian_inverse,
-                         mmse_estimate, random_component_power)
+from .errors import ConfigError, NumericalError
+from .estimation import (ChannelStatistics, cholesky_factor, compute_statistics,
+                         hermitian_inverse, random_component_power, row_covariance,
+                         shrink_estimate)
 
-#: Attempts per Monte-Carlo trial before a singular Gram matrix is fatal.
+#: Redraws per Monte-Carlo trial before a singular Gram matrix is fatal.
 _MAX_RESAMPLE = 32
+
+#: Trials per batched Monte-Carlo draw.  Fixed, so that results depend only on
+#: the seed; small, so that a chunk's (trials, M, K) arrays stay in cache.
+_CHUNK = 16
 
 
 def _interference_floor(config: SystemConfig, stats: ChannelStatistics) -> float:
@@ -34,17 +39,19 @@ def _rates_from_snr(config: SystemConfig, snr: np.ndarray) -> np.ndarray:
     return config.tau_overhead * np.log2(1.0 + snr)
 
 
-def rate_lower_bound_snr(config: SystemConfig, phase: PhaseShifts) -> np.ndarray:
+def rate_lower_bound_snr(config: SystemConfig, phase: PhaseShifts,
+                         los: LosComponents | None = None) -> np.ndarray:
     """Per-user SNR of the statistical-CSI lower bound (length K)."""
     stats = compute_statistics(config)
-    w = np.sqrt(config.alpha) * np.conj(alignment_response(config, phase))
+    w = np.sqrt(config.alpha) * np.conj(alignment_response(config, phase, los))
     rho = config.beta * config.delta / (config.delta + 1.0)
     mat = stats.lam + rho * np.outer(w, np.conj(w))
     inv_diag = np.real(np.diag(hermitian_inverse(mat, "rate lower bound")))
     return config.p * (config.M - config.K) / (_interference_floor(config, stats) * inv_diag)
 
 
-def rate_lower_bound(config: SystemConfig, phase: PhaseShifts) -> np.ndarray:
+def rate_lower_bound(config: SystemConfig, phase: PhaseShifts,
+                     los: LosComponents | None = None) -> np.ndarray:
     """Closed-form per-user rate lower bound for the given phase configuration.
 
     tau_overhead * log2(1 + p (M-K) / ((p sum(eps) + sigma2) *
@@ -52,7 +59,7 @@ def rate_lower_bound(config: SystemConfig, phase: PhaseShifts) -> np.ndarray:
     Tight enough to track Monte-Carlo rates within a few percent at the
     default operating point.
     """
-    return _rates_from_snr(config, rate_lower_bound_snr(config, phase))
+    return _rates_from_snr(config, rate_lower_bound_snr(config, phase, los))
 
 
 def rate_no_ris(config: SystemConfig) -> np.ndarray:
@@ -91,7 +98,8 @@ def phase_independent_bound(config: SystemConfig) -> tuple[np.ndarray, np.ndarra
     return _rates_from_snr(config, exact), _rates_from_snr(config, approx)
 
 
-def upper_bound(config: SystemConfig, phase: PhaseShifts) -> tuple[np.ndarray, np.ndarray]:
+def upper_bound(config: SystemConfig, phase: PhaseShifts,
+                los: LosComponents | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(general, aligned) per-user rate upper bounds.
 
     The general bound keeps the actual beam response |a_N^H Phi hbar_k|^2;
@@ -103,7 +111,7 @@ def upper_bound(config: SystemConfig, phase: PhaseShifts) -> tuple[np.ndarray, n
     c = random_component_power(config)
     diag_term = c**2 / (c + config.sigma2 / (config.tau * config.p))
     los_gain = config.alpha * config.beta * config.delta / (config.delta + 1.0)
-    response = np.abs(alignment_response(config, phase)) ** 2
+    response = np.abs(alignment_response(config, phase, los)) ** 2
     general = prefactor * (diag_term + response * los_gain)
     aligned = prefactor * (diag_term + config.N**2 * los_gain)
     return _rates_from_snr(config, general), _rates_from_snr(config, aligned)
@@ -166,45 +174,96 @@ class MonteCarloRate:
     singular_retries: int
 
 
+def _substream(seed: int, key: tuple) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+
+def _row_factor(config: SystemConfig) -> np.ndarray:
+    return cholesky_factor(row_covariance(config), "channel row covariance")
+
+
+def mc_draws(config: SystemConfig, mean: np.ndarray, trials: int, seed: int):
+    """Batched draws of ``trials`` aggregated channels, ``_CHUNK`` trials at a time.
+
+    Yields ``(c, q, pilot_noise)`` per chunk c, each array (<= _CHUNK, M, K)
+    from :func:`riszf.channel.sample_aggregated`.  Chunk c draws from the
+    substream (seed, c), so a draw depends only on the seed and its index.
+    """
+    factor = _row_factor(config)
+    for c, start in enumerate(range(0, trials, _CHUNK)):
+        yield c, *sample_aggregated(config, mean, factor, _substream(seed, (c,)),
+                                    min(_CHUNK, trials - start))
+
+
+def _zf_rates(config: SystemConfig, qhat: np.ndarray, err: np.ndarray) -> np.ndarray:
+    """Per-trial ZF rates (T x K) of stacked estimates and errors (T, M, K).
+
+    Raises :class:`NumericalError` when any Gram matrix is singular.
+    """
+    qhat_h = qhat.conj().swapaxes(-1, -2)
+    gram_inv = hermitian_inverse(qhat_h @ qhat, "estimate Gram matrix")
+    leakage = gram_inv @ (qhat_h @ err)
+    rx_norm2 = np.real(np.diagonal(gram_inv, axis1=-2, axis2=-1))
+    interference = config.p * np.sum(np.abs(leakage) ** 2, axis=-1)
+    sinr = config.p / (interference + config.sigma2 * rx_norm2)
+    return config.tau_overhead * np.log2(1.0 + sinr)
+
+
+def _trial_rates(config: SystemConfig, kappa: np.ndarray, mean: np.ndarray,
+                 q: np.ndarray, pilot_noise: np.ndarray, seed: int,
+                 key: tuple) -> tuple[np.ndarray, int]:
+    """``(rates, redraws)`` of one trial (1, M, K).
+
+    While its Gram is singular the trial is redrawn from the substream
+    (seed, *key, attempt), at most ``_MAX_RESAMPLE`` times.
+    """
+    for attempt in range(_MAX_RESAMPLE + 1):
+        if attempt:
+            q, pilot_noise = sample_aggregated(config, mean, _row_factor(config),
+                                               _substream(seed, (*key, attempt - 1)), 1)
+        qhat, err = shrink_estimate(q, pilot_noise, mean, kappa)
+        try:
+            rates = _zf_rates(config, qhat, err)
+        except NumericalError:
+            continue
+        return rates[0], attempt
+    raise NumericalError(f"trial {key}: Gram matrix stayed singular after "
+                         f"{_MAX_RESAMPLE} redraws")
+
+
 def exact_rate_mc(config: SystemConfig, phase: PhaseShifts, trials: int,
-                  seed: int) -> MonteCarloRate:
+                  seed: int, los: LosComponents | None = None) -> MonteCarloRate:
     """Monte-Carlo average of the exact per-user ZF rate.
 
-    Each trial draws a fresh realization, forms the MMSE estimate, applies
-    the ZF receiver A = Qhat (Qhat^H Qhat)^{-1} through the Cholesky factor
-    of the K x K Gram, and evaluates
+    Each trial draws the aggregated channel directly in its M x K form
+    (:func:`mc_draws`), forms the MMSE estimate, applies the ZF receiver
+    A = Qhat (Qhat^H Qhat)^{-1} through the Cholesky factor of the K x K
+    Gram (one stacked factorization per chunk of trials), and evaluates
         tau_overhead * log2(1 + p / (p sum_i |a_k^H e_i|^2 + sigma2 |a_k|^2)).
-    Trials use substreams derived from (seed, trial, attempt), so results are
-    reproducible and independent of evaluation order.
+    The cost per trial is O(MK^2), independent of N.  Chunk c of trials
+    draws from the substream (seed, c); if a Gram in the chunk is singular
+    the chunk is redone trial by trial and trial i is redrawn from
+    (seed, c, i, attempt).  Results are bit-identical for a given seed.
     """
     if trials < 1:
         raise NumericalError("trials must be >= 1")
-    los = build_los(config)
+    if phase.n != config.N:
+        raise ConfigError(f"phase vector has {phase.n} entries, config expects {config.N}")
     stats = compute_statistics(config)
     mean = aggregated_mean(config, phase, los)
 
     per_trial = np.empty((trials, config.K))
     retries = 0
-    for t in range(trials):
-        for attempt in range(_MAX_RESAMPLE):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                               spawn_key=(t, attempt)))
-            realization = sample_channels(config, phase, rng, los)
-            qhat, err = mmse_estimate(config, realization, stats, mean)
-            try:
-                gram_inv = hermitian_inverse(qhat.conj().T @ qhat, "estimate Gram matrix")
-            except NumericalError:
-                retries += 1
-                continue
-            break
-        else:
-            raise NumericalError(f"trial {t}: Gram matrix stayed singular after "
-                                 f"{_MAX_RESAMPLE} redraws")
-        leakage = gram_inv @ (qhat.conj().T @ err)
-        rx_norm2 = np.real(np.diag(gram_inv))
-        interference = config.p * np.sum(np.abs(leakage) ** 2, axis=1)
-        sinr = config.p / (interference + config.sigma2 * rx_norm2)
-        per_trial[t] = config.tau_overhead * np.log2(1.0 + sinr)
+    for c, q, pilot_noise in mc_draws(config, mean, trials, seed):
+        block = per_trial[c * _CHUNK:(c + 1) * _CHUNK]
+        qhat, err = shrink_estimate(q, pilot_noise, mean, stats.kappa)
+        try:
+            block[:] = _zf_rates(config, qhat, err)
+        except NumericalError:
+            for i in range(q.shape[0]):
+                block[i], redraws = _trial_rates(config, stats.kappa, mean, q[i:i + 1],
+                                                 pilot_noise[i:i + 1], seed, (c, i))
+                retries += redraws
 
     rates = per_trial.mean(axis=0)
     if trials > 1:
@@ -238,19 +297,22 @@ class RateReport:
 
 
 def rate_report(config: SystemConfig, phase: PhaseShifts, trials: int,
-                seed: int) -> RateReport:
+                seed: int, los: LosComponents | None = None) -> RateReport:
     """Monte-Carlo rate plus every closed-form bound at one operating point.
 
     Runs :func:`exact_rate_mc`, :func:`rate_lower_bound`,
-    :func:`phase_independent_bound` and :func:`upper_bound` in turn; each
-    call derives its own statistics.
+    :func:`phase_independent_bound` and :func:`upper_bound` in turn.  They
+    share one LoS build (``los``, built here if omitted); each call derives
+    its own statistics.
     """
-    mc = exact_rate_mc(config, phase, trials, seed)
+    if los is None:
+        los = build_los(config)
+    mc = exact_rate_mc(config, phase, trials, seed, los)
     floor_bound, floor_bound_approx = phase_independent_bound(config)
-    ub, ub_aligned = upper_bound(config, phase)
+    ub, ub_aligned = upper_bound(config, phase, los)
     return RateReport(
         mc_rate=mc.rates, mc_std_error=mc.std_errors, mc_sum_rate_se=mc.sum_rate_se,
-        lower_bound=rate_lower_bound(config, phase),
+        lower_bound=rate_lower_bound(config, phase, los),
         floor_bound=floor_bound, floor_bound_approx=floor_bound_approx, ub=ub, ub_aligned=ub_aligned,
         trials=trials, seed=seed, tau_overhead=config.tau_overhead,
         singular_retries=mc.singular_retries,

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from riszf.channel import (ChannelRealization, PhaseShifts, aggregated_mean,
                            alignment_response, build_los, decompose_grid, h1_matrix,
-                           sample_channels, steering_gram, steering_vector)
+                           sample_aggregated, sample_channels, steering_gram, steering_vector)
 from riszf.config import default_profile
 from riszf.errors import ConfigError
+from riszf.estimation import row_covariance
 from riszf.optimizer import align_phase, build_problem
-from riszf.rate import (phase_independent_bound, power_scaling_limit, rate_lower_bound,
-                        upper_bound)
+from riszf.rate import (exact_rate_mc, phase_independent_bound, power_scaling_limit,
+                        rate_lower_bound, upper_bound)
 
 from conftest import random_config, toy_config
 
@@ -224,6 +225,45 @@ def test_aggregated_moments_match_distribution():
         assert np.max(np.abs(off)) < 5.0 * diag_se
 
 
+def _assert_row_covariance(rows, cov, max_se):
+    """Sample covariance of i.i.d. rows (n x K) equals ``cov`` entrywise within ``max_se`` SE."""
+    n = rows.shape[0]
+    emp = rows.conj().T @ rows / n
+    diag = np.real(np.diag(cov))
+    se = np.sqrt(np.outer(diag, diag) / n)    # SE of a mean of conj(r_i) r_j
+    assert np.max(np.abs(emp - cov) / se) < max_se
+    return se
+
+
+def test_row_covariance_matches_both_samplers():
+    # the rows of Q - mean are i.i.d. CN(0, R), for the dense draw and the M x K draw
+    cfg = toy_config(K=3, M=8, N=8, delta=0.7, seed=21)
+    ph = PhaseShifts.random(cfg.N, 5)
+    cov = row_covariance(cfg)
+    h1 = h1_matrix(cfg)
+    dense = cfg.beta / (cfg.delta + 1.0) * (h1.conj().T @ h1) + np.diag(cfg.gamma)
+    np.testing.assert_allclose(cov, dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
+    mean = aggregated_mean(cfg, ph)
+
+    T = 5000
+    q, pilot_noise = sample_aggregated(cfg, mean, np.linalg.cholesky(cov), 123, T)
+    assert q.shape == pilot_noise.shape == (T, cfg.M, cfg.K)
+    centered = (q - mean).reshape(-1, cfg.K)
+    se = _assert_row_covariance(centered, cov, 5.0)
+    # the correlation between users is large enough for the check to bite
+    off = ~np.eye(cfg.K, dtype=bool)
+    assert np.max(np.abs(cov[off]) / se[off]) > 20.0
+    mean_se = np.sqrt(np.real(np.diag(cov)) / T)
+    assert np.max(np.abs((q - mean).mean(axis=0)) / mean_se) < 5.0
+    noise_power = cfg.sigma2 / (cfg.tau * cfg.p)
+    assert np.mean(np.abs(pilot_noise) ** 2) == pytest.approx(noise_power, rel=0.02)
+
+    dense_rows = np.concatenate([
+        sample_channels(cfg, ph, np.random.SeedSequence(entropy=7, spawn_key=(t,))).q - mean
+        for t in range(1500)])
+    _assert_row_covariance(dense_rows, cov, 5.0)
+
+
 def test_alignment_response_bounds(reference_config):
     ph = PhaseShifts.random(reference_config.N, 17)
     resp = alignment_response(reference_config, ph)
@@ -261,6 +301,7 @@ def test_los_closed_forms_allocate_no_mxn_array():
         "phase_independent_bound": lambda: phase_independent_bound(cfg),
         "power_scaling_limit": lambda: power_scaling_limit(cfg, phase, 10.0),
         "build_problem": lambda: build_problem(cfg),
+        "exact_rate_mc": lambda: exact_rate_mc(cfg, phase, 200, 0),
     }
     peaks = {}
     tracemalloc.start()

@@ -39,6 +39,7 @@ def test_dbm_round_trip():
     dict(d_over_lambda=np.nan),
     dict(M=np.nan),             # integer fields too, before int() sees them
     dict(N=np.inf),
+    dict(N=10**400),            # an integer too large for a float
 ])
 def test_invalid_scalars_rejected(changes):
     cfg = toy_config()

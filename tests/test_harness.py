@@ -12,8 +12,8 @@ from riszf.channel import PhaseShifts
 from riszf.cli import main as cli_main
 from riszf.config import default_profile, write_config_file
 from riszf.errors import ConfigError
-from riszf.harness import (Scenario, csv_header, manifest_path, reproduce, resolve_phase,
-                           row_values, run_scenario, solve_antennas_for_snr,
+from riszf.harness import (Scenario, csv_header, csv_text, manifest_path, reproduce,
+                           resolve_phase, row_values, run_scenario, solve_antennas_for_snr,
                            write_rows_csv, write_scenario_outputs)
 from riszf.rate import rate_lower_bound, required_antennas
 
@@ -90,6 +90,12 @@ def test_run_scenario_infeasible_point_marked(small_config):
         rows = run_scenario(sc)
         assert rows[0].error == "invalid_config"
         assert rows[1].error == ""
+    # a float64 phase cannot resolve more than 52 bits
+    sc = Scenario(config=small_config, phase_design="case4_identity",
+                  sweep_axis="bits", sweep_values=(1, 2000), trials=10, seed=0)
+    rows = run_scenario(sc)
+    assert rows[0].error == ""
+    assert rows[1].error == "invalid_config"
 
 
 def test_run_scenario_bits_axis(small_config):
@@ -99,6 +105,15 @@ def test_run_scenario_bits_axis(small_config):
     assert all(row.error == "" for row in rows)
     # finer quantization cannot hurt the aligned user's bound
     assert rows[0].lower_bound[0] <= rows[2].lower_bound[0] + 1e-9
+
+
+def test_run_scenario_rows_independent_of_workers(small_config):
+    sc = Scenario(config=small_config, phase_design="case3_random",
+                  sweep_axis="N", sweep_values=(16, 24, 32, 40), trials=30, seed=3)
+    header = csv_header(small_config.K)
+    texts = [csv_text(header, [row_values(row) for row in run_scenario(sc, max_workers=w)])
+             for w in (1, 4)]
+    assert texts[0] == texts[1]
 
 
 def test_csv_byte_identical_roundtrip(tmp_path, small_config):
@@ -297,6 +312,11 @@ def test_cli_exit_codes(tmp_path):
     bad_power.write_text(re.sub(r"(?m)^p_w = .*$", "p_dbm = abc", bad_power.read_text()))
     assert cli_main(["--config", str(bad_power), "rate"]) == 2
     assert cli_main(["sweep", "--axis", "N", "--values", "nan"]) == 2
+    huge_n = tmp_path / "huge.cfg"
+    write_config_file(default_profile(K=2, M=8, N=8), huge_n)
+    huge_n.write_text(re.sub(r"(?m)^N = .*$", "N = 1" + "0" * 400, huge_n.read_text()))
+    assert cli_main(["--config", str(huge_n), "rate"]) == 2
+    assert cli_main(["--trials", "5", "sweep", "--axis", "bits", "--values", "1,2000"]) == 0
 
 
 def test_cli_import_loads_no_scipy():

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from riszf.channel import PhaseShifts, aggregated_mean, build_los, h1_matrix
+import riszf.rate as rate_module
+from riszf.channel import (PhaseShifts, aggregated_mean, build_los, h1_matrix,
+                           sample_channels)
 from riszf.config import default_profile
 from riszf.errors import NumericalError
-from riszf.estimation import compute_statistics, random_component_power
+from riszf.estimation import compute_statistics, mmse_estimate, random_component_power
 from riszf.optimizer import align_phase
 from riszf.rate import (MonteCarloRate, exact_rate_mc, phase_independent_bound,
                         rate_lower_bound, power_scaling_limit, rate_no_ris,
@@ -295,3 +297,76 @@ def test_rate_report_bundles_everything(reference_config):
 def test_rate_lower_bound_snr_positive(reference_config):
     snr = rate_lower_bound_snr(reference_config, PhaseShifts.identity(reference_config.N))
     assert np.all(snr > 0)
+
+
+def _oracle_mc(config, phase, trials, seed):
+    """Per-user mean rate and SE from full ``sample_channels`` draws (dense H2).
+
+    Applies the textbook ZF receiver A = Qhat (Qhat^H Qhat)^{-1} with an
+    explicit inverse.
+    """
+    stats = compute_statistics(config)
+    mean = aggregated_mean(config, phase)
+    rates = np.empty((trials, config.K))
+    for t in range(trials):
+        real = sample_channels(config, phase,
+                               np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
+        qhat, err = mmse_estimate(config, real, stats, mean)
+        a = qhat @ np.linalg.inv(qhat.conj().T @ qhat)
+        interference = config.p * np.sum(np.abs(a.conj().T @ err) ** 2, axis=1)
+        noise = config.sigma2 * np.sum(np.abs(a) ** 2, axis=0)
+        rates[t] = config.tau_overhead * np.log2(1.0 + config.p / (interference + noise))
+    return rates.mean(axis=0), rates.std(axis=0, ddof=1) / math.sqrt(trials)
+
+
+def test_batched_mc_matches_dense_oracle_in_distribution():
+    # the M x K draw has the distribution of the dense H2 Phi H1 + D draw
+    cases = []
+    for n in (16, 400, 4096):
+        cfg = default_profile(K=4, M=16, N=n)
+        cases.append((cfg, align_phase(cfg, 0)))
+    cfg = default_profile(K=4, M=16, N=400)
+    cases.append((cfg.replace(delta=0.0), PhaseShifts.random(cfg.N, 3)))
+    cases.append((cfg.replace(alpha=np.zeros(cfg.K), beta=0.0), PhaseShifts.identity(cfg.N)))
+    for i, (cfg, ph) in enumerate(cases):
+        mc = exact_rate_mc(cfg, ph, 2000, seed=20 + i)
+        oracle, oracle_se = _oracle_mc(cfg, ph, 300, seed=40 + i)
+        z = (mc.rates - oracle) / np.sqrt(mc.std_errors**2 + oracle_se**2)
+        assert np.max(np.abs(z)) <= 4.0, (cfg.N, cfg.delta, cfg.beta, z)
+
+
+def test_exact_rate_mc_redraws_singular_trial(monkeypatch):
+    # delta = 0 makes the mean zero, so a zeroed draw has a zero (singular) Gram
+    cfg = toy_config(K=3, M=12, N=16, delta=0.0, seed=3)
+    ph = PhaseShifts.identity(cfg.N)
+    draw = rate_module.sample_aggregated
+
+    def poisoned(config, mean, factor, rng, trials):
+        q, pilot_noise = draw(config, mean, factor, rng, trials)
+        if trials > 1:                        # chunk draws, not single-trial redraws
+            q[1] = 0.0
+            pilot_noise[1] = 0.0
+        return q, pilot_noise
+
+    monkeypatch.setattr(rate_module, "sample_aggregated", poisoned)
+    a = exact_rate_mc(cfg, ph, 10, seed=4)
+    b = exact_rate_mc(cfg, ph, 10, seed=4)
+    assert a.singular_retries == 1
+    assert np.all(np.isfinite(a.rates)) and np.all(np.isfinite(a.std_errors))
+    np.testing.assert_array_equal(a.rates, b.rates)
+    np.testing.assert_array_equal(a.std_errors, b.std_errors)
+
+
+def test_exact_rate_mc_gives_up_on_persistent_singularity(monkeypatch):
+    cfg = toy_config(K=3, M=12, N=16, delta=0.0, seed=3)
+    draw = rate_module.sample_aggregated
+
+    def always_zero(config, mean, factor, rng, trials):
+        q, pilot_noise = draw(config, mean, factor, rng, trials)
+        q[0] = 0.0
+        pilot_noise[0] = 0.0
+        return q, pilot_noise
+
+    monkeypatch.setattr(rate_module, "sample_aggregated", always_zero)
+    with pytest.raises(NumericalError, match="stayed singular"):
+        exact_rate_mc(cfg, PhaseShifts.identity(cfg.N), 4, seed=5)
