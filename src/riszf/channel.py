@@ -28,6 +28,27 @@ def decompose_grid(L: int) -> tuple[int, int]:
     return lx, L // lx
 
 
+def _direction_cosines(angles) -> tuple[np.ndarray, np.ndarray]:
+    """Per-direction phase slopes (u, c) = (sin(el) sin(az), cos(el)) of (az, el) rows."""
+    angles = np.asarray(angles, dtype=float).reshape(-1, 2)
+    return np.sin(angles[:, 1]) * np.sin(angles[:, 0]), np.cos(angles[:, 1])
+
+
+def _steering_matrix(L: int, angles, d_over_lambda: float) -> np.ndarray:
+    """L x K URA responses toward K (azimuth, elevation) rows.
+
+    Element l sits at grid position (l // L_y, l % L_y) and its phase is a
+    sum over the two axes, so column k is the Kronecker product of an L_x-
+    and an L_y-element response: K (L_x + L_y) exponentials, not K L.
+    """
+    lx, ly = decompose_grid(L)
+    u, c = _direction_cosines(angles)
+    phase = 2j * np.pi * d_over_lambda
+    rows = np.exp(phase * (np.arange(lx)[:, None] * u))
+    cols = np.exp(phase * (np.arange(ly)[:, None] * c))
+    return (rows[:, None, :] * cols[None, :, :]).reshape(L, u.size)
+
+
 def steering_vector(L: int, azimuth: float, elevation: float,
                     d_over_lambda: float = 0.5) -> np.ndarray:
     """Unit-modulus response of an L-element URA toward (azimuth, elevation).
@@ -36,13 +57,7 @@ def steering_vector(L: int, azimuth: float, elevation: float,
     :func:`decompose_grid`; element l (0-based) sees the phase
     2*pi*(d/lambda) * (floor(l / L_y) * sin(el) * sin(az) + (l mod L_y) * cos(el)).
     """
-    _, ly = decompose_grid(L)
-    idx = np.arange(L)
-    phase = 2.0 * np.pi * d_over_lambda * (
-        (idx // ly) * (math.sin(elevation) * math.sin(azimuth))
-        + (idx % ly) * math.cos(elevation)
-    )
-    return np.exp(1j * phase)
+    return _steering_matrix(L, (azimuth, elevation), d_over_lambda)[:, 0]
 
 
 def steering_gram(L: int, angles, d_over_lambda: float = 0.5) -> np.ndarray:
@@ -53,9 +68,7 @@ def steering_gram(L: int, angles, d_over_lambda: float = 0.5) -> np.ndarray:
     of the array size, which keeps very large arrays tractable.
     """
     lx, ly = decompose_grid(L)
-    angles = np.asarray(angles, dtype=float)
-    u = np.sin(angles[:, 1]) * np.sin(angles[:, 0])
-    c = np.cos(angles[:, 1])
+    u, c = _direction_cosines(angles)
 
     def axis_sum(delta, length):
         theta = 2.0 * np.pi * d_over_lambda * delta
@@ -144,41 +157,35 @@ class LosComponents:
 
 
 def build_los(config: SystemConfig) -> LosComponents:
-    """Steering vectors of ``config``: O(NK) memory, no M x N array."""
-    hbar = np.stack(
-        [steering_vector(config.N, az, el, config.d_over_lambda)
-         for az, el in config.user_ris_angles],
-        axis=1,
-    )
-    a_m = steering_vector(config.M, config.bs_aoa[0], config.bs_aoa[1], config.d_over_lambda)
-    a_n = steering_vector(config.N, config.ris_aod[0], config.ris_aod[1], config.d_over_lambda)
-    return LosComponents(hbar=hbar, a_m=a_m, a_n=a_n)
+    """Steering vectors of ``config``: O(NK) memory and multiplies, no M x N array."""
+    d = config.d_over_lambda
+    return LosComponents(hbar=_steering_matrix(config.N, config.user_ris_angles, d),
+                         a_m=steering_vector(config.M, *config.bs_aoa, d),
+                         a_n=steering_vector(config.N, *config.ris_aod, d))
 
 
-def h1_matrix(config: SystemConfig, los: LosComponents | None = None) -> np.ndarray:
+def h1_matrix(config: SystemConfig) -> np.ndarray:
     """User-RIS channel (N x K): column k is sqrt(alpha_k) * hbar_k."""
-    if los is None:
-        los = build_los(config)
-    return los.hbar * np.sqrt(config.alpha)
+    return build_los(config).hbar * np.sqrt(config.alpha)
 
 
-def alignment_response(config: SystemConfig, phase: PhaseShifts,
-                       los: LosComponents | None = None) -> np.ndarray:
+def _response(geometry: LosComponents, phase: PhaseShifts) -> np.ndarray:
+    """a_N^H Phi hbar_k for every user k (length K)."""
+    return np.conj(phase.v * geometry.a_n) @ geometry.hbar
+
+
+def alignment_response(config: SystemConfig, phase: PhaseShifts) -> np.ndarray:
     """Per-user beam response a_N^H @ Phi @ hbar_k (length K).
 
     Modulus N means the RIS beam is perfectly aligned to that user; the
-    triangle inequality caps it at N.  This is the only code that forms
-    a_N-weighted sums over the RIS elements: the cascaded LoS response is
+    triangle inequality caps it at N.  The cascaded LoS response is
     a_N^H Phi H1 = sqrt(alpha) * alignment_response, and its conjugate is
     w = H1^H Phi^H a_N.
     """
-    if los is None:
-        los = build_los(config)
-    return np.conj(phase.v * los.a_n) @ los.hbar
+    return _response(build_los(config), phase)
 
 
-def aggregated_mean(config: SystemConfig, phase: PhaseShifts,
-                    los: LosComponents | None = None) -> np.ndarray:
+def aggregated_mean(config: SystemConfig, phase: PhaseShifts) -> np.ndarray:
     """Deterministic mean of the aggregated channel (M x K).
 
     The mean is sqrt(beta delta / (delta + 1)) a_M (a_N^H Phi H1), so column
@@ -186,10 +193,9 @@ def aggregated_mean(config: SystemConfig, phase: PhaseShifts,
     is the only non-random part of Q.  Formed as one outer product in O(MK),
     without the M x N LoS matrix.
     """
-    if los is None:
-        los = build_los(config)
+    los = build_los(config)
     scale = math.sqrt(config.beta * config.delta / (config.delta + 1.0))
-    row = np.sqrt(config.alpha) * alignment_response(config, phase, los)
+    row = np.sqrt(config.alpha) * _response(los, phase)
     return scale * np.outer(los.a_m, row)
 
 
@@ -224,8 +230,7 @@ def _complex_randn(rng, shape) -> np.ndarray:
     return out
 
 
-def sample_channels(config: SystemConfig, phase: PhaseShifts, rng_seed,
-                    los: LosComponents | None = None) -> ChannelRealization:
+def sample_channels(config: SystemConfig, phase: PhaseShifts, rng_seed) -> ChannelRealization:
     """Draw one channel realization, reproducible from ``rng_seed``.
 
     ``rng_seed`` may be anything accepted by ``np.random.default_rng`` (an
@@ -235,10 +240,8 @@ def sample_channels(config: SystemConfig, phase: PhaseShifts, rng_seed,
     if phase.n != config.N:
         raise ConfigError(f"phase vector has {phase.n} entries, config expects {config.N}")
     rng = np.random.default_rng(rng_seed)
-    if los is None:
-        los = build_los(config)
-
-    h1 = h1_matrix(config, los)
+    los = build_los(config)
+    h1 = los.hbar * np.sqrt(config.alpha)
     h2_nlos = _complex_randn(rng, (config.M, config.N))
     # h2 = sqrt(beta/(delta+1)) (sqrt(delta) a_m a_n^H + NLoS), built in place
     # so a draw holds only two M x N arrays

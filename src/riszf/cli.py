@@ -21,14 +21,14 @@ from .estimation import compute_statistics, shrink_estimate
 from .harness import (FIGURE_IDS, PHASE_CASES, SWEEP_AXES, Scenario, csv_header, csv_text,
                       reproduce, row_values, run_scenario, write_scenario_outputs)
 from .optimizer import mm_optimize
-from .rate import exact_rate_mc, mc_draws
+from .rate import _mean_and_se, exact_rate_mc, mc_draws
 
 
 @click.group()
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Flat key-value config file (default: bundled profile).")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--trials", type=int, default=2000, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=2000, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Output file (figures: output directory). Prints to stdout if omitted.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
@@ -98,9 +98,9 @@ def mse(ctx, validate):
             np.sum(np.abs(shrink_estimate(q, pilot_noise, mean, stats.kappa)[1]) ** 2, axis=1)
             for _, q, pilot_noise in mc_draws(config, mean, trials, ctx.obj["seed"])
         ]) / config.M
-        payload["epsilon_empirical"] = err_power.mean(axis=0).tolist()
-        payload["epsilon_empirical_se"] = (err_power.std(axis=0, ddof=1)
-                                           / np.sqrt(trials)).tolist()
+        epsilon, epsilon_se = _mean_and_se(err_power)
+        payload["epsilon_empirical"] = epsilon.tolist()
+        payload["epsilon_empirical_se"] = epsilon_se.tolist()
         payload["trials"] = trials
     _emit_json(ctx, payload)
 

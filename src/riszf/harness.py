@@ -19,10 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import LosComponents, PhaseShifts, build_los
+from .channel import PhaseShifts
 from .config import SystemConfig, default_profile
 from .errors import ConfigError, NumericalError
-from .optimizer import align_phase, build_problem, mm_optimize, quantize_phase
+from .optimizer import (align_phase, build_problem, fractional_objective, mm_optimize,
+                        quantize_phase)
 from .rate import (phase_independent_snr, power_scaling_limit, rate_lower_bound, rate_report,
                    required_antennas)
 
@@ -115,8 +116,7 @@ def _alignment_indices(config: SystemConfig) -> tuple[int, int]:
     return int(np.argmin(config.user_ris_dist)), int(np.argmax(config.user_ris_dist))
 
 
-def resolve_phase(config: SystemConfig, scenario: Scenario, rng,
-                  los: LosComponents | None = None) -> tuple[PhaseShifts, int]:
+def resolve_phase(config: SystemConfig, scenario: Scenario, rng) -> tuple[PhaseShifts, int]:
     """Turn a phase design into concrete phases; returns (phase, optimizer iters).
 
     The optimizer cases warm-start from the best of the four heuristic cases
@@ -124,8 +124,7 @@ def resolve_phase(config: SystemConfig, scenario: Scenario, rng,
     they never fall below that heuristic.  The min-rate case additionally
     seeds from the sum-rate solution, so its minimum rate dominates every
     other case of the same run.  Both run :func:`mm_optimize` with its
-    default iteration cap and tolerance.  ``los`` (built here if omitted and
-    needed) is shared by every LoS-dependent call.
+    default iteration cap and tolerance.
     """
     design = scenario.phase_design
     if isinstance(design, PhaseShifts):
@@ -138,24 +137,25 @@ def resolve_phase(config: SystemConfig, scenario: Scenario, rng,
     if design == "case3_random":
         return PhaseShifts.random(config.N, rng), 0
     nearest, farthest = _alignment_indices(config)
-    if los is None:
-        los = build_los(config)
     if design == "case1_align_nearest":
-        return align_phase(config, nearest, los), 0
+        return align_phase(config, nearest), 0
     if design == "case2_align_farthest":
-        return align_phase(config, farthest, los), 0
+        return align_phase(config, farthest), 0
 
-    candidates = [align_phase(config, nearest, los), align_phase(config, farthest, los),
+    candidates = [align_phase(config, nearest), align_phase(config, farthest),
                   PhaseShifts.random(config.N, rng), PhaseShifts.identity(config.N)]
     objective = "sum" if design == "case5_maxsum" else "min"
 
+    # f_k = ln(1 + SNR_k) of the statistical-CSI lower bound, so these rank
+    # candidates as the bound's sum and minimum rates do
+    problem = build_problem(config)
+
     def sum_score(phase):
-        return float(rate_lower_bound(config, phase, los).sum())
+        return float(fractional_objective(problem, phase.v).sum())
 
     def min_score(phase):
-        return float(rate_lower_bound(config, phase, los).min())
+        return float(fractional_objective(problem, phase.v).min())
 
-    problem = build_problem(config, los)
     iterations = 0
     if objective == "min":
         sum_trace = mm_optimize(config, objective="sum",
@@ -192,13 +192,11 @@ def _run_point(scenario: Scenario, index: int, value,
         return _nan_row(sweep_value, "invalid_config", k, time.perf_counter() - start)
     try:
         opt_iters = 0
-        los = build_los(config)
         if phase is None:
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=scenario.seed, spawn_key=(index, 1)))
-            phase, opt_iters = resolve_phase(config, scenario, rng, los)
-        report = rate_report(config, phase, scenario.trials, _point_seed(scenario.seed, index),
-                             los)
+            phase, opt_iters = resolve_phase(config, scenario, rng)
+        report = rate_report(config, phase, scenario.trials, _point_seed(scenario.seed, index))
     except NumericalError:
         return _nan_row(sweep_value, "numerical_failure", k, time.perf_counter() - start)
     mc_rate, mc_se, lb = report.mc_rate, report.mc_std_error, report.lower_bound

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LosComponents, PhaseShifts, build_los, h1_matrix
+from .channel import PhaseShifts, build_los
 from .config import SystemConfig
 from .errors import ConfigError, NumericalError
 from .estimation import compute_statistics, hermitian_inverse
@@ -90,8 +90,7 @@ class FractionalProblem:
         return 0.5 * (den + den.conj().transpose(0, 2, 1))
 
 
-def build_problem(config: SystemConfig,
-                  los: LosComponents | None = None) -> FractionalProblem:
+def build_problem(config: SystemConfig) -> FractionalProblem:
     """Assemble the low-rank fractional-programming data from the scenario statistics.
 
     G = H1^H diag(a_N), Z = Lam^{-1} G, rho = beta delta / (delta + 1).  The
@@ -102,10 +101,9 @@ def build_problem(config: SystemConfig,
     eigenvalue of the K x K matrix R M_k R^H.  Total cost O(N K^2); no N x N
     or M x N matrix is formed.
     """
-    if los is None:
-        los = build_los(config)
+    los = build_los(config)
     stats = compute_statistics(config)
-    g = h1_matrix(config, los).conj().T * los.a_n
+    g = (los.hbar * np.sqrt(config.alpha)).conj().T * los.a_n
     lam_inv = hermitian_inverse(stats.lam, "estimate correlation matrix")
     z = lam_inv @ g
     lam_inv_diag = np.real(np.diag(lam_inv)).copy()
@@ -352,8 +350,7 @@ def mm_optimize(config: SystemConfig, objective: str = "sum",
     return OptTrace(iterates=iterates, converged=converged, final_v=PhaseShifts(best_v))
 
 
-def align_phase(config: SystemConfig, k: int,
-                los: LosComponents | None = None) -> PhaseShifts:
+def align_phase(config: SystemConfig, k: int) -> PhaseShifts:
     """Phases that focus the RIS beam on user k (0-based).
 
     Sets theta_n = -angle(conj(a_N[n]) * hbar_k[n]), which makes the beam
@@ -361,8 +358,7 @@ def align_phase(config: SystemConfig, k: int,
     """
     if not 0 <= k < config.K:
         raise ConfigError(f"user index {k} out of range for K={config.K}")
-    if los is None:
-        los = build_los(config)
+    los = build_los(config)
     return PhaseShifts(np.conj(los.a_n) * los.hbar[:, k])
 
 

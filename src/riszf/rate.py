@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (LosComponents, PhaseShifts, aggregated_mean, alignment_response,
-                      build_los, sample_aggregated)
+from .channel import PhaseShifts, aggregated_mean, alignment_response, sample_aggregated
 from .config import SystemConfig
 from .errors import ConfigError, NumericalError
 from .estimation import (ChannelStatistics, cholesky_factor, compute_statistics,
@@ -39,19 +38,17 @@ def _rates_from_snr(config: SystemConfig, snr: np.ndarray) -> np.ndarray:
     return config.tau_overhead * np.log2(1.0 + snr)
 
 
-def rate_lower_bound_snr(config: SystemConfig, phase: PhaseShifts,
-                         los: LosComponents | None = None) -> np.ndarray:
+def rate_lower_bound_snr(config: SystemConfig, phase: PhaseShifts) -> np.ndarray:
     """Per-user SNR of the statistical-CSI lower bound (length K)."""
     stats = compute_statistics(config)
-    w = np.sqrt(config.alpha) * np.conj(alignment_response(config, phase, los))
+    w = np.sqrt(config.alpha) * np.conj(alignment_response(config, phase))
     rho = config.beta * config.delta / (config.delta + 1.0)
     mat = stats.lam + rho * np.outer(w, np.conj(w))
     inv_diag = np.real(np.diag(hermitian_inverse(mat, "rate lower bound")))
     return config.p * (config.M - config.K) / (_interference_floor(config, stats) * inv_diag)
 
 
-def rate_lower_bound(config: SystemConfig, phase: PhaseShifts,
-                     los: LosComponents | None = None) -> np.ndarray:
+def rate_lower_bound(config: SystemConfig, phase: PhaseShifts) -> np.ndarray:
     """Closed-form per-user rate lower bound for the given phase configuration.
 
     tau_overhead * log2(1 + p (M-K) / ((p sum(eps) + sigma2) *
@@ -59,7 +56,7 @@ def rate_lower_bound(config: SystemConfig, phase: PhaseShifts,
     Tight enough to track Monte-Carlo rates within a few percent at the
     default operating point.
     """
-    return _rates_from_snr(config, rate_lower_bound_snr(config, phase, los))
+    return _rates_from_snr(config, rate_lower_bound_snr(config, phase))
 
 
 def rate_no_ris(config: SystemConfig) -> np.ndarray:
@@ -98,8 +95,7 @@ def phase_independent_bound(config: SystemConfig) -> tuple[np.ndarray, np.ndarra
     return _rates_from_snr(config, exact), _rates_from_snr(config, approx)
 
 
-def upper_bound(config: SystemConfig, phase: PhaseShifts,
-                los: LosComponents | None = None) -> tuple[np.ndarray, np.ndarray]:
+def upper_bound(config: SystemConfig, phase: PhaseShifts) -> tuple[np.ndarray, np.ndarray]:
     """(general, aligned) per-user rate upper bounds.
 
     The general bound keeps the actual beam response |a_N^H Phi hbar_k|^2;
@@ -111,7 +107,7 @@ def upper_bound(config: SystemConfig, phase: PhaseShifts,
     c = random_component_power(config)
     diag_term = c**2 / (c + config.sigma2 / (config.tau * config.p))
     los_gain = config.alpha * config.beta * config.delta / (config.delta + 1.0)
-    response = np.abs(alignment_response(config, phase, los)) ** 2
+    response = np.abs(alignment_response(config, phase)) ** 2
     general = prefactor * (diag_term + response * los_gain)
     aligned = prefactor * (diag_term + config.N**2 * los_gain)
     return _rates_from_snr(config, general), _rates_from_snr(config, aligned)
@@ -174,6 +170,15 @@ class MonteCarloRate:
     singular_retries: int
 
 
+def _mean_and_se(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over axis 0 of per-trial ``samples`` and its standard error (0 for one trial)."""
+    trials = samples.shape[0]
+    mean = samples.mean(axis=0)
+    if trials == 1:
+        return mean, np.zeros_like(mean)
+    return mean, samples.std(axis=0, ddof=1) / math.sqrt(trials)
+
+
 def _substream(seed: int, key: tuple) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
@@ -232,7 +237,7 @@ def _trial_rates(config: SystemConfig, kappa: np.ndarray, mean: np.ndarray,
 
 
 def exact_rate_mc(config: SystemConfig, phase: PhaseShifts, trials: int,
-                  seed: int, los: LosComponents | None = None) -> MonteCarloRate:
+                  seed: int) -> MonteCarloRate:
     """Monte-Carlo average of the exact per-user ZF rate.
 
     Each trial draws the aggregated channel directly in its M x K form
@@ -250,7 +255,7 @@ def exact_rate_mc(config: SystemConfig, phase: PhaseShifts, trials: int,
     if phase.n != config.N:
         raise ConfigError(f"phase vector has {phase.n} entries, config expects {config.N}")
     stats = compute_statistics(config)
-    mean = aggregated_mean(config, phase, los)
+    mean = aggregated_mean(config, phase)
 
     per_trial = np.empty((trials, config.K))
     retries = 0
@@ -265,16 +270,10 @@ def exact_rate_mc(config: SystemConfig, phase: PhaseShifts, trials: int,
                                                  pilot_noise[i:i + 1], seed, (c, i))
                 retries += redraws
 
-    rates = per_trial.mean(axis=0)
-    if trials > 1:
-        std_errors = per_trial.std(axis=0, ddof=1) / math.sqrt(trials)
-        totals = per_trial.sum(axis=1)
-        sum_se = float(totals.std(ddof=1) / math.sqrt(trials))
-    else:
-        std_errors = np.zeros(config.K)
-        sum_se = 0.0
+    rates, std_errors = _mean_and_se(per_trial)
+    _, sum_se = _mean_and_se(per_trial.sum(axis=1))
     return MonteCarloRate(rates=rates, std_errors=std_errors,
-                          sum_rate=float(rates.sum()), sum_rate_se=sum_se,
+                          sum_rate=float(rates.sum()), sum_rate_se=float(sum_se),
                           trials=trials, seed=seed, singular_retries=retries)
 
 
@@ -297,22 +296,19 @@ class RateReport:
 
 
 def rate_report(config: SystemConfig, phase: PhaseShifts, trials: int,
-                seed: int, los: LosComponents | None = None) -> RateReport:
+                seed: int) -> RateReport:
     """Monte-Carlo rate plus every closed-form bound at one operating point.
 
     Runs :func:`exact_rate_mc`, :func:`rate_lower_bound`,
-    :func:`phase_independent_bound` and :func:`upper_bound` in turn.  They
-    share one LoS build (``los``, built here if omitted); each call derives
-    its own statistics.
+    :func:`phase_independent_bound` and :func:`upper_bound` in turn; each
+    derives the LoS and statistics it needs from ``config``.
     """
-    if los is None:
-        los = build_los(config)
-    mc = exact_rate_mc(config, phase, trials, seed, los)
+    mc = exact_rate_mc(config, phase, trials, seed)
     floor_bound, floor_bound_approx = phase_independent_bound(config)
-    ub, ub_aligned = upper_bound(config, phase, los)
+    ub, ub_aligned = upper_bound(config, phase)
     return RateReport(
         mc_rate=mc.rates, mc_std_error=mc.std_errors, mc_sum_rate_se=mc.sum_rate_se,
-        lower_bound=rate_lower_bound(config, phase, los),
+        lower_bound=rate_lower_bound(config, phase),
         floor_bound=floor_bound, floor_bound_approx=floor_bound_approx, ub=ub, ub_aligned=ub_aligned,
         trials=trials, seed=seed, tau_overhead=config.tau_overhead,
         singular_retries=mc.singular_retries,

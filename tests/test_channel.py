@@ -55,16 +55,26 @@ def test_steering_phase_terms_vanish():
 
 
 def test_steering_matches_scalar_evaluation():
-    # element-by-element evaluation with explicit floor/mod arithmetic
-    L, az, el, spacing = 6, np.pi / 3, np.pi / 4, 0.5
-    v = steering_vector(L, az, el, spacing)
-    lx, ly = 2, 3
-    for l in range(1, L + 1):
-        phase = 2 * np.pi * spacing * (
-            math.floor((l - 1) / ly) * math.sin(el) * math.sin(az)
-            + ((l - 1) % ly) * math.cos(el)
-        )
-        assert v[l - 1] == pytest.approx(np.exp(1j * phase), abs=1e-12)
+    # element-by-element evaluation with explicit floor/mod arithmetic, on a
+    # small grid, a prime length (1 x 7), an odd spacing, and large grids
+    cases = [  # (L, L_y, azimuth, elevation, d/lambda)
+        (6, 3, np.pi / 3, np.pi / 4, 0.5),
+        (7, 7, 1.1, 2.3, 0.5),
+        (12, 4, -0.7, 0.9, 0.37),
+        (400, 20, 2.9, 1.3, 0.5),
+        (4096, 64, 0.4, 2.8, 0.5),
+    ]
+    for L, ly, az, el, spacing in cases:
+        v = steering_vector(L, az, el, spacing)
+        expected = []
+        for l in range(1, L + 1):
+            phase = 2 * np.pi * spacing * (
+                math.floor((l - 1) / ly) * math.sin(el) * math.sin(az)
+                + ((l - 1) % ly) * math.cos(el)
+            )
+            expected.append(np.exp(1j * phase))
+        assert v.shape == (L,)
+        np.testing.assert_allclose(v, expected, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=60)
@@ -133,6 +143,11 @@ def test_build_los_norms_and_rank(reference_config):
     assert los.hbar.shape == (n, k)
     np.testing.assert_allclose(np.sum(np.abs(los.hbar) ** 2, axis=0), n, rtol=1e-12)
     assert np.vdot(los.a_m, los.a_m).real == pytest.approx(reference_config.M, rel=1e-12)
+    # column k is the response toward user k
+    for k, (az, el) in enumerate(reference_config.user_ris_angles):
+        np.testing.assert_allclose(
+            los.hbar[:, k], steering_vector(n, az, el, reference_config.d_over_lambda),
+            rtol=0, atol=1e-12)
     # rank one: all 2x2 minors vanish
     h2 = los.hbar2
     s = np.linalg.svd(h2, compute_uv=False)
@@ -282,8 +297,8 @@ def test_aggregated_mean_matches_dense_oracle():
         los = build_los(cfg)
         scale = math.sqrt(cfg.beta * cfg.delta / (cfg.delta + 1.0))
         dense = scale * (np.outer(los.a_m, np.conj(los.a_n))
-                         @ (ph.phi_diag[:, None] * h1_matrix(cfg, los)))
-        mean = aggregated_mean(cfg, ph, los)
+                         @ (ph.phi_diag[:, None] * h1_matrix(cfg)))
+        mean = aggregated_mean(cfg, ph)
         assert mean.shape == (cfg.M, cfg.K)
         np.testing.assert_allclose(mean, dense, rtol=1e-12,
                                    atol=1e-12 * np.abs(dense).max())
@@ -317,8 +332,7 @@ def test_los_closed_forms_allocate_no_mxn_array():
 
 
 def test_h1_matrix_scaling(reference_config):
-    los = build_los(reference_config)
-    h1 = h1_matrix(reference_config, los)
+    h1 = h1_matrix(reference_config)
     np.testing.assert_allclose(
         np.sum(np.abs(h1) ** 2, axis=0),
         reference_config.N * reference_config.alpha, rtol=1e-12)

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +258,17 @@ def test_cli_mse_stdout(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["kappa"]) == 8
     assert all(0 < k < 1 for k in payload["kappa"])
+    # one trial: a standard error of 0, strict JSON, no warning
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli_main(["--trials", "1", "mse", "--validate"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert payload["trials"] == 1
+    assert payload["epsilon_empirical_se"] == [0.0] * 8
 
 
 def test_cli_optimize(tmp_path):
@@ -317,6 +329,8 @@ def test_cli_exit_codes(tmp_path):
     huge_n.write_text(re.sub(r"(?m)^N = .*$", "N = 1" + "0" * 400, huge_n.read_text()))
     assert cli_main(["--config", str(huge_n), "rate"]) == 2
     assert cli_main(["--trials", "5", "sweep", "--axis", "bits", "--values", "1,2000"]) == 0
+    assert cli_main(["--trials", "0", "mse", "--validate"]) == 2
+    assert cli_main(["--trials", "0", "optimize"]) == 2
 
 
 def test_cli_import_loads_no_scipy():

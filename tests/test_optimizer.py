@@ -70,7 +70,7 @@ def _dense_problem(cfg):
     """
     los = build_los(cfg)
     stats = compute_statistics(cfg)
-    g = h1_matrix(cfg, los).conj().T * los.a_n
+    g = h1_matrix(cfg).conj().T * los.a_n
     lam_inv = np.linalg.inv(stats.lam)
     z = lam_inv @ g
     rho = cfg.beta * cfg.delta / (cfg.delta + 1.0)

@@ -44,7 +44,7 @@ def test_lower_bound_dense_inverse_oracle():
     ph = PhaseShifts.random(cfg.N, 5)
     los = build_los(cfg)
     stats = compute_statistics(cfg)
-    w = h1_matrix(cfg, los).conj().T @ (ph.v * los.a_n)
+    w = h1_matrix(cfg).conj().T @ (ph.v * los.a_n)
     rho = cfg.beta * cfg.delta / (cfg.delta + 1)
     dense = np.linalg.inv(stats.lam + rho * np.outer(w, w.conj()))
     denom = cfg.p * stats.epsilon.sum() + cfg.sigma2
@@ -176,7 +176,7 @@ def test_power_scaling_limit_two_user_scalar_oracle():
     ph = PhaseShifts.random(cfg.N, 3)
     e_u = 4.0
     los = build_los(cfg)
-    w = h1_matrix(cfg, los).conj().T @ (ph.v * los.a_n)
+    w = h1_matrix(cfg).conj().T @ (ph.v * los.a_n)
     a = cfg.alpha * cfg.beta / (cfg.delta + 1)
     x = a**2 / (a + cfg.sigma2 / (cfg.tau * e_u))
     c = cfg.beta * cfg.delta / (cfg.delta + 1) / cfg.N
