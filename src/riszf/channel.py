@@ -34,19 +34,24 @@ def _direction_cosines(angles) -> tuple[np.ndarray, np.ndarray]:
     return np.sin(angles[:, 1]) * np.sin(angles[:, 0]), np.cos(angles[:, 1])
 
 
-def _steering_matrix(L: int, angles, d_over_lambda: float) -> np.ndarray:
-    """L x K URA responses toward K (azimuth, elevation) rows.
+def _axis_responses(L: int, angles, d_over_lambda: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis URA responses (L_x x K, L_y x K) toward K (azimuth, elevation) rows.
 
     Element l sits at grid position (l // L_y, l % L_y) and its phase is a
-    sum over the two axes, so column k is the Kronecker product of an L_x-
-    and an L_y-element response: K (L_x + L_y) exponentials, not K L.
+    sum over the two axes, so the full response toward direction k is the
+    Kronecker product of column k of each factor: K (L_x + L_y)
+    exponentials, not K L.
     """
     lx, ly = decompose_grid(L)
     u, c = _direction_cosines(angles)
     phase = 2j * np.pi * d_over_lambda
-    rows = np.exp(phase * (np.arange(lx)[:, None] * u))
-    cols = np.exp(phase * (np.arange(ly)[:, None] * c))
-    return (rows[:, None, :] * cols[None, :, :]).reshape(L, u.size)
+    return (np.exp(phase * (np.arange(lx)[:, None] * u)),
+            np.exp(phase * (np.arange(ly)[:, None] * c)))
+
+
+def _kron_columns(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(L_x L_y) x K matrix whose column k is kron(rows[:, k], cols[:, k])."""
+    return (rows[:, None, :] * cols[None, :, :]).reshape(-1, rows.shape[1])
 
 
 def steering_vector(L: int, azimuth: float, elevation: float,
@@ -57,7 +62,7 @@ def steering_vector(L: int, azimuth: float, elevation: float,
     :func:`decompose_grid`; element l (0-based) sees the phase
     2*pi*(d/lambda) * (floor(l / L_y) * sin(el) * sin(az) + (l mod L_y) * cos(el)).
     """
-    return _steering_matrix(L, (azimuth, elevation), d_over_lambda)[:, 0]
+    return _kron_columns(*_axis_responses(L, (azimuth, elevation), d_over_lambda))[:, 0]
 
 
 def steering_gram(L: int, angles, d_over_lambda: float = 0.5) -> np.ndarray:
@@ -137,18 +142,36 @@ class PhaseShifts:
 
 @dataclass(frozen=True)
 class LosComponents:
-    """Deterministic LoS quantities of a scenario.
+    """Deterministic LoS quantities of a scenario, kept as per-axis factors.
 
-    ``hbar`` stacks the per-user RIS responses as columns (N x K); ``a_m``
-    and ``a_n`` are the BS arrival / RIS departure steering vectors.  The
-    LoS part of the RIS-BS link is rank one, a_m a_n^H, so only its two
-    factors are stored and every closed form works from the cascaded
-    response a_n^H Phi hbar_k (see :func:`alignment_response`).
+    A URA response is the Kronecker product of an L_x- and an L_y-element
+    response (:func:`_axis_responses`), so only those factors are stored:
+    ``user_rows`` (L_x x K) and ``user_cols`` (L_y x K) for the per-user RIS
+    responses hbar_k = kron(user_rows[:, k], user_cols[:, k]), and
+    ``ris_rows`` (L_x) and ``ris_cols`` (L_y) for the RIS departure vector
+    a_n = kron(ris_rows, ris_cols).  ``a_m`` is the BS arrival vector.  The
+    LoS part of the RIS-BS link is rank one, a_m a_n^H.  Every closed form
+    and the Monte-Carlo mean work from the cascaded response
+    a_n^H Phi hbar_k (see :func:`alignment_response`) in O(N + K (L_x + L_y))
+    memory.  ``hbar`` (N x K), ``a_n`` and ``hbar2`` (M x N) assemble the
+    dense arrays on demand, for the dense channel draw and for checks.
     """
 
-    hbar: np.ndarray
+    user_rows: np.ndarray
+    user_cols: np.ndarray
+    ris_rows: np.ndarray
+    ris_cols: np.ndarray
     a_m: np.ndarray
-    a_n: np.ndarray
+
+    @property
+    def hbar(self) -> np.ndarray:
+        """Dense per-user RIS responses as columns (N x K), assembled on demand."""
+        return _kron_columns(self.user_rows, self.user_cols)
+
+    @property
+    def a_n(self) -> np.ndarray:
+        """Dense RIS departure steering vector (length N), assembled on demand."""
+        return np.kron(self.ris_rows, self.ris_cols)
 
     @property
     def hbar2(self) -> np.ndarray:
@@ -157,11 +180,13 @@ class LosComponents:
 
 
 def build_los(config: SystemConfig) -> LosComponents:
-    """Steering vectors of ``config``: O(NK) memory and multiplies, no M x N array."""
+    """Per-axis steering factors of ``config``: O(K (L_x + L_y) + M) memory, no N x K array."""
     d = config.d_over_lambda
-    return LosComponents(hbar=_steering_matrix(config.N, config.user_ris_angles, d),
-                         a_m=steering_vector(config.M, *config.bs_aoa, d),
-                         a_n=steering_vector(config.N, *config.ris_aod, d))
+    user_rows, user_cols = _axis_responses(config.N, config.user_ris_angles, d)
+    ris_rows, ris_cols = _axis_responses(config.N, config.ris_aod, d)
+    return LosComponents(user_rows=user_rows, user_cols=user_cols,
+                         ris_rows=ris_rows[:, 0], ris_cols=ris_cols[:, 0],
+                         a_m=steering_vector(config.M, *config.bs_aoa, d))
 
 
 def h1_matrix(config: SystemConfig) -> np.ndarray:
@@ -170,8 +195,19 @@ def h1_matrix(config: SystemConfig) -> np.ndarray:
 
 
 def _response(geometry: LosComponents, phase: PhaseShifts) -> np.ndarray:
-    """a_N^H Phi hbar_k for every user k (length K)."""
-    return np.conj(phase.v * geometry.a_n) @ geometry.hbar
+    """a_N^H Phi hbar_k for every user k (length K), from the per-axis factors.
+
+    conj(a_N) * hbar_k is kron(p_k, q_k) with p_k = conj(r) * r_k (L_x) and
+    q_k = conj(c) * c_k (L_y), where a_N = kron(r, c) and hbar_k =
+    kron(r_k, c_k).  With V = conj(v) laid out on the L_x x L_y grid, the
+    response is sum_x p_k[x] (V q_k)[x]: one L_x x L_y by L_y x K product,
+    O(NK) time and O(K (L_x + L_y)) memory beyond v, with no N x K temporary.
+    """
+    rows = np.conj(geometry.ris_rows)[:, None] * geometry.user_rows
+    cols = np.conj(geometry.ris_cols)[:, None] * geometry.user_cols
+    grid = phase.v.reshape(rows.shape[0], cols.shape[0])
+    # V q_k = conj(v_grid conj(q_k)): conjugating the L_x x K product, not v
+    return np.sum(rows * np.conj(grid @ np.conj(cols)), axis=0)
 
 
 def alignment_response(config: SystemConfig, phase: PhaseShifts) -> np.ndarray:

@@ -103,7 +103,15 @@ def build_problem(config: SystemConfig) -> FractionalProblem:
     """
     los = build_los(config)
     stats = compute_statistics(config)
-    g = (los.hbar * np.sqrt(config.alpha)).conj().T * los.a_n
+    # hbar (N x K) is assembled once, as the storage of G^T, and turned into
+    # G^T in place: times sqrt(alpha), conjugated, times a_N.  G is its
+    # column-major view; BLAS sums G v in a layout-dependent order, and the
+    # designs are reproducible for this layout.
+    g_t = los.hbar
+    g_t *= np.sqrt(config.alpha)
+    np.conj(g_t, out=g_t)
+    g_t *= los.a_n[:, None]
+    g = g_t.T
     lam_inv = hermitian_inverse(stats.lam, "estimate correlation matrix")
     z = lam_inv @ g
     lam_inv_diag = np.real(np.diag(lam_inv)).copy()
@@ -354,12 +362,15 @@ def align_phase(config: SystemConfig, k: int) -> PhaseShifts:
     """Phases that focus the RIS beam on user k (0-based).
 
     Sets theta_n = -angle(conj(a_N[n]) * hbar_k[n]), which makes the beam
-    response a_N^H Phi hbar_k equal to N exactly.
+    response a_N^H Phi hbar_k equal to N exactly.  Both vectors are
+    assembled from their per-axis factors: O(N), with no N x K array.
     """
     if not 0 <= k < config.K:
         raise ConfigError(f"user index {k} out of range for K={config.K}")
     los = build_los(config)
-    return PhaseShifts(np.conj(los.a_n) * los.hbar[:, k])
+    v = np.conj(los.a_n)
+    v *= np.kron(los.user_rows[:, k], los.user_cols[:, k])
+    return PhaseShifts(v)
 
 
 def quantize_phase(phase: PhaseShifts, bits: int) -> PhaseShifts:

@@ -11,7 +11,7 @@ from riszf.channel import (ChannelRealization, PhaseShifts, aggregated_mean,
                            sample_aggregated, sample_channels, steering_gram, steering_vector)
 from riszf.config import default_profile
 from riszf.errors import ConfigError
-from riszf.estimation import row_covariance
+from riszf.estimation import qhat_gram_mean, row_covariance
 from riszf.optimizer import align_phase, build_problem
 from riszf.rate import (exact_rate_mc, phase_independent_bound, power_scaling_limit,
                         rate_lower_bound, upper_bound)
@@ -329,6 +329,70 @@ def test_los_closed_forms_allocate_no_mxn_array():
     finally:
         tracemalloc.stop()
     assert all(peak < limit for peak in peaks.values()), peaks
+
+
+def test_factored_los_matches_dense_oracle():
+    # the per-axis forms against the dense hbar / a_n, on a prime N (1 x N grid),
+    # non-square grids, a square grid and random sizes
+    rng = np.random.default_rng(41)
+    configs = [random_config(rng, N=n) for n in (61, 48, 45, 64, None, None)]
+    for cfg in configs:
+        los = build_los(cfg)
+        hbar, a_n = los.hbar, los.a_n
+        spacing = cfg.d_over_lambda
+        assert hbar.shape == (cfg.N, cfg.K) and a_n.shape == (cfg.N,)
+        np.testing.assert_allclose(a_n, steering_vector(cfg.N, *cfg.ris_aod, spacing),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(los.a_m, steering_vector(cfg.M, *cfg.bs_aoa, spacing),
+                                   rtol=1e-12)
+        for k, (az, el) in enumerate(cfg.user_ris_angles):
+            np.testing.assert_allclose(hbar[:, k], steering_vector(cfg.N, az, el, spacing),
+                                       rtol=1e-12)
+            aligned = align_phase(cfg, k)
+            np.testing.assert_allclose(aligned.v, np.conj(a_n) * hbar[:, k], rtol=1e-12)
+        scale = math.sqrt(cfg.beta * cfg.delta / (cfg.delta + 1.0))
+        for ph in (PhaseShifts.random(cfg.N, rng), align_phase(cfg, cfg.K - 1)):
+            dense = np.conj(ph.v * a_n) @ hbar
+            np.testing.assert_allclose(alignment_response(cfg, ph), dense, rtol=1e-12,
+                                       atol=1e-12 * cfg.N)
+            dense_mean = scale * np.outer(los.a_m, np.sqrt(cfg.alpha) * dense)
+            np.testing.assert_allclose(aggregated_mean(cfg, ph), dense_mean, rtol=1e-12,
+                                       atol=1e-12 * np.abs(dense_mean).max())
+
+
+def test_los_consumers_allocate_no_nxk_array():
+    # the LoS is kept as per-axis factors, so every consumer needs
+    # O(N + K (L_x + L_y)) memory; one dense N x K array is K = 8 units here
+    cfg = default_profile(N=65536)
+    unit = 16 * cfg.N                        # one complex N-vector
+    phase = PhaseShifts.identity(cfg.N)
+    calls = {
+        "build_los": (lambda: build_los(cfg), unit),
+        "alignment_response": (lambda: alignment_response(cfg, phase), 3 * unit),
+        "aggregated_mean": (lambda: aggregated_mean(cfg, phase), 3 * unit),
+        "align_phase": (lambda: align_phase(cfg, 0), 3 * unit),
+        "rate_lower_bound": (lambda: rate_lower_bound(cfg, phase), 3 * unit),
+        "upper_bound": (lambda: upper_bound(cfg, phase), 3 * unit),
+        "power_scaling_limit": (lambda: power_scaling_limit(cfg, phase, 10.0), 3 * unit),
+        "qhat_gram_mean": (lambda: qhat_gram_mean(cfg, phase), 3 * unit),
+        "exact_rate_mc": (lambda: exact_rate_mc(cfg, phase, 200, 0), 3 * unit),
+        # G and Z (K x N each) plus the two copies of G that the QR takes
+        "build_problem": (lambda: build_problem(cfg), (4 * cfg.K + 4) * unit),
+    }
+    for call, _ in calls.values():           # lazy set-up is not part of the peak
+        call()
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name, (call, _) in calls.items():
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            peaks[name] = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    over = {name: peak for name, peak in peaks.items() if peak >= calls[name][1]}
+    assert not over, over
 
 
 def test_h1_matrix_scaling(reference_config):
