@@ -229,10 +229,18 @@ def aggregated_mean(config: SystemConfig, phase: PhaseShifts) -> np.ndarray:
     is the only non-random part of Q.  Formed as one outer product in O(MK),
     without the M x N LoS matrix.
     """
-    los = build_los(config)
+    a_m = steering_vector(config.M, *config.bs_aoa, config.d_over_lambda)
+    return np.outer(a_m, mean_row(config, phase))
+
+
+def mean_row(config: SystemConfig, phase: PhaseShifts) -> np.ndarray:
+    """Row mu (length K) of the rank-one channel mean a_M mu (:func:`aggregated_mean`).
+
+    a_M is unit-modulus, so |a_M|^2 = M and the mean enters every K x K
+    statistic through mu alone.
+    """
     scale = math.sqrt(config.beta * config.delta / (config.delta + 1.0))
-    row = np.sqrt(config.alpha) * _response(los, phase)
-    return scale * np.outer(los.a_m, row)
+    return scale * (np.sqrt(config.alpha) * alignment_response(config, phase))
 
 
 @dataclass(frozen=True)

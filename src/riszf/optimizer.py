@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PhaseShifts, build_los
+from .channel import PhaseShifts, build_los, steering_gram
 from .config import SystemConfig
 from .errors import ConfigError, NumericalError
 from .estimation import compute_statistics, hermitian_inverse
@@ -96,10 +96,12 @@ def build_problem(config: SystemConfig) -> FractionalProblem:
     G = H1^H diag(a_N), Z = Lam^{-1} G, rho = beta delta / (delta + 1).  The
     spectral bounds are exact: C_k + B = c_k I + rho G^H M_k G with
     c_k = (1 + scale [Lam^{-1}]_kk) / N and the PSD K x K matrix
-    M_k = N c_k Lam^{-1} - scale l_k l_k^H (l_k = column k of Lam^{-1}).  One
-    QR G^H = Q R reduces the top eigenvalue to c_k + rho times the top
-    eigenvalue of the K x K matrix R M_k R^H.  Total cost O(N K^2); no N x N
-    or M x N matrix is formed.
+    M_k = N c_k Lam^{-1} - scale l_k l_k^H (l_k = column k of Lam^{-1}).  For
+    any R with R^H R = G G^H, the top eigenvalue is c_k + rho times the top
+    eigenvalue of the K x K matrix R M_k R^H.  a_N is unit-modulus, so
+    G G^H = diag(sqrt(alpha)) S diag(sqrt(alpha)) with S the analytic
+    steering Gram, and R is its PSD root.  Total cost O(N K^2); no N x N or
+    M x N matrix is formed.
     """
     los = build_los(config)
     stats = compute_statistics(config)
@@ -119,7 +121,11 @@ def build_problem(config: SystemConfig) -> FractionalProblem:
     scale = ((config.p * float(stats.epsilon.sum()) + config.sigma2)
              / (config.p * (config.M - config.K)))
 
-    r = np.linalg.qr(g.conj().T, mode="r")
+    root_alpha = np.sqrt(config.alpha)
+    gram = (steering_gram(config.N, config.user_ris_angles, config.d_over_lambda)
+            * np.outer(root_alpha, root_alpha))
+    eigval, eigvec = np.linalg.eigh(0.5 * (gram + gram.conj().T))
+    r = np.sqrt(np.clip(eigval, 0.0, None))[:, None] * eigvec.conj().T
     r_lam = r @ lam_inv                      # column k is R l_k
     r_lam_r = r_lam @ r.conj().T
     weight = 1.0 + scale * lam_inv_diag

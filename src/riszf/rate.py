@@ -14,19 +14,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PhaseShifts, aggregated_mean, alignment_response, sample_aggregated
+from .channel import PhaseShifts, alignment_response, mean_row, sample_aggregated
 from .config import SystemConfig
 from .errors import ConfigError, NumericalError
 from .estimation import (ChannelStatistics, cholesky_factor, compute_statistics,
-                         hermitian_inverse, random_component_power, row_covariance,
-                         shrink_estimate)
+                         hermitian_inverse, random_component_power, row_covariance)
 
 #: Redraws per Monte-Carlo trial before a singular Gram matrix is fatal.
 _MAX_RESAMPLE = 32
 
-#: Trials per batched Monte-Carlo draw.  Fixed, so that results depend only on
-#: the seed; small, so that a chunk's (trials, M, K) arrays stay in cache.
-_CHUNK = 16
+#: Trials per chunk of :func:`exact_rate_mc`.  Fixed, so that results depend
+#: only on the seed.  A chunk holds only (trials, K, K) arrays: larger chunks
+#: pay numpy's per-call overhead less often, smaller ones hold fewer
+#: temporaries.  At 64 a 1000-trial point at K = 8 peaks below 1 MB traced.
+_CHUNK = 64
+
+#: Trials per chunk of the M x K draws of :func:`mc_draws`; small, so that a
+#: chunk's (trials, M, K) arrays stay in cache.
+_DRAW_CHUNK = 16
 
 
 def _interference_floor(config: SystemConfig, stats: ChannelStatistics) -> float:
@@ -183,52 +188,139 @@ def _substream(seed: int, key: tuple) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-def _row_factor(config: SystemConfig) -> np.ndarray:
-    return cholesky_factor(row_covariance(config), "channel row covariance")
-
-
 def mc_draws(config: SystemConfig, mean: np.ndarray, trials: int, seed: int):
-    """Batched draws of ``trials`` aggregated channels, ``_CHUNK`` trials at a time.
+    """Batched M x K draws of ``trials`` aggregated channels, ``_DRAW_CHUNK`` at a time.
 
-    Yields ``(c, q, pilot_noise)`` per chunk c, each array (<= _CHUNK, M, K)
+    Yields ``(c, q, pilot_noise)`` per chunk c, each array (<= _DRAW_CHUNK, M, K)
     from :func:`riszf.channel.sample_aggregated`.  Chunk c draws from the
     substream (seed, c), so a draw depends only on the seed and its index.
+    ``riszf mse --validate`` measures the error power from these draws, which
+    keeps it an independent check of the K x K law that :func:`exact_rate_mc`
+    samples.
     """
-    factor = _row_factor(config)
-    for c, start in enumerate(range(0, trials, _CHUNK)):
+    factor = cholesky_factor(row_covariance(config), "channel row covariance")
+    for c, start in enumerate(range(0, trials, _DRAW_CHUNK)):
         yield c, *sample_aggregated(config, mean, factor, _substream(seed, (c,)),
-                                    min(_CHUNK, trials - start))
+                                    min(_DRAW_CHUNK, trials - start))
 
 
-def _zf_rates(config: SystemConfig, qhat: np.ndarray, err: np.ndarray) -> np.ndarray:
-    """Per-trial ZF rates (T x K) of stacked estimates and errors (T, M, K).
+@dataclass(frozen=True)
+class GramLaw:
+    """Per-point constants of the K x K law of (G, G^{-1} Qhat^H E) (see :func:`gram_law`).
 
-    Raises :class:`NumericalError` when any Gram matrix is singular.
+    ``lam_factor`` is L = chol(Lambda); ``r1_mean`` is sqrt(M) mu;
+    ``bias`` is B = Lambda^{-1} U R - I and ``bias_row`` sqrt(M) mu B;
+    ``noise_root_h`` is S_F^H for a root S_F S_F^H = Sigma_F; ``dof`` is
+    M - 1, the degrees of freedom of the Wishart part of G.
     """
-    qhat_h = qhat.conj().swapaxes(-1, -2)
-    gram_inv = hermitian_inverse(qhat_h @ qhat, "estimate Gram matrix")
-    leakage = gram_inv @ (qhat_h @ err)
-    rx_norm2 = np.real(np.diagonal(gram_inv, axis1=-2, axis2=-1))
+
+    lam_factor: np.ndarray
+    r1_mean: np.ndarray
+    bias: np.ndarray
+    bias_row: np.ndarray
+    noise_root_h: np.ndarray
+    dof: int
+
+
+def gram_law(config: SystemConfig, phase: PhaseShifts) -> GramLaw:
+    """The law of one trial's ZF statistics, from K x K quantities only.
+
+    With U = diag(kappa), s2 = sigma2/(tau p) and R the row covariance of
+    Q - mean (:func:`riszf.estimation.row_covariance`), the rows of
+    Qhat - mean are i.i.d. CN(0, Lambda), Lambda = U (R + s2 I) U, and the
+    error regresses on them as E = (Qhat - mean) B + F with
+    B = Lambda^{-1} U R - I and F independent of Qhat, its rows i.i.d.
+    CN(0, Sigma_F).  Sigma_F = R - R U Lambda^{-1} U R = s2 R (R + s2 I)^{-1}
+    tends to 0 at near-perfect CSI, so its root is not a Cholesky factor of
+    Sigma_F: with R = L_R L_R^H, Sigma_F = s2 L_R (L_R^H L_R + s2 I)^{-1} L_R^H,
+    so S_F = s L_R T^{-H} with T the Cholesky factor of L_R^H L_R + s2 I, a
+    positive-definite matrix, and no cancellation.
+    """
+    stats = compute_statistics(config)
+    cov = row_covariance(config)
+    noise = config.sigma2 / (config.tau * config.p)
+    cov_factor = cholesky_factor(cov, "channel row covariance")
+    t_factor = cholesky_factor(cov_factor.conj().T @ cov_factor + noise * np.eye(config.K),
+                               "estimation-error covariance")
+    bias = np.linalg.solve(stats.lam, stats.kappa[:, None] * cov) - np.eye(config.K)
+    r1_mean = math.sqrt(config.M) * mean_row(config, phase)
+    return GramLaw(lam_factor=cholesky_factor(stats.lam, "estimate correlation matrix"),
+                   r1_mean=r1_mean, bias=bias, bias_row=r1_mean @ bias,
+                   noise_root_h=math.sqrt(noise) * np.linalg.solve(t_factor, cov_factor.conj().T),
+                   dof=config.M - 1)
+
+
+def sample_gram(law: GramLaw, rng_seed, trials: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(r1, gram, z)`` of ``trials`` draws, exactly in the law of the M x K draw.
+
+    A Householder reflection that maps a_M to sqrt(M) e_1 leaves the i.i.d.
+    rows of Qhat - mean i.i.d., so G = Qhat^H Qhat = r1^H r1 + L A A^H L^H
+    with r1 = sqrt(M) mu + w L^H (w a CN(0, I) row) and A the lower Bartlett
+    factor of a complex Wishart CW_K(M - 1, I): |A_ii|^2 ~ Gamma(M - 1 - i),
+    A_ij ~ CN(0, 1) below the diagonal.  ``z`` (trials, K, K) is i.i.d.
+    CN(0, 1) and carries the part of the leakage that is independent of
+    Qhat (:func:`zf_terms`).  Per trial: K + K(K-1)/2 + K^2 complex normals
+    and K gammas, drawn in that order; nothing of size M or N.
+    """
+    rng = np.random.default_rng(rng_seed)
+    k = law.bias.shape[0]
+    n_lower = k * (k - 1) // 2
+    # (..., 2) float pairs viewed as complex: real part first, as _complex_randn
+    normals = rng.standard_normal((trials, k + n_lower + k * k, 2)).view(complex)[..., 0]
+    normals *= math.sqrt(0.5)
+    bartlett = np.zeros((trials, k, k), dtype=complex)
+    bartlett[:, np.tri(k, k, -1, dtype=bool)] = normals[:, k:k + n_lower]
+    diag = np.arange(k)
+    bartlett[:, diag, diag] = np.sqrt(rng.standard_gamma(law.dof - diag, size=(trials, k)))
+    r1 = normals[:, :k] @ law.lam_factor.conj().T
+    r1 += law.r1_mean
+    # G = X X^H with the K x (K + 1) root X = [L A, r1^H]
+    root = np.empty((trials, k, k + 1), dtype=complex)
+    np.matmul(law.lam_factor, bartlett, out=root[..., :k])
+    root[..., k] = r1.conj()
+    gram = root @ root.conj().swapaxes(-1, -2)
+    return r1, gram, normals[:, k + n_lower:].reshape(trials, k, k)
+
+
+def zf_terms(law: GramLaw, r1: np.ndarray, gram: np.ndarray, z: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """``(leakage, rx_norm2)`` of stacked draws from :func:`sample_gram`.
+
+    With C = chol(G), the ZF leakage G^{-1} Qhat^H E is
+    B - G^{-1} (sqrt(M) r1^H) mu B + C^{-H} Z S_F^H (trials, K, K), and
+    rx_norm2 the diagonal of G^{-1} (trials, K), the squared norms of the ZF
+    receiver columns.  Raises :class:`NumericalError` when any G is singular.
+    """
+    chol_inv = np.linalg.inv(cholesky_factor(gram, "estimate Gram matrix"))
+    inner = z @ law.noise_root_h
+    inner -= (chol_inv @ r1.conj()[:, :, None]) * law.bias_row
+    leakage = chol_inv.conj().swapaxes(-1, -2) @ inner
+    leakage += law.bias
+    return leakage, np.sum(np.abs(chol_inv) ** 2, axis=-2)
+
+
+def _zf_rates(config: SystemConfig, law: GramLaw, r1: np.ndarray, gram: np.ndarray,
+              z: np.ndarray) -> np.ndarray:
+    """Per-trial ZF rates (trials x K) of stacked draws from :func:`sample_gram`."""
+    leakage, rx_norm2 = zf_terms(law, r1, gram, z)
     interference = config.p * np.sum(np.abs(leakage) ** 2, axis=-1)
     sinr = config.p / (interference + config.sigma2 * rx_norm2)
     return config.tau_overhead * np.log2(1.0 + sinr)
 
 
-def _trial_rates(config: SystemConfig, kappa: np.ndarray, mean: np.ndarray,
-                 q: np.ndarray, pilot_noise: np.ndarray, seed: int,
+def _trial_rates(config: SystemConfig, law: GramLaw, draws: tuple, seed: int,
                  key: tuple) -> tuple[np.ndarray, int]:
-    """``(rates, redraws)`` of one trial (1, M, K).
+    """``(rates, redraws)`` of one trial's ``draws`` (each with a leading axis of 1).
 
     While its Gram is singular the trial is redrawn from the substream
     (seed, *key, attempt), at most ``_MAX_RESAMPLE`` times.
     """
     for attempt in range(_MAX_RESAMPLE + 1):
         if attempt:
-            q, pilot_noise = sample_aggregated(config, mean, _row_factor(config),
-                                               _substream(seed, (*key, attempt - 1)), 1)
-        qhat, err = shrink_estimate(q, pilot_noise, mean, kappa)
+            draws = sample_gram(law, _substream(seed, (*key, attempt - 1)), 1)
         try:
-            rates = _zf_rates(config, qhat, err)
+            rates = _zf_rates(config, law, *draws)
         except NumericalError:
             continue
         return rates[0], attempt
@@ -240,34 +332,35 @@ def exact_rate_mc(config: SystemConfig, phase: PhaseShifts, trials: int,
                   seed: int) -> MonteCarloRate:
     """Monte-Carlo average of the exact per-user ZF rate.
 
-    Each trial draws the aggregated channel directly in its M x K form
-    (:func:`mc_draws`), forms the MMSE estimate, applies the ZF receiver
-    A = Qhat (Qhat^H Qhat)^{-1} through the Cholesky factor of the K x K
-    Gram (one stacked factorization per chunk of trials), and evaluates
-        tau_overhead * log2(1 + p / (p sum_i |a_k^H e_i|^2 + sigma2 |a_k|^2)).
-    The cost per trial is O(MK^2), independent of N.  Chunk c of trials
-    draws from the substream (seed, c); if a Gram in the chunk is singular
-    the chunk is redone trial by trial and trial i is redrawn from
-    (seed, c, i, attempt).  Results are bit-identical for a given seed.
+    A trial's rate depends on its channel only through two K x K matrices,
+    the estimate Gram G = Qhat^H Qhat and the leakage G^{-1} Qhat^H E, so
+    each trial draws those directly in their exact joint law
+    (:func:`gram_law`, :func:`sample_gram`) and evaluates
+        tau_overhead * log2(1 + p / (p sum_i |a_k^H e_i|^2 + sigma2 |a_k|^2))
+    for the ZF receiver A = Qhat G^{-1} through the Cholesky factor of G (one
+    stacked factorization per chunk of trials).  The cost per trial is
+    O(K^3), independent of M and N.  Chunk c of trials draws from the
+    substream (seed, c); if a Gram in the chunk is singular the chunk is
+    redone trial by trial and trial i is redrawn from (seed, c, i, attempt).
+    Results are bit-identical for a given seed.
     """
     if trials < 1:
         raise NumericalError("trials must be >= 1")
     if phase.n != config.N:
         raise ConfigError(f"phase vector has {phase.n} entries, config expects {config.N}")
-    stats = compute_statistics(config)
-    mean = aggregated_mean(config, phase)
+    law = gram_law(config, phase)
 
     per_trial = np.empty((trials, config.K))
     retries = 0
-    for c, q, pilot_noise in mc_draws(config, mean, trials, seed):
-        block = per_trial[c * _CHUNK:(c + 1) * _CHUNK]
-        qhat, err = shrink_estimate(q, pilot_noise, mean, stats.kappa)
+    for c, start in enumerate(range(0, trials, _CHUNK)):
+        block = per_trial[start:start + _CHUNK]
+        draws = sample_gram(law, _substream(seed, (c,)), block.shape[0])
         try:
-            block[:] = _zf_rates(config, qhat, err)
+            block[:] = _zf_rates(config, law, *draws)
         except NumericalError:
-            for i in range(q.shape[0]):
-                block[i], redraws = _trial_rates(config, stats.kappa, mean, q[i:i + 1],
-                                                 pilot_noise[i:i + 1], seed, (c, i))
+            for i in range(block.shape[0]):
+                block[i], redraws = _trial_rates(config, law, tuple(d[i:i + 1] for d in draws),
+                                                 seed, (c, i))
                 retries += redraws
 
     rates, std_errors = _mean_and_se(per_trial)

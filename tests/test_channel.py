@@ -376,8 +376,8 @@ def test_los_consumers_allocate_no_nxk_array():
         "power_scaling_limit": (lambda: power_scaling_limit(cfg, phase, 10.0), 3 * unit),
         "qhat_gram_mean": (lambda: qhat_gram_mean(cfg, phase), 3 * unit),
         "exact_rate_mc": (lambda: exact_rate_mc(cfg, phase, 200, 0), 3 * unit),
-        # G and Z (K x N each) plus the two copies of G that the QR takes
-        "build_problem": (lambda: build_problem(cfg), (4 * cfg.K + 4) * unit),
+        # G and Z (K x N each) and nothing more of size N
+        "build_problem": (lambda: build_problem(cfg), (2 * cfg.K + 1) * unit),
     }
     for call, _ in calls.values():           # lazy set-up is not part of the peak
         call()

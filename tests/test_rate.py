@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ from riszf.channel import (PhaseShifts, aggregated_mean, build_los, h1_matrix,
                            sample_channels)
 from riszf.config import default_profile
 from riszf.errors import NumericalError
-from riszf.estimation import compute_statistics, mmse_estimate, random_component_power
+from riszf.estimation import (compute_statistics, mmse_estimate, qhat_gram_mean,
+                              random_component_power, row_covariance)
 from riszf.optimizer import align_phase
 from riszf.rate import (MonteCarloRate, exact_rate_mc, phase_independent_bound,
                         rate_lower_bound, power_scaling_limit, rate_no_ris,
-                        rate_report, required_antennas, rate_lower_bound_snr, upper_bound)
+                        rate_report, required_antennas, rate_lower_bound_snr, upper_bound,
+                        gram_law, sample_gram, zf_terms)
 
 from conftest import random_config, toy_config
 
@@ -336,19 +339,19 @@ def test_batched_mc_matches_dense_oracle_in_distribution():
 
 
 def test_exact_rate_mc_redraws_singular_trial(monkeypatch):
-    # delta = 0 makes the mean zero, so a zeroed draw has a zero (singular) Gram
+    # a zeroed K x K draw has a zero (singular) Gram
     cfg = toy_config(K=3, M=12, N=16, delta=0.0, seed=3)
     ph = PhaseShifts.identity(cfg.N)
-    draw = rate_module.sample_aggregated
+    draw = rate_module.sample_gram
 
-    def poisoned(config, mean, factor, rng, trials):
-        q, pilot_noise = draw(config, mean, factor, rng, trials)
+    def poisoned(law, rng, trials):
+        r1, gram, z = draw(law, rng, trials)
         if trials > 1:                        # chunk draws, not single-trial redraws
-            q[1] = 0.0
-            pilot_noise[1] = 0.0
-        return q, pilot_noise
+            r1[1] = 0.0
+            gram[1] = 0.0
+        return r1, gram, z
 
-    monkeypatch.setattr(rate_module, "sample_aggregated", poisoned)
+    monkeypatch.setattr(rate_module, "sample_gram", poisoned)
     a = exact_rate_mc(cfg, ph, 10, seed=4)
     b = exact_rate_mc(cfg, ph, 10, seed=4)
     assert a.singular_retries == 1
@@ -359,14 +362,91 @@ def test_exact_rate_mc_redraws_singular_trial(monkeypatch):
 
 def test_exact_rate_mc_gives_up_on_persistent_singularity(monkeypatch):
     cfg = toy_config(K=3, M=12, N=16, delta=0.0, seed=3)
-    draw = rate_module.sample_aggregated
+    draw = rate_module.sample_gram
 
-    def always_zero(config, mean, factor, rng, trials):
-        q, pilot_noise = draw(config, mean, factor, rng, trials)
-        q[0] = 0.0
-        pilot_noise[0] = 0.0
-        return q, pilot_noise
+    def always_zero(law, rng, trials):
+        r1, gram, z = draw(law, rng, trials)
+        r1[0] = 0.0
+        gram[0] = 0.0
+        return r1, gram, z
 
-    monkeypatch.setattr(rate_module, "sample_aggregated", always_zero)
+    monkeypatch.setattr(rate_module, "sample_gram", always_zero)
     with pytest.raises(NumericalError, match="stayed singular"):
         exact_rate_mc(cfg, PhaseShifts.identity(cfg.N), 4, seed=5)
+
+
+def test_gram_draw_matches_first_moments():
+    # E{G} = M (Lambda + rho w w^H) and E{Qhat^H E} = M (U R - Lambda), with
+    # Qhat^H E = G (G^{-1} Qhat^H E) rebuilt from the leakage; the diagonal of
+    # U R - Lambda is 0 (per-user MMSE), its off-diagonal is not
+    cases = [(toy_config(K=3, M=12, N=16, delta=0.7, seed=21), 5),
+             (toy_config(K=4, M=6, N=9, delta=3.0, p=0.2, seed=4), 6),
+             (default_profile(K=4, M=16, N=400), 7)]
+    signal = 0.0
+    for cfg, seed in cases:
+        ph = PhaseShifts.random(cfg.N, seed)
+        law = gram_law(cfg, ph)
+        r1, gram, z = sample_gram(law, seed, 20000)
+        leakage, _ = zf_terms(law, r1, gram, z)
+        stats = compute_statistics(cfg)
+        cross = cfg.M * (stats.kappa[:, None] * row_covariance(cfg) - stats.lam)
+        for samples, expected in ((gram, qhat_gram_mean(cfg, ph)), (gram @ leakage, cross)):
+            mean = samples.mean(axis=0)
+            se = samples.std(axis=0) / math.sqrt(samples.shape[0])
+            assert np.max(np.abs(mean - expected) / se) < 5.0, (cfg.M, cfg.N)
+        signal = max(signal, np.max(np.abs(cross) / se))
+    # the check bites: some cross moment is far from 0 in units of its SE
+    assert signal > 20.0
+
+
+def test_gram_law_error_root():
+    # S_F S_F^H = Sigma_F = R - R U Lambda^{-1} U R; at near-perfect CSI that
+    # difference cancels, and the root keeps matching s2 R (R + s2 I)^{-1}
+    rng = np.random.default_rng(51)
+    cfgs = [random_config(rng) for _ in range(8)]
+    cfgs.append(toy_config(K=3, tau=10**6, tau_c=4 * 10**6, p=1e6, sigma2=1.0, seed=15))
+    for cfg in cfgs:
+        law = gram_law(cfg, PhaseShifts.identity(cfg.N))
+        stats = compute_statistics(cfg)
+        cov = row_covariance(cfg)
+        noise = cfg.sigma2 / (cfg.tau * cfg.p)
+        sigma_f = law.noise_root_h.conj().T @ law.noise_root_h
+        expected = noise * cov @ np.linalg.inv(cov + noise * np.eye(cfg.K))
+        np.testing.assert_allclose(sigma_f, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+        u = np.diag(stats.kappa)
+        direct = cov - cov @ u @ np.linalg.inv(stats.lam) @ u @ cov
+        if noise > 1e-6 * np.abs(cov).max():
+            np.testing.assert_allclose(sigma_f, direct, rtol=0,
+                                       atol=1e-10 * np.abs(direct).max())
+        np.testing.assert_allclose(law.bias, np.linalg.inv(stats.lam) @ u @ cov - np.eye(cfg.K),
+                                   rtol=0, atol=1e-10)
+
+
+def _mc_peak(call):
+    call()                                   # lazy set-up is not part of the peak
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_exact_rate_mc_memory_does_not_grow_with_m():
+    # per trial only K x K arrays are drawn; M enters through a_M, one M-vector
+    peaks = {}
+    for m in (64, 4096):
+        cfg = default_profile(M=m, N=400)
+        phase = PhaseShifts.identity(cfg.N)
+        peaks[m] = _mc_peak(lambda: exact_rate_mc(cfg, phase, 200, 0))
+    assert peaks[4096] - peaks[64] < 4 * 16 * 4096, peaks
+
+
+def test_exact_rate_mc_peak_at_default_point():
+    # N = 400, 1000 trials: a K x K draw per trial keeps the traced peak below
+    # the ~1.0 MB that an M x K draw in chunks of 16 trials takes here
+    cfg = default_profile(N=400)
+    phase = align_phase(cfg, cfg.K - 1)
+    peak = _mc_peak(lambda: exact_rate_mc(cfg, phase, 1000, 0))
+    assert peak <= 1.0e6, peak
