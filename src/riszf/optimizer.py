@@ -7,9 +7,9 @@ every C_k is a scaled B minus a rank-one term in the same space, so the
 problem is stored as O(NK) factors and f_k depends on v only through G v.
 Both the sum-rate and the (log-sum-exp smoothed) min-rate objectives admit
 linear touching minorants whose constrained argmax is a pure phase alignment,
-so every iteration is closed-form and costs O(NK).  An extrapolation step
-with backtracking keeps the accepted objective sequence nondecreasing while
-accelerating convergence.  The surrogates are those of Sun, Babu & Palomar,
+so every iteration is closed-form and costs two products by G, O(NK).  An
+extrapolation step with backtracking keeps the accepted objective sequence
+nondecreasing while accelerating convergence.  The surrogates are those of Sun, Babu & Palomar,
 "Majorization-Minimization Algorithms in Signal Processing, Communications,
 and Machine Learning", IEEE TSP 2017.
 """
@@ -43,27 +43,31 @@ class FractionalProblem:
         B   = I/N + rho G^H Lam^{-1} G
         C_k = scale ([Lam^{-1}]_kk B - rho z_k z_k^H)
 
-    ``g`` is G = H1^H diag(a_N) (K x N); ``los_rows`` is Z = Lam^{-1} G, the
-    whitened cascaded-LoS rows (row k is z_k^H); ``lam_inv_diag`` is the real
-    diagonal of Lam^{-1}; ``rho = beta delta / (delta + 1)`` and
+    ``g`` is G = H1^H diag(a_N) (K x N), the only N-sized array stored;
+    ``lam_inv`` is Lam^{-1} (K x K) and ``lam_inv_diag`` its real diagonal;
+    ``rho = beta delta / (delta + 1)`` and
     ``scale = (p sum(eps) + sigma2) / (p (M - K))``.  With u = G v and
-    y = Z v every quadratic form costs O(NK):
+    y = Z v = Lam^{-1} u (Z = Lam^{-1} G, the whitened cascaded-LoS rows, is
+    ``los_rows``, assembled on demand) every quadratic form costs O(NK):
 
         v^H B v   = ||v||^2 / N + rho Re(u^H y)
         v^H C_k v = scale ([Lam^{-1}]_kk v^H B v - rho |y_k|^2)
 
-    ``spectral_bounds[k]`` is the top eigenvalue of C_k + B, padded up by a
-    relative 1e-12, used by the minorizing surrogates.  ``num_mat`` (N x N)
-    and ``den_mats`` (K x N x N) assemble the dense matrices on demand for
-    checks at small N; the optimizer never forms them.
+    ``gram`` is G G^H (K x K), so the norms of the surrogate vectors need no
+    K x N array.  ``spectral_bounds[k]`` is the top eigenvalue of C_k + B,
+    padded up by a relative 1e-12, used by the minorizing surrogates.
+    ``num_mat`` (N x N) and ``den_mats`` (K x N x N) assemble the dense
+    matrices on demand for checks at small N; the optimizer never forms
+    them.
     """
 
     g: np.ndarray
-    los_rows: np.ndarray
+    lam_inv: np.ndarray
     lam_inv_diag: np.ndarray
     rho: float
     scale: float
     spectral_bounds: np.ndarray
+    gram: np.ndarray
 
     @property
     def n(self) -> int:
@@ -72,6 +76,11 @@ class FractionalProblem:
     @property
     def k(self) -> int:
         return self.g.shape[0]
+
+    @property
+    def los_rows(self) -> np.ndarray:
+        """Z = Lam^{-1} G (K x N), assembled on demand; row k is z_k^H."""
+        return self.lam_inv @ self.g
 
     @property
     def num_mat(self) -> np.ndarray:
@@ -101,30 +110,28 @@ def build_problem(config: SystemConfig) -> FractionalProblem:
     eigenvalue of the K x K matrix R M_k R^H.  a_N is unit-modulus, so
     G G^H = diag(sqrt(alpha)) S diag(sqrt(alpha)) with S the analytic
     steering Gram, and R is its PSD root.  Total cost O(N K^2); no N x N or
-    M x N matrix is formed.
+    M x N matrix is formed, and no N-sized array beyond G and one vector.
     """
     los = build_los(config)
     stats = compute_statistics(config)
-    # hbar (N x K) is assembled once, as the storage of G^T, and turned into
-    # G^T in place: times sqrt(alpha), conjugated, times a_N.  G is its
-    # column-major view; BLAS sums G v in a layout-dependent order, and the
-    # designs are reproducible for this layout.
-    g_t = los.hbar
-    g_t *= np.sqrt(config.alpha)
-    np.conj(g_t, out=g_t)
-    g_t *= los.a_n[:, None]
-    g = g_t.T
+    # row k of G is sqrt(alpha_k) conj(hbar_k) * a_N, built in place
+    g = np.empty((config.K, config.N), dtype=complex)
+    np.multiply(los.user_rows.T[:, :, None], los.user_cols.T[:, None, :],
+                out=g.reshape(config.K, los.user_rows.shape[0], los.user_cols.shape[0]))
+    root_alpha = np.sqrt(config.alpha)
+    g *= root_alpha[:, None]
+    np.conj(g, out=g)
+    g *= los.a_n
     lam_inv = hermitian_inverse(stats.lam, "estimate correlation matrix")
-    z = lam_inv @ g
     lam_inv_diag = np.real(np.diag(lam_inv)).copy()
     rho = config.beta * config.delta / (config.delta + 1.0)
     scale = ((config.p * float(stats.epsilon.sum()) + config.sigma2)
              / (config.p * (config.M - config.K)))
 
-    root_alpha = np.sqrt(config.alpha)
     gram = (steering_gram(config.N, config.user_ris_angles, config.d_over_lambda)
             * np.outer(root_alpha, root_alpha))
-    eigval, eigvec = np.linalg.eigh(0.5 * (gram + gram.conj().T))
+    gram = 0.5 * (gram + gram.conj().T)
+    eigval, eigvec = np.linalg.eigh(gram)
     r = np.sqrt(np.clip(eigval, 0.0, None))[:, None] * eigvec.conj().T
     r_lam = r @ lam_inv                      # column k is R l_k
     r_lam_r = r_lam @ r.conj().T
@@ -135,35 +142,56 @@ def build_problem(config: SystemConfig) -> FractionalProblem:
         # M_k is PSD, so the top eigenvalue is never below c_k
         top = max(float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1]), 0.0)
         bounds[k] = (weight[k] / config.N + rho * top) * (1.0 + _BOUND_PAD)
-    return FractionalProblem(g=g, los_rows=z, lam_inv_diag=lam_inv_diag, rho=rho,
-                             scale=scale, spectral_bounds=bounds)
+    return FractionalProblem(g=g, lam_inv=lam_inv, lam_inv_diag=lam_inv_diag, rho=rho,
+                             scale=scale, spectral_bounds=bounds, gram=gram)
 
 
-def _quadratic_forms(problem: FractionalProblem, v: np.ndarray
-                     ) -> tuple[float, np.ndarray, np.ndarray]:
-    """``(v^H B v, [v^H C_k v]_k, y = Z v)`` in O(NK)."""
+class _Point:
+    """An iterate v with what one product G v gives: u = G v, y = Z v = Lam^{-1} u,
+    y2 = |y|^2, vv = ||v||^2, vbv = v^H B v, vcv = [v^H C_k v]_k and
+    values = [f_k(v)]_k.  A plain slotted class: cheaper to define and to
+    build than a named tuple, and built once per evaluated point."""
+
+    __slots__ = ("v", "u", "y", "y2", "vv", "vbv", "vcv", "values")
+
+    def __init__(self, v, u, y, y2, vv, vbv, vcv, values):
+        self.v, self.u, self.y, self.y2 = v, u, y, y2
+        self.vv, self.vbv, self.vcv, self.values = vv, vbv, vcv, values
+
+
+def _point(problem: FractionalProblem, v: np.ndarray) -> _Point:
+    """Evaluate the problem at v with one matrix-vector product, O(NK)."""
     u = problem.g @ v
-    y = problem.los_rows @ v
-    vbv = (float(np.real(np.vdot(v, v))) / problem.n
-           + problem.rho * float(np.real(np.vdot(u, y))))
-    vcv = problem.scale * (problem.lam_inv_diag * vbv - problem.rho * np.abs(y) ** 2)
-    return vbv, vcv, y
+    y = problem.lam_inv @ u
+    y2 = np.abs(y) ** 2
+    vv = np.vdot(v, v).real
+    vbv = vv / problem.n + problem.rho * np.vdot(u, y).real
+    vcv = problem.scale * (problem.lam_inv_diag * vbv - problem.rho * y2)
+    if (vcv <= 0.0).any():
+        raise NumericalError(f"user {np.flatnonzero(vcv <= 0.0)[0]}: denominator "
+                             "quadratic form is not positive (degenerate problem)")
+    return _Point(v, u, y, y2, vv, vbv, vcv, np.log1p(vbv / vcv))
 
 
 def fractional_objective(problem: FractionalProblem, v: np.ndarray) -> np.ndarray:
     """Per-user values f_k(v) = ln(1 + v^H B v / v^H C_k v), in nats."""
-    vbv, vcv, _ = _quadratic_forms(problem, np.asarray(v, dtype=complex))
-    if np.any(vcv <= 0.0):
-        raise NumericalError("denominator quadratic form is not positive "
-                             "(degenerate problem)")
-    return np.log1p(vbv / vcv)
+    return _point(problem, np.asarray(v, dtype=complex)).values
 
 
 def smoothed_min(values: np.ndarray, mu: float) -> float:
     """Soft minimum -(1/mu) ln sum exp(-mu f_k), a lower bound on min f_k."""
-    scaled = -mu * np.asarray(values, dtype=float)
+    return _softmin(np.asarray(values, dtype=float), mu)[1]
+
+
+def _softmin(values: np.ndarray, mu: float) -> tuple[np.ndarray, float]:
+    """``(weights, smoothed_min(values, mu))``; the softmin weights
+    exp(-mu f_k) / sum_j exp(-mu f_j) are computed in log-space with a max shift."""
+    scaled = -mu * values
     shift = scaled.max()
-    return float(-(shift + math.log(np.exp(scaled - shift).sum())) / mu)
+    weights = np.exp(scaled - shift)
+    total = weights.sum()
+    weights /= total
+    return weights, float(-(shift + math.log(total)) / mu)
 
 
 def surrogate_maxsum(v_n: np.ndarray, problem: FractionalProblem
@@ -172,22 +200,13 @@ def surrogate_maxsum(v_n: np.ndarray, problem: FractionalProblem
 
     Returns ``(const, fvec)`` such that
         f_k(v) >= const[k] + 2 Re{fvec[k]^H v}   for all unit-modulus v,
-    with equality at v = v_n.
+    with equality at v = v_n.  This forms the K x N array ``fvec``; the
+    optimizer's steps use only its weighted sums and row norms, from K x K
+    factors (:func:`_surrogate_factors`).
     """
-    const, fvec, _ = _surrogate(np.asarray(v_n, dtype=complex), problem)
-    return const, fvec
-
-
-def _surrogate(v_n: np.ndarray, problem: FractionalProblem
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(const, fvec, f(v_n))``: the minorant of :func:`surrogate_maxsum` and
-    the objective values at v_n, from one evaluation of the quadratic forms."""
+    p = _point(problem, np.asarray(v_n, dtype=complex))
+    v_n, y, vbv, vcv = p.v, p.y, p.vbv, p.vcv
     n = v_n.size
-    vbv, vcv, y = _quadratic_forms(problem, v_n)
-    vanished = np.flatnonzero(vcv <= 0.0)
-    if vanished.size:
-        raise NumericalError(f"user {vanished[0]}: denominator quadratic form vanished "
-                             "at the expansion point")
     # B v = v/N + rho G^H y and C_k v = scale ([Lam^{-1}]_kk B v - rho y_k z_k)
     bv = v_n / problem.n + problem.rho * np.conj(np.conj(y) @ problem.g)
     cv = problem.scale * (problem.lam_inv_diag[:, None] * bv
@@ -196,46 +215,108 @@ def _surrogate(v_n: np.ndarray, problem: FractionalProblem
     psi = vbv / (vcv * (vcv + vbv))
     lam = problem.spectral_bounds
     fvec = omega[:, None] * bv - psi[:, None] * (cv + bv - lam[:, None] * v_n)
-    values = np.log1p(vbv / vcv)
-    const = (values - vbv / vcv
+    const = (p.values - vbv / vcv
              - psi * (lam * n - (vcv + vbv))
              - n * psi * lam)
-    return const, fvec, values
+    return const, fvec
+
+
+def _surrogate_factors(problem: FractionalProblem, p: _Point
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """``(s, R)`` with fvec_k = s_k v + G^H r_k (r_k column k of R): O(K^2), no product by G.
+
+    With psi_k = v^H B v / (v^H C_k v (v^H C_k v + v^H B v)), the surrogate
+    vector of :func:`surrogate_maxsum` has
+
+        alpha_k = 1 / v^H C_k v - psi_k (1 + scale [Lam^{-1}]_kk)
+                = -scale rho psi_k |y_k|^2 / v^H B v,
+        s_k = alpha_k / N + psi_k lam_k,
+        r_k = alpha_k rho y + scale rho psi_k y_k l_k   (l_k = column k of Lam^{-1}).
+
+    The second form of alpha_k and the K x K matrix R keep the cancellation
+    of B's rank-K part against C_k's out of N-sized sums.
+    """
+    rho, scale = problem.rho, problem.scale
+    psi = p.vbv / (p.vcv * (p.vcv + p.vbv))
+    alpha = (-scale * rho / p.vbv) * psi * p.y2
+    s = alpha / problem.n + psi * problem.spectral_bounds
+    r = p.y[:, None] * (rho * alpha) + problem.lam_inv * ((scale * rho) * psi * p.y)
+    return s, r
+
+
+def _weighted_fvec(problem: FractionalProblem, p: _Point, s: np.ndarray, r: np.ndarray,
+                   c: np.ndarray) -> np.ndarray:
+    """sum_k c_k fvec_k = (c . s) v + G^H (R c), with one product by G."""
+    # G^H x = conj(conj(x) @ G): G's conjugate is never stored
+    coeff = (r @ c).conj() @ problem.g
+    np.conj(coeff, out=coeff)
+    coeff += (c @ s) * p.v
+    return coeff
+
+
+def _fvec_norms(problem: FractionalProblem, p: _Point, s: np.ndarray, r: np.ndarray
+                ) -> np.ndarray:
+    """[||fvec_k||^2]_k = s_k^2 ||v||^2 + 2 s_k Re(u^H r_k) + r_k^H G G^H r_k, O(K^3)."""
+    return (s * s * p.vv + 2.0 * s * (p.u.conj() @ r).real
+            + (r.conj() * (problem.gram @ r)).sum(axis=0).real)
 
 
 def _phase_align(coeff: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     """Unit-modulus maximizer of Re{coeff^H v}; zero entries keep ``fallback``."""
-    out = np.exp(1j * np.angle(coeff))
-    zero = coeff == 0
-    if np.any(zero):
+    out = np.exp(1j * np.arctan2(coeff.imag, coeff.real))
+    if not coeff.all():
+        zero = coeff == 0
         out[zero] = fallback[zero]
     return out
 
 
+def _maxsum_coeff(problem: FractionalProblem, p: _Point) -> np.ndarray:
+    return _weighted_fvec(problem, p, *_surrogate_factors(problem, p), np.ones(problem.k))
+
+
+def _maxmin_from(problem: FractionalProblem, p: _Point, weights: np.ndarray, floor: float,
+                 mu: float) -> tuple[_Point, np.ndarray, float]:
+    """The guarded step of :func:`maxmin_step` from p, whose ``_softmin`` is
+    ``(weights, floor)``; returns the new point with its ``_softmin``."""
+    s, r = _surrogate_factors(problem, p)
+    fbar = _weighted_fvec(problem, p, s, r, weights)
+    norm2 = _fvec_norms(problem, p, s, r)
+    valid = 2.0 * mu * float(norm2.max())
+    spread = float(weights @ norm2) - np.vdot(fbar, fbar).real
+    prox = min(2.0 * mu * max(spread, 0.0), valid)
+    while True:
+        coeff = p.v * prox
+        coeff += fbar
+        new = _point(problem, _phase_align(coeff, p.v))
+        new_weights, smoothed = _softmin(new.values, mu)
+        if prox >= valid or smoothed >= floor:
+            return new, new_weights, smoothed
+        prox = min(2.0 * prox, valid) if prox > 0.0 else valid
+
+
 def maxsum_step(v_n: np.ndarray, problem: FractionalProblem) -> np.ndarray:
     """One closed-form sum-objective ascent step: align to sum_k f_k^n."""
-    _, fvec = surrogate_maxsum(v_n, problem)
-    return _phase_align(fvec.sum(axis=0), np.asarray(v_n, dtype=complex))
+    p = _point(problem, np.asarray(v_n, dtype=complex))
+    return _phase_align(_maxsum_coeff(problem, p), p.v)
 
 
 def maxmin_step(v_n: np.ndarray, problem: FractionalProblem, mu: float) -> np.ndarray:
-    """One closed-form smoothed-min ascent step.
+    """One closed-form smoothed-min ascent step, guarded to never lower the objective.
 
-    Softmin weights (computed in log-space with a max shift) reweight the
-    per-user surrogate vectors; the proximal term 2 mu max_k ||f_k^n||^2 v_n
-    keeps the quadratic minorant of the smoothed objective valid.
+    The softmin weights w_k (log-space, max shift) reweight the per-user
+    surrogate vectors into f_bar = sum_k w_k f_k^n.  The concave log-sum-exp
+    of the linear minorants is itself minorized by a quadratic whose
+    curvature 2 mu (sum_k w_k ||f_k^n||^2 - ||f_bar||^2), the weighted spread
+    of the f_k^n about f_bar, enters the aligned coefficient as that
+    multiple of v_n.  The weights move along the step, so this centred
+    curvature is not a guaranteed minorant: while the step does not raise
+    the smoothed minimum the curvature is doubled, up to the valid constant
+    2 mu max_k ||f_k^n||^2.  Two products by G per step; no K x N array.
     """
     if mu <= 0.0:
         raise NumericalError("log-sum-exp sharpness mu must be positive")
-    v_n = np.asarray(v_n, dtype=complex)
-    _, fvec, values = _surrogate(v_n, problem)
-    scaled = -mu * values
-    scaled -= scaled.max()
-    weights = np.exp(scaled)
-    weights /= weights.sum()
-    prox = 2.0 * mu * float(np.max(np.sum(np.abs(fvec) ** 2, axis=1)))
-    coeff = weights @ fvec + prox * v_n
-    return _phase_align(coeff, v_n)
+    p = _point(problem, np.asarray(v_n, dtype=complex))
+    return _maxmin_from(problem, p, *_softmin(p.values, mu), mu)[0].v
 
 
 @dataclass(frozen=True)
@@ -274,11 +355,15 @@ def mm_optimize(config: SystemConfig, objective: str = "sum",
     ``objective`` is ``"sum"`` (sum of f_k) or ``"min"`` (log-sum-exp
     smoothed minimum with sharpness ``config.mu``; the smoothing is what
     makes monotone closed-form steps possible).  Each iteration takes two
-    closed-form steps, extrapolates through them, and halves the
+    closed-form steps (:func:`maxsum_step` or the guarded
+    :func:`maxmin_step`), extrapolates through them, and halves the
     extrapolation back (at most 30 times) until the objective does not
     decrease; the plain second step is accepted if extrapolation never
-    helps.  Terminates when the relative objective change drops below
-    ``rel_tol`` or after ``max_iter`` iterations.
+    helps (both steps are ascent steps: the sum step exactly, the min step
+    by its guard).  Every point is evaluated once: the product G v that gives its
+    objective is reused by the step taken from it.  Terminates when the
+    relative objective change drops below ``rel_tol`` or after ``max_iter``
+    iterations.
 
     Defaults to the identity phase configuration when ``init`` is omitted.
     """
@@ -291,72 +376,69 @@ def mm_optimize(config: SystemConfig, objective: str = "sum",
     if init.n != config.N:
         raise ConfigError(f"init has {init.n} entries, config expects {config.N}")
 
+    # a state is (point, ..., accepted objective): the min objective carries
+    # the softmin weights of its point as well, for the step taken from it
     mu = config.mu
     if objective == "sum":
-        def step(v):
-            return maxsum_step(v, problem)
+        def evaluate(v):
+            p = _point(problem, v)
+            return p, float(p.values.sum())
 
-        def accept_value(values):
-            return float(values.sum())
+        def step(state):
+            p = state[0]
+            return evaluate(_phase_align(_maxsum_coeff(problem, p), p.v))
 
-        def true_value(values):
-            return float(values.sum())
+        def true_value(p):
+            return float(p.values.sum())
     else:
-        def step(v):
-            return maxmin_step(v, problem, mu)
+        def evaluate(v):
+            p = _point(problem, v)
+            return (p, *_softmin(p.values, mu))
 
-        def accept_value(values):
-            return smoothed_min(values, mu)
+        def step(state):
+            return _maxmin_from(problem, *state, mu)
 
-        def true_value(values):
-            return float(values.min())
+        def true_value(p):
+            return float(p.values.min())
 
-    v = init.v.copy()
-    values = fractional_objective(problem, v)
-    obj = accept_value(values)
-    best_true = true_value(values)
-    best_v = v
+    state = evaluate(init.v.copy())
+    obj = state[-1]
+    best_true = true_value(state[0])
+    best_v = state[0].v
     iterates = [(0, obj, 0)]
     converged = False
 
     for it in range(1, max_iter + 1):
-        v1 = step(v)
-        v2 = step(v1)
-        d1 = v1 - v
-        d2 = v2 - v1 - d1
-        d1_norm = float(np.linalg.norm(d1))
-        d2_norm = float(np.linalg.norm(d2))
+        s1 = step(state)
+        s2 = step(s1)
+        v = state[0].v
+        d1 = s1[0].v - v
+        d2 = s2[0].v - s1[0].v - d1
+        d1_norm = math.sqrt(np.vdot(d1, d1).real)
+        d2_norm = math.sqrt(np.vdot(d2, d2).real)
 
         backtracks = 0
-        if d1_norm == 0.0 or d2_norm == 0.0:
-            v_new = v2
-            new_values = fractional_objective(problem, v_new)
-            obj_new = accept_value(new_values)
-        else:
+        new = s2
+        if d1_norm != 0.0 and d2_norm != 0.0:
             rho = -d1_norm / d2_norm
             while True:
-                cand = -np.exp(1j * np.angle(v - 2.0 * rho * d1 + rho**2 * d2))
-                cand_values = fractional_objective(problem, cand)
-                obj_cand = accept_value(cand_values)
-                if obj_cand >= obj or backtracks >= _MAX_BACKTRACK:
+                cand = evaluate(-np.exp(1j * np.angle(v - 2.0 * rho * d1 + rho**2 * d2)))
+                if cand[-1] >= obj or backtracks >= _MAX_BACKTRACK:
                     break
                 rho = (rho - 1.0) / 2.0
                 backtracks += 1
-            if obj_cand >= obj:
-                v_new, new_values, obj_new = cand, cand_values, obj_cand
-            else:
-                v_new = v2
-                new_values = fractional_objective(problem, v_new)
-                obj_new = accept_value(new_values)
+            if cand[-1] >= obj:
+                new = cand
+        obj_new = new[-1]
 
         iterates.append((it, obj_new, backtracks))
-        tv = true_value(new_values)
+        tv = true_value(new[0])
         if tv > best_true:
             best_true = tv
-            best_v = v_new
+            best_v = new[0].v
         change = abs(obj_new - obj)
         obj = obj_new
-        v = v_new
+        state = new
         if change <= rel_tol * max(abs(obj), 1e-12):
             converged = True
             break

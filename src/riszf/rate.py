@@ -283,6 +283,26 @@ def sample_gram(law: GramLaw, rng_seed, trials: int
     return r1, gram, normals[:, k + n_lower:].reshape(trials, k, k)
 
 
+def _lower_inverse(chol: np.ndarray) -> np.ndarray:
+    """Inverses of stacked lower-triangular matrices (trials, K, K), by forward substitution.
+
+    Row i of L^{-1} is (e_i - L[i, :i] L^{-1}[:i, :]) / L[i, i]; each of the K
+    steps runs over every trial at once.
+    """
+    k = chol.shape[-1]
+    inv = np.zeros_like(chol)
+    recip = 1.0 / np.diagonal(chol, axis1=-2, axis2=-1)
+    neg_recip = -recip
+    for i in range(k):
+        if i:
+            # entries :i of row i; as L^{-1}[:i, i] = 0, entry i is 1 / L[i, i] alone
+            row = inv[:, i, :i]
+            np.matmul(chol[:, i:i + 1, :i], inv[:, :i, :i], out=row[:, None, :])
+            row *= neg_recip[:, i:i + 1]
+        inv[:, i, i] = recip[:, i]
+    return inv
+
+
 def zf_terms(law: GramLaw, r1: np.ndarray, gram: np.ndarray, z: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray]:
     """``(leakage, rx_norm2)`` of stacked draws from :func:`sample_gram`.
@@ -292,7 +312,7 @@ def zf_terms(law: GramLaw, r1: np.ndarray, gram: np.ndarray, z: np.ndarray
     rx_norm2 the diagonal of G^{-1} (trials, K), the squared norms of the ZF
     receiver columns.  Raises :class:`NumericalError` when any G is singular.
     """
-    chol_inv = np.linalg.inv(cholesky_factor(gram, "estimate Gram matrix"))
+    chol_inv = _lower_inverse(cholesky_factor(gram, "estimate Gram matrix"))
     inner = z @ law.noise_root_h
     inner -= (chol_inv @ r1.conj()[:, :, None]) * law.bias_row
     leakage = chol_inv.conj().swapaxes(-1, -2) @ inner

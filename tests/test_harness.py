@@ -77,6 +77,15 @@ def test_run_scenario_rows_and_monotone_lb(small_config):
     assert rows[0].sum_rate_lb <= rows[1].sum_rate_lb
 
 
+def test_min_rate_design_converges_at_fig3b_point():
+    # seed 0, N = 64: the fig3b case-6 point used to run both MMs to their caps
+    sc = Scenario(config=default_profile(), phase_design="case6_maxmin",
+                  sweep_axis="N", sweep_values=(64,), trials=20, seed=0)
+    (row,) = run_scenario(sc)
+    assert row.error == ""
+    assert row.opt_iterations < 500
+
+
 def test_run_scenario_infeasible_point_marked(small_config):
     sc = Scenario(config=small_config, phase_design="case4_identity",
                   sweep_axis="M", sweep_values=(2, 16), trials=10, seed=0)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ from riszf.channel import PhaseShifts, alignment_response, build_los, h1_matrix
 from riszf.config import default_profile
 from riszf.errors import ConfigError
 from riszf.estimation import compute_statistics
-from riszf.optimizer import (FractionalProblem, OptTrace, align_phase, build_problem,
-                             fractional_objective, maxmin_step, maxsum_step,
-                             mm_optimize, quantize_phase, smoothed_min, surrogate_maxsum)
+from riszf.optimizer import (FractionalProblem, OptTrace, _fvec_norms, _point,
+                             _surrogate_factors, _weighted_fvec, align_phase, build_problem,
+                             fractional_objective, maxmin_step, maxsum_step, mm_optimize,
+                             quantize_phase, smoothed_min, surrogate_maxsum)
 from riszf.rate import rate_lower_bound, rate_lower_bound_snr
 
 from conftest import random_config, toy_config
@@ -137,8 +139,16 @@ def test_low_rank_problem_matches_dense_oracle():
             values = _dense_objective(num, den, v)
             weights = np.exp(-cfg.mu * (values - values.min()))
             weights /= weights.sum()
-            prox = 2.0 * cfg.mu * np.max(np.sum(np.abs(d_fvec) ** 2, axis=1))
-            dense_min = np.exp(1j * np.angle(weights @ d_fvec + prox * v))
+            fbar = weights @ d_fvec
+            norms = np.sum(np.abs(d_fvec) ** 2, axis=1)
+            valid = 2.0 * cfg.mu * norms.max()
+            prox = 2.0 * cfg.mu * max(weights @ norms - np.vdot(fbar, fbar).real, 0.0)
+            while True:
+                dense_min = np.exp(1j * np.angle(fbar + prox * v))
+                after = smoothed_min(_dense_objective(num, den, dense_min), cfg.mu)
+                if prox >= valid or after >= smoothed_min(values, cfg.mu):
+                    break
+                prox = min(2.0 * prox, valid) if prox > 0.0 else valid
             np.testing.assert_allclose(maxmin_step(v, prob, cfg.mu), dense_min, atol=1e-9)
 
 
@@ -156,6 +166,46 @@ def test_large_n_problem_stays_low_rank():
         assert all(b >= a - 1e-12 for a, b in zip(objs, objs[1:]))
         np.testing.assert_allclose(np.abs(trace.final_v.v), 1.0, atol=1e-9)
     assert time.perf_counter() - start < 10.0
+
+
+def test_surrogate_factors_match_k_by_n_oracle():
+    # the K x K factors against the K x N fvec of surrogate_maxsum: the
+    # weighted coefficient and every row norm, for the sum and softmin weights.
+    # At K = 1, C_1 is a multiple of I that both forms reach by cancelling B's
+    # rank-one part, so they agree only to about eps N v^H B v / ||v||^2.
+    rng = np.random.default_rng(12)
+    configs = ([random_config(rng) for _ in range(8)]
+               + [random_config(rng, delta=0.0), random_config(rng, K=1)])
+    for cfg in configs:
+        prob = build_problem(cfg)
+        for _ in range(3):
+            v = PhaseShifts.random(cfg.N, rng).v
+            point = _point(prob, v)
+            s, r = _surrogate_factors(prob, point)
+            _, fvec = surrogate_maxsum(v, prob)
+            values = fractional_objective(prob, v)
+            softmin = np.exp(-cfg.mu * (values - values.min()))
+            for c in (np.ones(cfg.K), softmin / softmin.sum()):
+                np.testing.assert_allclose(_weighted_fvec(prob, point, s, r, c), c @ fvec,
+                                           rtol=1e-12, atol=1e-12 * np.abs(c @ fvec).max())
+            np.testing.assert_allclose(_fvec_norms(prob, point, s, r),
+                                       np.sum(np.abs(fvec) ** 2, axis=1), rtol=1e-12)
+
+
+def test_maxmin_step_memory_is_a_few_vectors():
+    # two products by G and O(N) temporaries: no K x N array (K = 8 units here)
+    cfg = default_profile(N=65536)
+    prob = build_problem(cfg)
+    v = PhaseShifts.random(cfg.N, 3).v
+    maxmin_step(v, prob, cfg.mu)             # lazy set-up is not part of the peak
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        maxmin_step(v, prob, cfg.mu)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 16 * cfg.N
 
 
 # --- surrogate ---------------------------------------------------------------------
@@ -240,6 +290,42 @@ def test_maxmin_step_weights_and_monotonicity(reference_config):
         before = smoothed_min(values, mu)
         after = smoothed_min(fractional_objective(prob, v1), mu)
         assert after >= before - 1e-12
+
+
+def test_guarded_maxmin_step_never_lowers_smoothed_min():
+    # a sharp softmin moves its weights along the step, so the centred
+    # curvature alone can lower the objective; the guard must catch every case
+    rng = np.random.default_rng(15)
+    centred_lowered = 0
+    for i in range(12):
+        base = random_config(rng) if i % 2 else default_profile(N=16, seed=i)
+        cfg = base.replace(mu=1000.0)
+        prob = build_problem(cfg)
+        v = PhaseShifts.random(cfg.N, rng).v
+        for _ in range(40):
+            values = fractional_objective(prob, v)
+            before = smoothed_min(values, cfg.mu)
+            _, fvec = surrogate_maxsum(v, prob)
+            weights = np.exp(-cfg.mu * (values - values.min()))
+            weights /= weights.sum()
+            fbar = weights @ fvec
+            spread = weights @ np.sum(np.abs(fvec) ** 2, axis=1) - np.vdot(fbar, fbar).real
+            centred = np.exp(1j * np.angle(fbar + 2.0 * cfg.mu * max(spread, 0.0) * v))
+            centred_lowered += smoothed_min(fractional_objective(prob, centred), cfg.mu) < before
+            v = maxmin_step(v, prob, cfg.mu)
+            assert smoothed_min(fractional_objective(prob, v), cfg.mu) >= before
+    assert centred_lowered > 0
+
+
+@pytest.mark.parametrize("n, floor", [(64, 3.9), (256, 5.25), (1024, 6.6)])
+def test_maxmin_escapes_sum_rate_solution(n, floor):
+    # started at the sum-rate design the min-rate MM used to stop after one
+    # step at 3.517, 4.869 and 6.247 nats, reporting the sum-rate design
+    cfg = default_profile(N=n)
+    prob = build_problem(cfg)
+    start = mm_optimize(cfg, objective="sum", problem=prob).final_v
+    trace = mm_optimize(cfg, objective="min", init=start, problem=prob)
+    assert fractional_objective(prob, trace.final_v.v).min() >= floor
 
 
 def test_maxmin_symmetric_two_user_problem():

@@ -375,6 +375,20 @@ def test_exact_rate_mc_gives_up_on_persistent_singularity(monkeypatch):
         exact_rate_mc(cfg, PhaseShifts.identity(cfg.N), 4, seed=5)
 
 
+def test_lower_inverse_matches_dense_inverse():
+    # the forward substitution of zf_terms against numpy's LU inverse, on the
+    # Cholesky factors of drawn Grams from K = 1 to K = 8
+    for cfg in (default_profile(N=400), toy_config(K=3, M=12, N=16, seed=2),
+                toy_config(K=1, M=4, N=9, seed=3)):
+        law = gram_law(cfg, PhaseShifts.random(cfg.N, 1))
+        _, gram, _ = sample_gram(law, 1, 200)
+        chol = np.linalg.cholesky(gram)
+        dense = np.linalg.inv(chol)
+        fwd = rate_module._lower_inverse(chol)
+        assert np.all(np.triu(fwd, 1) == 0)
+        np.testing.assert_allclose(fwd, dense, rtol=1e-14, atol=1e-14 * np.abs(dense).max())
+
+
 def test_gram_draw_matches_first_moments():
     # E{G} = M (Lambda + rho w w^H) and E{Qhat^H E} = M (U R - Lambda), with
     # Qhat^H E = G (G^{-1} Qhat^H E) rebuilt from the leakage; the diagonal of
