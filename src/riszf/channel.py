@@ -306,7 +306,7 @@ def sample_aggregated(config: SystemConfig, mean: np.ndarray, row_factor: np.nda
 
     ``mean`` is the channel mean (:func:`aggregated_mean`) and ``row_factor``
     a factor L of the row covariance R = L L^H of Q - mean
-    (:func:`riszf.estimation.row_covariance`).  Returns ``(q, pilot_noise)``,
+    (``riszf.estimation.ChannelStatistics.cov``).  Returns ``(q, pilot_noise)``,
     each of shape (trials, M, K), with q = mean + W L^H and W i.i.d. CN(0, 1).
     This has the distribution of :func:`sample_channels`' ``q`` at O(MK^2)
     cost per trial: no M x N array is formed.  Draw order: W, then pilot

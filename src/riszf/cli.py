@@ -121,6 +121,7 @@ def optimize(ctx, objective, max_iter, rel_tol):
         "objective": objective,
         "converged": trace.converged,
         "iterations": trace.iterations,
+        "curvature_doublings": trace.curvature_doublings,
         "objective_trace": [{"iteration": i, "value": val, "backtracks": b}
                             for i, val, b in trace.iterates],
         "final_theta": final.theta.tolist(),

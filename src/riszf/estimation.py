@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (ChannelRealization, PhaseShifts, aggregated_mean, alignment_response,
-                      steering_gram)
+from .channel import ChannelRealization, PhaseShifts, aggregated_mean, mean_row, steering_gram
 from .config import SystemConfig
 from .errors import ConfigError, NumericalError
 
@@ -57,17 +56,23 @@ def random_component_power(config: SystemConfig) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChannelStatistics:
-    """Deterministic second-order statistics of the channel estimate.
+    """Phase-independent statistics of the channel and its estimate (:func:`compute_statistics`).
 
-    ``kappa`` is the per-user MMSE shrinkage weight in (0, 1); ``epsilon``
-    the per-antenna estimation-error power; ``lam`` the K x K Hermitian
-    positive-definite matrix of estimated-channel correlations that enters
-    the closed-form rate bound.
+    ``kappa``: per-user MMSE shrinkage weights in (0, 1); ``epsilon``:
+    per-antenna estimation-error powers; ``lam``: the K x K estimate
+    correlation Lambda; ``cov``: the K x K row covariance R of Q - mean;
+    ``gram``: the K x K cascaded steering Gram G G^H; ``noise``:
+    sigma2/(tau p); ``scale``: (p sum(epsilon) + sigma2) / (p (M - K)), the
+    reciprocal of the ZF SINR prefactor.
     """
 
     kappa: np.ndarray
     epsilon: np.ndarray
     lam: np.ndarray
+    cov: np.ndarray
+    gram: np.ndarray
+    noise: float
+    scale: float
 
     @property
     def upsilon(self) -> np.ndarray:
@@ -75,49 +80,49 @@ class ChannelStatistics:
         return np.diag(self.kappa)
 
 
+def _hermitian_part(mat: np.ndarray) -> np.ndarray:
+    return 0.5 * (mat + mat.conj().T)
+
+
 def compute_statistics(config: SystemConfig) -> ChannelStatistics:
-    """Shrinkage weights, error powers, and the estimate correlation matrix.
+    """The one source of Lambda, R, G G^H and the ZF SINR scale of a scenario.
 
-    With c_k = N alpha_k beta / (delta+1) + gamma_k and pilot gain tau*p/sigma2:
+    With c_k = N alpha_k beta / (delta+1) + gamma_k, s2 = sigma2/(tau p) and
+    S the analytic steering Gram of the user-RIS responses (cheap at any N):
 
-        kappa_k   = c_k / (c_k + sigma2/(tau p))
-        epsilon_k = 1 / (1/c_k + tau p / sigma2)
-        lam       = beta/(delta+1) * U H1^H H1 U + diag(gamma) U^2
-                    + sigma2/(tau p) * U^2,   U = diag(kappa)
+        kappa_k = c_k / (c_k + s2),   epsilon_k = 1 / (1/c_k + 1/s2)
+        gram    = diag(sqrt(alpha)) S diag(sqrt(alpha))
+        cov     = R = beta/(delta+1) gram + diag(gamma)
+        lam     = U (R + s2 I) U,   U = diag(kappa)
 
-    so [lam]_kk = (c_k + sigma2/(tau p)) * kappa_k^2 in closed form.  The
-    steering Gram is evaluated analytically, so arbitrarily large element
-    counts stay cheap.
+    so [lam]_kk = c_k^2 / (c_k + s2).  Phi is unitary and the NLoS rows of H2
+    are i.i.d. CN(0, I), so every row of Q - mean is CN(0, R) for any phase;
+    R is positive definite because gamma > 0.
     """
     if config.p <= 0 or config.sigma2 <= 0 or config.tau <= 0:
         raise ConfigError("compute_statistics needs positive p, sigma2, and tau")
-    noise_over_gain = config.sigma2 / (config.tau * config.p)
+    noise = config.sigma2 / (config.tau * config.p)
     c = random_component_power(config)
-    kappa = c / (c + noise_over_gain)
-    epsilon = 1.0 / (1.0 / c + 1.0 / noise_over_gain)
+    kappa = c / (c + noise)
+    epsilon = 1.0 / (1.0 / c + 1.0 / noise)
 
-    gram = steering_gram(config.N, config.user_ris_angles, config.d_over_lambda)
-    scaled = np.sqrt(config.alpha) * kappa
-    lam = (config.beta / (config.delta + 1.0)) * gram * np.outer(scaled, scaled)
-    lam[np.diag_indices_from(lam)] += (config.gamma + noise_over_gain) * kappa**2
-    lam = 0.5 * (lam + lam.conj().T)
-    return ChannelStatistics(kappa=kappa, epsilon=epsilon, lam=lam)
-
-
-def row_covariance(config: SystemConfig) -> np.ndarray:
-    """Covariance R of each row of Q - mean (K x K), for any phase.
-
-    Phi is unitary and the NLoS rows of H2 are i.i.d. CN(0, I), so every row
-    of the random part of Q is CN(0, R) with
-    R = beta/(delta+1) diag(sqrt(alpha)) S diag(sqrt(alpha)) + diag(gamma),
-    S the steering Gram of the user-RIS responses.  R is positive definite
-    because gamma > 0.
-    """
-    gram = steering_gram(config.N, config.user_ris_angles, config.d_over_lambda)
+    steering = steering_gram(config.N, config.user_ris_angles, config.d_over_lambda)
+    nlos = config.beta / (config.delta + 1.0)
     root = np.sqrt(config.alpha)
-    cov = (config.beta / (config.delta + 1.0)) * gram * np.outer(root, root)
+    root_outer = np.outer(root, root)
+    scaled = root * kappa
+    lam = nlos * steering * np.outer(scaled, scaled)
+    lam[np.diag_indices_from(lam)] += (config.gamma + noise) * kappa**2
+    # (nlos S) * root_outer, not nlos * gram: the rounding of R fixes the
+    # Monte-Carlo draws of a seed
+    cov = nlos * steering * root_outer
     cov[np.diag_indices_from(cov)] += config.gamma
-    return 0.5 * (cov + cov.conj().T)
+    scale = ((config.p * float(epsilon.sum()) + config.sigma2)
+             / (config.p * (config.M - config.K)))
+    return ChannelStatistics(kappa=kappa, epsilon=epsilon, lam=_hermitian_part(lam),
+                             cov=_hermitian_part(cov),
+                             gram=_hermitian_part(steering * root_outer),
+                             noise=noise, scale=scale)
 
 
 def shrink_estimate(q: np.ndarray, pilot_noise: np.ndarray, mean: np.ndarray,
@@ -161,11 +166,9 @@ def mmse_estimate(config: SystemConfig, realization: ChannelRealization,
 def qhat_gram_mean(config: SystemConfig, phase: PhaseShifts) -> np.ndarray:
     """Expected Gram matrix E{qhat^H qhat} (K x K).
 
-    Equals M * (lam + beta*delta/(delta+1) * w w^H) with
-    w = H1^H Phi^H a_N; the random part contributes M * lam and the rank-one
-    LoS part the rest.
+    Equals M * (lam + mu^H mu) with mu the channel-mean row
+    (:func:`riszf.channel.mean_row`); the random part contributes M * lam and
+    the rank-one LoS part the rest.
     """
-    stats = compute_statistics(config)
-    w = np.sqrt(config.alpha) * np.conj(alignment_response(config, phase))
-    rho = config.beta * config.delta / (config.delta + 1.0)
-    return config.M * (stats.lam + rho * np.outer(w, np.conj(w)))
+    mu = mean_row(config, phase)
+    return config.M * (compute_statistics(config).lam + np.outer(np.conj(mu), mu))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PhaseShifts, build_los, steering_gram
+from .channel import PhaseShifts, build_los
 from .config import SystemConfig
 from .errors import ConfigError, NumericalError
 from .estimation import compute_statistics, hermitian_inverse
@@ -108,9 +108,10 @@ def build_problem(config: SystemConfig) -> FractionalProblem:
     M_k = N c_k Lam^{-1} - scale l_k l_k^H (l_k = column k of Lam^{-1}).  For
     any R with R^H R = G G^H, the top eigenvalue is c_k + rho times the top
     eigenvalue of the K x K matrix R M_k R^H.  a_N is unit-modulus, so
-    G G^H = diag(sqrt(alpha)) S diag(sqrt(alpha)) with S the analytic
-    steering Gram, and R is its PSD root.  Total cost O(N K^2); no N x N or
-    M x N matrix is formed, and no N-sized array beyond G and one vector.
+    G G^H = diag(sqrt(alpha)) S diag(sqrt(alpha)), ``ChannelStatistics.gram``
+    from the analytic steering Gram S, and R is its PSD root.  Total cost
+    O(N K^2); no N x N or M x N matrix is formed, and no N-sized array
+    beyond G and one vector.
     """
     los = build_los(config)
     stats = compute_statistics(config)
@@ -118,32 +119,25 @@ def build_problem(config: SystemConfig) -> FractionalProblem:
     g = np.empty((config.K, config.N), dtype=complex)
     np.multiply(los.user_rows.T[:, :, None], los.user_cols.T[:, None, :],
                 out=g.reshape(config.K, los.user_rows.shape[0], los.user_cols.shape[0]))
-    root_alpha = np.sqrt(config.alpha)
-    g *= root_alpha[:, None]
+    g *= np.sqrt(config.alpha)[:, None]
     np.conj(g, out=g)
     g *= los.a_n
     lam_inv = hermitian_inverse(stats.lam, "estimate correlation matrix")
     lam_inv_diag = np.real(np.diag(lam_inv)).copy()
     rho = config.beta * config.delta / (config.delta + 1.0)
-    scale = ((config.p * float(stats.epsilon.sum()) + config.sigma2)
-             / (config.p * (config.M - config.K)))
-
-    gram = (steering_gram(config.N, config.user_ris_angles, config.d_over_lambda)
-            * np.outer(root_alpha, root_alpha))
-    gram = 0.5 * (gram + gram.conj().T)
-    eigval, eigvec = np.linalg.eigh(gram)
+    eigval, eigvec = np.linalg.eigh(stats.gram)
     r = np.sqrt(np.clip(eigval, 0.0, None))[:, None] * eigvec.conj().T
     r_lam = r @ lam_inv                      # column k is R l_k
     r_lam_r = r_lam @ r.conj().T
-    weight = 1.0 + scale * lam_inv_diag
+    weight = 1.0 + stats.scale * lam_inv_diag
     bounds = np.empty(config.K)
     for k in range(config.K):
-        m = weight[k] * r_lam_r - scale * np.outer(r_lam[:, k], np.conj(r_lam[:, k]))
+        m = weight[k] * r_lam_r - stats.scale * np.outer(r_lam[:, k], np.conj(r_lam[:, k]))
         # M_k is PSD, so the top eigenvalue is never below c_k
         top = max(float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1]), 0.0)
         bounds[k] = (weight[k] / config.N + rho * top) * (1.0 + _BOUND_PAD)
     return FractionalProblem(g=g, lam_inv=lam_inv, lam_inv_diag=lam_inv_diag, rho=rho,
-                             scale=scale, spectral_bounds=bounds, gram=gram)
+                             scale=stats.scale, spectral_bounds=bounds, gram=stats.gram)
 
 
 class _Point:
@@ -275,23 +269,26 @@ def _maxsum_coeff(problem: FractionalProblem, p: _Point) -> np.ndarray:
 
 
 def _maxmin_from(problem: FractionalProblem, p: _Point, weights: np.ndarray, floor: float,
-                 mu: float) -> tuple[_Point, np.ndarray, float]:
+                 mu: float) -> tuple[_Point, np.ndarray, float, int]:
     """The guarded step of :func:`maxmin_step` from p, whose ``_softmin`` is
-    ``(weights, floor)``; returns the new point with its ``_softmin``."""
+    ``(weights, floor)``; returns the new point with its ``_softmin`` and the
+    number of times the guard raised the curvature."""
     s, r = _surrogate_factors(problem, p)
     fbar = _weighted_fvec(problem, p, s, r, weights)
     norm2 = _fvec_norms(problem, p, s, r)
     valid = 2.0 * mu * float(norm2.max())
     spread = float(weights @ norm2) - np.vdot(fbar, fbar).real
     prox = min(2.0 * mu * max(spread, 0.0), valid)
+    doubled = 0
     while True:
         coeff = p.v * prox
         coeff += fbar
         new = _point(problem, _phase_align(coeff, p.v))
         new_weights, smoothed = _softmin(new.values, mu)
         if prox >= valid or smoothed >= floor:
-            return new, new_weights, smoothed
+            return new, new_weights, smoothed, doubled
         prox = min(2.0 * prox, valid) if prox > 0.0 else valid
+        doubled += 1
 
 
 def maxsum_step(v_n: np.ndarray, problem: FractionalProblem) -> np.ndarray:
@@ -327,12 +324,15 @@ class OptTrace:
     count); accepted objective values are nondecreasing.  ``final_v`` is the
     best visited point measured by the true objective (for the min objective
     the accepted sequence tracks its smooth surrogate, so the best true
-    minimum over accepted iterates is returned).
+    minimum over accepted iterates is returned).  ``curvature_doublings``
+    counts the curvature raises of the min step's guard (:func:`maxmin_step`)
+    over the run; it is 0 for the sum objective.
     """
 
     iterates: list[tuple[int, float, int]]
     converged: bool
     final_v: PhaseShifts
+    curvature_doublings: int
 
     @property
     def iterations(self) -> int:
@@ -379,6 +379,7 @@ def mm_optimize(config: SystemConfig, objective: str = "sum",
     # a state is (point, ..., accepted objective): the min objective carries
     # the softmin weights of its point as well, for the step taken from it
     mu = config.mu
+    doublings = 0
     if objective == "sum":
         def evaluate(v):
             p = _point(problem, v)
@@ -396,7 +397,10 @@ def mm_optimize(config: SystemConfig, objective: str = "sum",
             return (p, *_softmin(p.values, mu))
 
         def step(state):
-            return _maxmin_from(problem, *state, mu)
+            nonlocal doublings
+            p, weights, smoothed, doubled = _maxmin_from(problem, *state, mu)
+            doublings += doubled
+            return p, weights, smoothed
 
         def true_value(p):
             return float(p.values.min())
@@ -443,7 +447,8 @@ def mm_optimize(config: SystemConfig, objective: str = "sum",
             converged = True
             break
 
-    return OptTrace(iterates=iterates, converged=converged, final_v=PhaseShifts(best_v))
+    return OptTrace(iterates=iterates, converged=converged, final_v=PhaseShifts(best_v),
+                    curvature_doublings=doublings)
 
 
 def align_phase(config: SystemConfig, k: int) -> PhaseShifts:

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PhaseShifts, alignment_response, mean_row, sample_aggregated
+from .channel import PhaseShifts, mean_row, sample_aggregated
 from .config import SystemConfig
 from .errors import ConfigError, NumericalError
-from .estimation import (ChannelStatistics, cholesky_factor, compute_statistics,
-                         hermitian_inverse, random_component_power, row_covariance)
+from .estimation import cholesky_factor, compute_statistics, hermitian_inverse
 
 #: Redraws per Monte-Carlo trial before a singular Gram matrix is fatal.
 _MAX_RESAMPLE = 32
@@ -34,11 +33,6 @@ _CHUNK = 64
 _DRAW_CHUNK = 16
 
 
-def _interference_floor(config: SystemConfig, stats: ChannelStatistics) -> float:
-    """Residual interference-plus-noise power p * sum(epsilon) + sigma2."""
-    return config.p * float(stats.epsilon.sum()) + config.sigma2
-
-
 def _rates_from_snr(config: SystemConfig, snr: np.ndarray) -> np.ndarray:
     return config.tau_overhead * np.log2(1.0 + snr)
 
@@ -46,18 +40,18 @@ def _rates_from_snr(config: SystemConfig, snr: np.ndarray) -> np.ndarray:
 def rate_lower_bound_snr(config: SystemConfig, phase: PhaseShifts) -> np.ndarray:
     """Per-user SNR of the statistical-CSI lower bound (length K)."""
     stats = compute_statistics(config)
-    w = np.sqrt(config.alpha) * np.conj(alignment_response(config, phase))
-    rho = config.beta * config.delta / (config.delta + 1.0)
-    mat = stats.lam + rho * np.outer(w, np.conj(w))
+    mu = mean_row(config, phase)
+    mat = stats.lam + np.outer(np.conj(mu), mu)
     inv_diag = np.real(np.diag(hermitian_inverse(mat, "rate lower bound")))
-    return config.p * (config.M - config.K) / (_interference_floor(config, stats) * inv_diag)
+    return 1.0 / (stats.scale * inv_diag)
 
 
 def rate_lower_bound(config: SystemConfig, phase: PhaseShifts) -> np.ndarray:
     """Closed-form per-user rate lower bound for the given phase configuration.
 
     tau_overhead * log2(1 + p (M-K) / ((p sum(eps) + sigma2) *
-    [(lam + beta*delta/(delta+1) w w^H)^{-1}]_kk)), w = H1^H Phi^H a_N.
+    [(lam + mu^H mu)^{-1}]_kk)), mu the channel-mean row
+    (:func:`riszf.channel.mean_row`).
     Tight enough to track Monte-Carlo rates within a few percent at the
     default operating point.
     """
@@ -81,11 +75,9 @@ def rate_no_ris(config: SystemConfig) -> np.ndarray:
 def phase_independent_snr(config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     """(exact, approximate) per-user SNR of the phase-independent lower bound."""
     stats = compute_statistics(config)
-    prefactor = config.p * (config.M - config.K) / _interference_floor(config, stats)
+    prefactor = 1.0 / stats.scale
     inv_diag = np.real(np.diag(hermitian_inverse(stats.lam, "phase-independent lower bound")))
-    c = random_component_power(config)
-    approx = prefactor * c**2 / (c + config.sigma2 / (config.tau * config.p))
-    return prefactor / inv_diag, approx
+    return prefactor / inv_diag, prefactor * np.real(np.diag(stats.lam))
 
 
 def phase_independent_bound(config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -103,17 +95,15 @@ def phase_independent_bound(config: SystemConfig) -> tuple[np.ndarray, np.ndarra
 def upper_bound(config: SystemConfig, phase: PhaseShifts) -> tuple[np.ndarray, np.ndarray]:
     """(general, aligned) per-user rate upper bounds.
 
-    The general bound keeps the actual beam response |a_N^H Phi hbar_k|^2;
-    the aligned bound replaces it by its maximum N^2, attained when the
-    phases are aligned to user k.
+    The general bound keeps the LoS power |mu_k|^2 of the actual beam
+    (:func:`riszf.channel.mean_row`); the aligned bound takes the beam's
+    maximum |a_N^H Phi hbar_k| = N, attained when it is aligned to user k.
     """
     stats = compute_statistics(config)
-    prefactor = config.p * (config.M - config.K) / _interference_floor(config, stats)
-    c = random_component_power(config)
-    diag_term = c**2 / (c + config.sigma2 / (config.tau * config.p))
+    prefactor = 1.0 / stats.scale
+    diag_term = np.real(np.diag(stats.lam))
+    general = prefactor * (diag_term + np.abs(mean_row(config, phase)) ** 2)
     los_gain = config.alpha * config.beta * config.delta / (config.delta + 1.0)
-    response = np.abs(alignment_response(config, phase)) ** 2
-    general = prefactor * (diag_term + response * los_gain)
     aligned = prefactor * (diag_term + config.N**2 * los_gain)
     return _rates_from_snr(config, general), _rates_from_snr(config, aligned)
 
@@ -123,17 +113,17 @@ def power_scaling_limit(config: SystemConfig, phase: PhaseShifts,
     """Limiting per-user SNR when p = e_u / N and N grows without bound.
 
     Returns ``(limit, bound)``: the limit uses [Xi^{-1}]_kk with
-    Xi = diag(a_k^2 / (a_k + sigma2/(tau e_u))) + beta*delta/(delta+1) * w w^H / N,
-    a_k = alpha_k beta / (delta + 1); the bound is its diagonal relaxation.
+    Xi = diag(a_k^2 / (a_k + sigma2/(tau e_u))) + mu^H mu / N,
+    a_k = alpha_k beta / (delta + 1) and mu the channel-mean row
+    (:func:`riszf.channel.mean_row`); the bound is its diagonal relaxation.
     They coincide when delta = 0.
     """
     if e_u <= 0:
         raise NumericalError("power-scaling constant e_u must be positive")
     a = config.alpha * config.beta / (config.delta + 1.0)
     xi_diag = a**2 / (a + config.sigma2 / (config.tau * e_u))
-    w = np.sqrt(config.alpha) * np.conj(alignment_response(config, phase))
-    rho = config.beta * config.delta / (config.delta + 1.0)
-    xi = np.diag(xi_diag).astype(complex) + rho * np.outer(w, np.conj(w)) / config.N
+    mu = mean_row(config, phase)
+    xi = np.diag(xi_diag).astype(complex) + np.outer(np.conj(mu), mu) / config.N
     with np.errstate(divide="ignore"):
         pilot_limited = e_u / (config.tau * e_u / config.sigma2 + (config.delta + 1.0)
                                / (config.alpha * config.beta))
@@ -198,7 +188,7 @@ def mc_draws(config: SystemConfig, mean: np.ndarray, trials: int, seed: int):
     keeps it an independent check of the K x K law that :func:`exact_rate_mc`
     samples.
     """
-    factor = cholesky_factor(row_covariance(config), "channel row covariance")
+    factor = cholesky_factor(compute_statistics(config).cov, "channel row covariance")
     for c, start in enumerate(range(0, trials, _DRAW_CHUNK)):
         yield c, *sample_aggregated(config, mean, factor, _substream(seed, (c,)),
                                     min(_DRAW_CHUNK, trials - start))
@@ -226,7 +216,7 @@ def gram_law(config: SystemConfig, phase: PhaseShifts) -> GramLaw:
     """The law of one trial's ZF statistics, from K x K quantities only.
 
     With U = diag(kappa), s2 = sigma2/(tau p) and R the row covariance of
-    Q - mean (:func:`riszf.estimation.row_covariance`), the rows of
+    Q - mean (``ChannelStatistics.cov``), the rows of
     Qhat - mean are i.i.d. CN(0, Lambda), Lambda = U (R + s2 I) U, and the
     error regresses on them as E = (Qhat - mean) B + F with
     B = Lambda^{-1} U R - I and F independent of Qhat, its rows i.i.d.
@@ -237,16 +227,15 @@ def gram_law(config: SystemConfig, phase: PhaseShifts) -> GramLaw:
     positive-definite matrix, and no cancellation.
     """
     stats = compute_statistics(config)
-    cov = row_covariance(config)
-    noise = config.sigma2 / (config.tau * config.p)
-    cov_factor = cholesky_factor(cov, "channel row covariance")
-    t_factor = cholesky_factor(cov_factor.conj().T @ cov_factor + noise * np.eye(config.K),
+    cov_factor = cholesky_factor(stats.cov, "channel row covariance")
+    t_factor = cholesky_factor(cov_factor.conj().T @ cov_factor + stats.noise * np.eye(config.K),
                                "estimation-error covariance")
-    bias = np.linalg.solve(stats.lam, stats.kappa[:, None] * cov) - np.eye(config.K)
+    bias = np.linalg.solve(stats.lam, stats.kappa[:, None] * stats.cov) - np.eye(config.K)
     r1_mean = math.sqrt(config.M) * mean_row(config, phase)
     return GramLaw(lam_factor=cholesky_factor(stats.lam, "estimate correlation matrix"),
                    r1_mean=r1_mean, bias=bias, bias_row=r1_mean @ bias,
-                   noise_root_h=math.sqrt(noise) * np.linalg.solve(t_factor, cov_factor.conj().T),
+                   noise_root_h=(math.sqrt(stats.noise)
+                                 * np.linalg.solve(t_factor, cov_factor.conj().T)),
                    dof=config.M - 1)
 
 
@@ -365,7 +354,7 @@ def exact_rate_mc(config: SystemConfig, phase: PhaseShifts, trials: int,
     Results are bit-identical for a given seed.
     """
     if trials < 1:
-        raise NumericalError("trials must be >= 1")
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     if phase.n != config.N:
         raise ConfigError(f"phase vector has {phase.n} entries, config expects {config.N}")
     law = gram_law(config, phase)

@@ -11,7 +11,7 @@ from riszf.channel import (ChannelRealization, PhaseShifts, aggregated_mean,
                            sample_aggregated, sample_channels, steering_gram, steering_vector)
 from riszf.config import default_profile
 from riszf.errors import ConfigError
-from riszf.estimation import qhat_gram_mean, row_covariance
+from riszf.estimation import compute_statistics, qhat_gram_mean
 from riszf.optimizer import align_phase, build_problem
 from riszf.rate import (exact_rate_mc, phase_independent_bound, power_scaling_limit,
                         rate_lower_bound, upper_bound)
@@ -254,7 +254,7 @@ def test_row_covariance_matches_both_samplers():
     # the rows of Q - mean are i.i.d. CN(0, R), for the dense draw and the M x K draw
     cfg = toy_config(K=3, M=8, N=8, delta=0.7, seed=21)
     ph = PhaseShifts.random(cfg.N, 5)
-    cov = row_covariance(cfg)
+    cov = compute_statistics(cfg).cov
     h1 = h1_matrix(cfg)
     dense = cfg.beta / (cfg.delta + 1.0) * (h1.conj().T @ h1) + np.diag(cfg.gamma)
     np.testing.assert_allclose(cov, dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())

@@ -8,29 +8,53 @@ from riszf.channel import (PhaseShifts, aggregated_mean, alignment_response, bui
 from riszf.errors import ConfigError, NumericalError
 from riszf.estimation import (ChannelStatistics, compute_statistics, hermitian_inverse,
                               mmse_estimate, qhat_gram_mean, random_component_power)
+from riszf.optimizer import build_problem
 
 from conftest import random_config, toy_config
 
 
+def _statistics_configs(reference_config):
+    rng = np.random.default_rng(31)
+    return [reference_config, *(random_config(rng) for _ in range(6)),
+            random_config(rng, delta=0.0)]
+
+
 def test_statistics_ranges(reference_config):
-    stats = compute_statistics(reference_config)
-    assert np.all((stats.kappa > 0) & (stats.kappa < 1))
-    assert np.all(stats.epsilon > 0)
-    noise_over_gain = reference_config.sigma2 / (reference_config.tau * reference_config.p)
-    cpow = random_component_power(reference_config)
-    assert np.all(stats.epsilon <= np.minimum(cpow, noise_over_gain) + 1e-30)
-    # Hermitian positive definite
-    np.testing.assert_allclose(stats.lam, stats.lam.conj().T)
-    assert np.linalg.eigvalsh(stats.lam).min() > 0
-    np.testing.assert_allclose(np.diag(stats.upsilon), stats.kappa)
+    for cfg in _statistics_configs(reference_config):
+        stats = compute_statistics(cfg)
+        assert np.all((stats.kappa > 0) & (stats.kappa < 1))
+        assert np.all(stats.epsilon > 0)
+        noise_over_gain = cfg.sigma2 / (cfg.tau * cfg.p)
+        cpow = random_component_power(cfg)
+        assert np.all(stats.epsilon <= np.minimum(cpow, noise_over_gain) + 1e-30)
+        # Hermitian positive definite
+        np.testing.assert_allclose(stats.lam, stats.lam.conj().T)
+        assert np.linalg.eigvalsh(stats.lam).min() > 0
+        np.testing.assert_allclose(np.diag(stats.upsilon), stats.kappa)
+        # the row covariance and the steering Gram are Hermitian positive semidefinite
+        for mat in (stats.cov, stats.gram):
+            np.testing.assert_array_equal(mat, mat.conj().T)
+            eig = np.linalg.eigvalsh(mat)
+            assert eig.min() >= -1e-12 * eig.max()
 
 
 def test_statistics_diagonal_closed_form(reference_config):
-    stats = compute_statistics(reference_config)
-    cpow = random_component_power(reference_config)
-    noise = reference_config.sigma2 / (reference_config.tau * reference_config.p)
-    np.testing.assert_allclose(np.diag(stats.lam).real,
-                               (cpow + noise) * stats.kappa**2, rtol=1e-13)
+    for cfg in _statistics_configs(reference_config):
+        stats = compute_statistics(cfg)
+        cpow = random_component_power(cfg)
+        noise = cfg.sigma2 / (cfg.tau * cfg.p)
+        assert stats.noise == noise
+        np.testing.assert_allclose(np.diag(stats.lam).real,
+                                   (cpow + noise) * stats.kappa**2, rtol=1e-13)
+        np.testing.assert_allclose(np.diag(stats.lam).real, cpow**2 / (cpow + noise),
+                                   rtol=1e-12)
+        # Lambda = U (R + noise I) U, U = diag(kappa)
+        u = np.diag(stats.kappa)
+        np.testing.assert_allclose(stats.lam, u @ (stats.cov + noise * np.eye(cfg.K)) @ u,
+                                   rtol=1e-12)
+        sinr_prefactor = cfg.p * (cfg.M - cfg.K) / (cfg.p * stats.epsilon.sum() + cfg.sigma2)
+        assert 1.0 / stats.scale == pytest.approx(sinr_prefactor, rel=1e-12)
+        np.testing.assert_array_equal(build_problem(cfg).gram, stats.gram)
 
 
 def test_statistics_ris_off_matches_conventional():

@@ -280,6 +280,15 @@ def test_cli_mse_stdout(capsys):
     assert payload["epsilon_empirical_se"] == [0.0] * 8
 
 
+def test_cli_mse_validate_matches_epsilon(capsys):
+    # the empirical error power of the M x K draws agrees with epsilon per user
+    assert cli_main(["--seed", "0", "--trials", "2000", "mse", "--validate"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["trials"] == 2000
+    gap = np.abs(np.array(payload["epsilon_empirical"]) - np.array(payload["epsilon"]))
+    assert np.all(gap <= 4.0 * np.array(payload["epsilon_empirical_se"]))
+
+
 def test_cli_optimize(tmp_path):
     cfg_path = tmp_path / "tiny.cfg"
     write_config_file(default_profile(K=2, M=8, N=8), cfg_path)
@@ -290,6 +299,7 @@ def test_cli_optimize(tmp_path):
     assert code == 0
     payload = json.loads(open(out).read())
     assert payload["objective"] == "sum"
+    assert payload["curvature_doublings"] == 0
     assert len(payload["final_theta"]) == 8
     values = [step["value"] for step in payload["objective_trace"]]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))

@@ -376,6 +376,22 @@ def test_mm_optimize_monotone_random_inits(reference_config):
         assert all(b >= a - 1e-12 for a, b in zip(objs, objs[1:]))
 
 
+def test_mm_optimize_counts_curvature_doublings():
+    # at a sharp softmin the guard of the min step fires; the sum step has none
+    rng = np.random.default_rng(16)
+    doublings = 0
+    for i in range(6):
+        base = random_config(rng) if i % 2 else default_profile(N=16, seed=i)
+        cfg = base.replace(mu=1000.0)
+        trace = mm_optimize(cfg, objective="min", init=PhaseShifts.random(cfg.N, rng),
+                            max_iter=100)
+        doublings += trace.curvature_doublings
+        trace = mm_optimize(cfg, objective="sum", init=PhaseShifts.random(cfg.N, rng),
+                            max_iter=100)
+        assert trace.curvature_doublings == 0
+    assert doublings > 0
+
+
 def test_mm_optimize_improves_over_identity(reference_config):
     base = rate_lower_bound(reference_config,
                                 PhaseShifts.identity(reference_config.N)).sum()

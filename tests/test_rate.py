@@ -8,9 +8,9 @@ import riszf.rate as rate_module
 from riszf.channel import (PhaseShifts, aggregated_mean, build_los, h1_matrix,
                            sample_channels)
 from riszf.config import default_profile
-from riszf.errors import NumericalError
+from riszf.errors import ConfigError, NumericalError
 from riszf.estimation import (compute_statistics, mmse_estimate, qhat_gram_mean,
-                              random_component_power, row_covariance)
+                              random_component_power)
 from riszf.optimizer import align_phase
 from riszf.rate import (MonteCarloRate, exact_rate_mc, phase_independent_bound,
                         rate_lower_bound, power_scaling_limit, rate_no_ris,
@@ -245,6 +245,16 @@ def test_exact_rate_mc_deterministic(reference_config):
     assert a.sum_rate == pytest.approx(a.rates.sum())
 
 
+def test_exact_rate_mc_rejects_bad_arguments(reference_config):
+    # invalid input, like --trials 0 on the command line: exit 2, not a numerical failure
+    ph = PhaseShifts.identity(reference_config.N)
+    for trials in (0, -3):
+        with pytest.raises(ConfigError, match="trials"):
+            exact_rate_mc(reference_config, ph, trials, seed=0)
+    with pytest.raises(ConfigError, match="phase vector"):
+        exact_rate_mc(reference_config, PhaseShifts.identity(reference_config.N + 1), 5, seed=0)
+
+
 def test_exact_rate_mc_matches_no_ris_closed_form():
     cfg = default_profile(K=4, M=32, N=16).replace(alpha=np.zeros(4), beta=0.0)
     mc = exact_rate_mc(cfg, PhaseShifts.identity(16), 1500, seed=7)
@@ -403,7 +413,7 @@ def test_gram_draw_matches_first_moments():
         r1, gram, z = sample_gram(law, seed, 20000)
         leakage, _ = zf_terms(law, r1, gram, z)
         stats = compute_statistics(cfg)
-        cross = cfg.M * (stats.kappa[:, None] * row_covariance(cfg) - stats.lam)
+        cross = cfg.M * (stats.kappa[:, None] * stats.cov - stats.lam)
         for samples, expected in ((gram, qhat_gram_mean(cfg, ph)), (gram @ leakage, cross)):
             mean = samples.mean(axis=0)
             se = samples.std(axis=0) / math.sqrt(samples.shape[0])
@@ -422,7 +432,7 @@ def test_gram_law_error_root():
     for cfg in cfgs:
         law = gram_law(cfg, PhaseShifts.identity(cfg.N))
         stats = compute_statistics(cfg)
-        cov = row_covariance(cfg)
+        cov = stats.cov
         noise = cfg.sigma2 / (cfg.tau * cfg.p)
         sigma_f = law.noise_root_h.conj().T @ law.noise_root_h
         expected = noise * cov @ np.linalg.inv(cov + noise * np.eye(cfg.K))
