@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,6 +151,26 @@ class SystemConfig:
     def pilot_snr(self) -> float:
         """Pilot processing gain tau * p / sigma2."""
         return self.tau * self.p / self.sigma2
+
+    def check_memory(self) -> None:
+        """Raise :class:`ConfigError` if the O(N) working set exceeds physical memory.
+
+        The estimate is the largest O(N) working set, as traced:
+        ``build_problem``'s K x N arrays G and Z = Lam^{-1} G plus the phase
+        vector, (2K + 1)*16*N bytes of complex128.  Construction does not
+        call this, because the closed-form statistics and bounds take O(K^2)
+        memory at any N; the config-file reader and every sweep point do,
+        before anything allocates an N-sized array.
+        """
+        need = (2 * self.K + 1) * 16 * self.N
+        try:
+            have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        except (AttributeError, ValueError, OSError):  # a platform without these
+            return
+        if need > have:
+            raise ConfigError(f"N={self.N} needs an estimated {need / 2**30:.3g} GiB "
+                              f"((2K + 1)*16*N bytes), more than the {have / 2**30:.3g} GiB "
+                              f"of physical memory")
 
     def replace(self, **changes) -> "SystemConfig":
         """Return a copy with the given fields replaced (re-validated)."""
@@ -381,13 +402,15 @@ def parse_config_file(path) -> SystemConfig:
     if len(values["user_ris_az"]) != len(values["user_ris_el"]):
         raise ConfigError("user_ris_az and user_ris_el must have the same length")
 
-    return SystemConfig(
+    config = SystemConfig(
         p=values.pop("p_w"), sigma2=values.pop("sigma2_w"),
         user_ris_angles=np.stack([values.pop("user_ris_az"), values.pop("user_ris_el")], axis=1),
         ris_aod=(values.pop("ris_aod_az"), values.pop("ris_aod_el")),
         bs_aoa=(values.pop("bs_aoa_az"), values.pop("bs_aoa_el")),
         **values,
     )
+    config.check_memory()
+    return config
 
 
 def write_config_file(config: SystemConfig, path) -> None:

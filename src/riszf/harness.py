@@ -1,9 +1,11 @@
 """Scenario orchestration: phase-design cases, sweeps, and persistence.
 
 A scenario couples a configuration with one phase-shift design and an
-optional sweep axis.  Each sweep point is evaluated independently (points
-run on a thread pool; rows come back ordered by sweep value) and emits one
-:class:`ResultRow`.  CSV output is schema-versioned and byte-identical for
+optional sweep axis.  Each sweep point is evaluated independently and emits
+one :class:`ResultRow`; rows come back ordered by sweep value.  Only a
+multi-point ``riszf sweep`` spreads its points over a thread pool; a single
+point (``riszf rate``) and the figure sweeps of :func:`reproduce` run
+serially.  CSV output is schema-versioned and byte-identical for
 identical seeds; a ``.manifest.json`` sidecar records everything needed to
 re-execute the run.
 """
@@ -170,10 +172,12 @@ def resolve_phase(config: SystemConfig, scenario: Scenario, rng) -> tuple[PhaseS
 
 
 def _apply_axis(config: SystemConfig, axis: str | None, value) -> SystemConfig:
-    """The config at one sweep point; :class:`SystemConfig` checks the value."""
-    if axis is None or axis == "bits":
-        return config
-    return config.replace(**{axis: value})
+    """The config at one sweep point; :class:`SystemConfig` checks the value and
+    :meth:`SystemConfig.check_memory` that the point fits in memory."""
+    if axis is not None and axis != "bits":
+        config = config.replace(**{axis: value})
+    config.check_memory()
+    return config
 
 
 def _point_seed(seed: int, index: int) -> int:
@@ -214,9 +218,12 @@ def _run_point(scenario: Scenario, index: int, value,
 def run_scenario(scenario: Scenario, max_workers: int | None = None) -> list[ResultRow]:
     """Evaluate every sweep point of a scenario; rows ordered by sweep value.
 
-    Points are independent and run on a thread pool; per-point seeds derive
-    from (scenario seed, point index), so results do not depend on worker
-    count or completion order.
+    Points are independent and, unless ``max_workers`` is 1, run on a
+    thread pool of up to ``max_workers`` threads (default: min(4, points)).
+    :func:`reproduce` passes 1: each of its points is a few ms of numpy work
+    that holds the GIL, so threads there add only start-up and hand-offs.
+    Per-point seeds derive from (scenario seed, point index), so results do
+    not depend on worker count or completion order.
     """
     if scenario.sweep_axis is None:
         return [_run_point(scenario, 0, None, None)]
@@ -385,7 +392,7 @@ def reproduce(figure_id: str, out_dir, config: SystemConfig | None = None,
             scenario = Scenario(config=config, phase_design=case, sweep_axis="N",
                                 sweep_values=_FIG_N_SWEEP[figure_id],
                                 trials=trials, seed=seed)
-            rows = run_scenario(scenario)
+            rows = run_scenario(scenario, max_workers=1)
             path = out_dir / f"{figure_id}_{case.split('_')[0]}.csv"
             written += write_scenario_outputs(rows, scenario, path, figure=figure_id)
         return written

@@ -193,6 +193,13 @@ def test_replace_revalidates():
     assert bigger.M == 20 and bigger.K == cfg.K
 
 
+def test_element_count_beyond_memory_rejected():
+    cfg = default_profile()
+    with pytest.raises(ConfigError, match=r"needs an estimated .* GiB"):
+        cfg.replace(N=10**11).check_memory()
+    cfg.replace(N=10**6).check_memory()
+
+
 def test_to_dict_json_ready():
     import json
     payload = default_profile(K=2, M=8, N=8).to_dict()

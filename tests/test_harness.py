@@ -106,6 +106,10 @@ def test_run_scenario_infeasible_point_marked(small_config):
     rows = run_scenario(sc)
     assert rows[0].error == ""
     assert rows[1].error == "invalid_config"
+    # an element count beyond physical memory is refused before any allocation
+    sc = Scenario(config=small_config, phase_design="case4_identity",
+                  sweep_axis="N", sweep_values=(16, 10**11), trials=10, seed=0)
+    assert [row.error for row in run_scenario(sc)] == ["", "invalid_config"]
 
 
 def test_run_scenario_bits_axis(small_config):
@@ -216,6 +220,26 @@ def test_reproduce_small_fig2a(tmp_path):
     names = {p.split("/")[-1] for p in paths}
     assert "fig2a_case1.csv" in names and "fig2a_case2.csv" in names
     assert any(p.endswith(".manifest.json") for p in paths)
+
+
+def test_reproduce_runs_serially_and_matches_pooled_sweep(tmp_path, small_config,
+                                                         monkeypatch):
+    cases = ("case1_align_nearest", "case2_align_farthest", "case3_random",
+             "case5_maxsum", "case6_maxmin")
+    for case in cases:
+        sc = Scenario(config=small_config, phase_design=case, sweep_axis="N",
+                      sweep_values=(64, 128, 256), trials=20, seed=5)
+        write_rows_csv(run_scenario(sc, max_workers=4), tmp_path / f"pooled_{case}.csv",
+                       small_config.K)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("reproduce started a thread pool")
+
+    monkeypatch.setattr("riszf.harness.ThreadPoolExecutor", no_pool)
+    reproduce("fig3b", tmp_path / "figs", config=small_config, trials=20, seed=5)
+    for case in cases:
+        figure_csv = tmp_path / "figs" / f"fig3b_{case.split('_')[0]}.csv"
+        assert figure_csv.read_bytes() == (tmp_path / f"pooled_{case}.csv").read_bytes()
 
 
 def test_reproduce_unknown_figure(tmp_path):
@@ -346,6 +370,8 @@ def test_cli_exit_codes(tmp_path):
     huge_n = tmp_path / "huge.cfg"
     write_config_file(default_profile(K=2, M=8, N=8), huge_n)
     huge_n.write_text(re.sub(r"(?m)^N = .*$", "N = 1" + "0" * 400, huge_n.read_text()))
+    assert cli_main(["--config", str(huge_n), "rate"]) == 2
+    huge_n.write_text(re.sub(r"(?m)^N = .*$", "N = 100000000000", huge_n.read_text()))
     assert cli_main(["--config", str(huge_n), "rate"]) == 2
     assert cli_main(["--trials", "5", "sweep", "--axis", "bits", "--values", "1,2000"]) == 0
     assert cli_main(["--trials", "0", "mse", "--validate"]) == 2
