@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SystemConfig
+from .config import SystemConfig, _once_per_config
 from .errors import ConfigError
 
 
@@ -104,7 +104,10 @@ class PhaseShifts:
         v = np.asarray(self.v, dtype=complex).reshape(-1)
         if v.size < 1:
             raise ConfigError("phase-shift vector must be non-empty")
-        if not np.all(np.abs(np.abs(v) - 1.0) < 1e-9):
+        err = np.abs(v)
+        err -= 1.0
+        np.abs(err, out=err)
+        if not np.all(err < 1e-9):
             raise ConfigError("phase-shift entries must be unit modulus")
         v.setflags(write=False)
         object.__setattr__(self, "v", v)
@@ -155,6 +158,10 @@ class LosComponents:
     a_n^H Phi hbar_k (see :func:`alignment_response`) in O(N + K (L_x + L_y))
     memory.  ``hbar`` (N x K), ``a_n`` and ``hbar2`` (M x N) assemble the
     dense arrays on demand, for the dense channel draw and for checks.
+
+    :func:`build_los` computes one instance per :class:`SystemConfig`
+    instance and hands it to every caller, so the stored arrays are
+    read-only; the assembled dense arrays are fresh and writable.
     """
 
     user_rows: np.ndarray
@@ -179,8 +186,13 @@ class LosComponents:
         return np.outer(self.a_m, np.conj(self.a_n))
 
 
+@_once_per_config
 def build_los(config: SystemConfig) -> LosComponents:
-    """Per-axis steering factors of ``config``: O(K (L_x + L_y) + M) memory, no N x K array."""
+    """Per-axis steering factors of ``config``: O(K (L_x + L_y) + M) memory, no N x K array.
+
+    Computed once per config instance: later calls return the same
+    :class:`LosComponents`, whose arrays are read-only.
+    """
     d = config.d_over_lambda
     user_rows, user_cols = _axis_responses(config.N, config.user_ris_angles, d)
     ris_rows, ris_cols = _axis_responses(config.N, config.ris_aod, d)

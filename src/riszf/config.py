@@ -8,6 +8,7 @@ config file).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -173,7 +174,11 @@ class SystemConfig:
                               f"of physical memory")
 
     def replace(self, **changes) -> "SystemConfig":
-        """Return a copy with the given fields replaced (re-validated)."""
+        """Return a copy with the given fields replaced (re-validated).
+
+        The copy is a new instance, so it starts with none of the values
+        that :func:`_once_per_config` functions stored on this one.
+        """
         return dataclasses.replace(self, **changes)
 
     def to_dict(self) -> dict:
@@ -200,6 +205,32 @@ class SystemConfig:
             "mu": self.mu,
             "user_ris_dist": None if self.user_ris_dist is None else self.user_ris_dist.tolist(),
         }
+
+
+def _once_per_config(build):
+    """Decorate ``build(config)`` to run once per :class:`SystemConfig` instance.
+
+    The result is stored on the instance as a non-field attribute, so
+    equality, ``repr``, :meth:`SystemConfig.to_dict` and
+    :meth:`SystemConfig.replace` never see it, and it lives as long as the
+    instance.  Fields are frozen and arrays read-only, so it cannot go
+    stale.  The arrays of the result are made read-only too: a caller that
+    writes to one fails loudly instead of corrupting later calls.  Two
+    threads racing on the first call compute equal values; either is kept.
+    """
+    key = f"_{build.__name__}"
+
+    @functools.wraps(build)
+    def once(config):
+        value = config.__dict__.get(key)
+        if value is None:
+            value = build(config)
+            for array in vars(value).values():
+                if isinstance(array, np.ndarray):
+                    array.setflags(write=False)
+            object.__setattr__(config, key, value)
+        return value
+    return once
 
 
 @dataclass(frozen=True)

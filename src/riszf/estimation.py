@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, PhaseShifts, aggregated_mean, mean_row, steering_gram
-from .config import SystemConfig
+from .config import SystemConfig, _once_per_config
 from .errors import ConfigError, NumericalError
 
 
@@ -63,7 +63,9 @@ class ChannelStatistics:
     correlation Lambda; ``cov``: the K x K row covariance R of Q - mean;
     ``gram``: the K x K cascaded steering Gram G G^H; ``noise``:
     sigma2/(tau p); ``scale``: (p sum(epsilon) + sigma2) / (p (M - K)), the
-    reciprocal of the ZF SINR prefactor.
+    reciprocal of the ZF SINR prefactor.  One instance per
+    :class:`SystemConfig` instance is shared by every caller, so its arrays
+    are read-only.
     """
 
     kappa: np.ndarray
@@ -84,6 +86,7 @@ def _hermitian_part(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.conj().T)
 
 
+@_once_per_config
 def compute_statistics(config: SystemConfig) -> ChannelStatistics:
     """The one source of Lambda, R, G G^H and the ZF SINR scale of a scenario.
 
@@ -98,6 +101,9 @@ def compute_statistics(config: SystemConfig) -> ChannelStatistics:
     so [lam]_kk = c_k^2 / (c_k + s2).  Phi is unitary and the NLoS rows of H2
     are i.i.d. CN(0, I), so every row of Q - mean is CN(0, R) for any phase;
     R is positive definite because gamma > 0.
+
+    Computed once per config instance: later calls return the same
+    :class:`ChannelStatistics`, whose arrays are read-only.
     """
     if config.p <= 0 or config.sigma2 <= 0 or config.tau <= 0:
         raise ConfigError("compute_statistics needs positive p, sigma2, and tau")

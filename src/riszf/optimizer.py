@@ -456,13 +456,15 @@ def align_phase(config: SystemConfig, k: int) -> PhaseShifts:
 
     Sets theta_n = -angle(conj(a_N[n]) * hbar_k[n]), which makes the beam
     response a_N^H Phi hbar_k equal to N exactly.  Both vectors are
-    assembled from their per-axis factors: O(N), with no N x K array.
+    assembled from their per-axis factors as L_x x L_y outer products: O(N),
+    with two N-sized arrays and no N x K array.
     """
     if not 0 <= k < config.K:
         raise ConfigError(f"user index {k} out of range for K={config.K}")
     los = build_los(config)
-    v = np.conj(los.a_n)
-    v *= np.kron(los.user_rows[:, k], los.user_cols[:, k])
+    v = np.multiply.outer(los.ris_rows, los.ris_cols)
+    np.conj(v, out=v)
+    v *= np.multiply.outer(los.user_rows[:, k], los.user_cols[:, k])
     return PhaseShifts(v)
 
 

@@ -162,6 +162,26 @@ def test_build_los_distinct_angles_strict_inequality(reference_config):
     assert np.all(off < n - 1e-9)
 
 
+def test_los_and_statistics_computed_once_per_config():
+    cfg = toy_config()
+    before = repr(cfg), cfg.to_dict()
+    los, stats = build_los(cfg), compute_statistics(cfg)
+    assert build_los(cfg) is los and compute_statistics(cfg) is stats
+    fresh = cfg.replace()
+    assert build_los(fresh) is not los and compute_statistics(fresh) is not stats
+    np.testing.assert_array_equal(compute_statistics(fresh).lam, stats.lam)
+    # a shared result is read-only, so a caller cannot corrupt later calls
+    with pytest.raises(ValueError):
+        stats.lam[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        los.user_rows[0, 0] = 0.0
+    for value in (*vars(los).values(), *vars(stats).values()):
+        assert not isinstance(value, np.ndarray) or not value.flags.writeable
+    # the stored values are not fields: equality, repr and to_dict ignore them
+    assert cfg == cfg.replace()
+    assert (repr(cfg), cfg.to_dict()) == before
+
+
 # --- channel sampling ---------------------------------------------------------
 
 def test_sample_channels_deterministic():
@@ -309,22 +329,23 @@ def test_los_closed_forms_allocate_no_mxn_array():
     limit = 6 * cfg.K * cfg.N * 16           # one dense M x N array is 64 MiB here
     phase = PhaseShifts.identity(cfg.N)
     calls = {
-        "build_los": lambda: build_los(cfg),
-        "align_phase": lambda: align_phase(cfg, 0),
-        "rate_lower_bound": lambda: rate_lower_bound(cfg, phase),
-        "upper_bound": lambda: upper_bound(cfg, phase),
-        "phase_independent_bound": lambda: phase_independent_bound(cfg),
-        "power_scaling_limit": lambda: power_scaling_limit(cfg, phase, 10.0),
-        "build_problem": lambda: build_problem(cfg),
-        "exact_rate_mc": lambda: exact_rate_mc(cfg, phase, 200, 0),
+        "build_los": build_los,
+        "align_phase": lambda c: align_phase(c, 0),
+        "rate_lower_bound": lambda c: rate_lower_bound(c, phase),
+        "upper_bound": lambda c: upper_bound(c, phase),
+        "phase_independent_bound": phase_independent_bound,
+        "power_scaling_limit": lambda c: power_scaling_limit(c, phase, 10.0),
+        "build_problem": build_problem,
+        "exact_rate_mc": lambda c: exact_rate_mc(c, phase, 200, 0),
     }
     peaks = {}
     tracemalloc.start()
     try:
         for name, call in calls.items():
+            fresh = cfg.replace()            # the LoS and statistics build is part of the peak
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            call()
+            call(fresh)
             peaks[name] = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -367,27 +388,28 @@ def test_los_consumers_allocate_no_nxk_array():
     unit = 16 * cfg.N                        # one complex N-vector
     phase = PhaseShifts.identity(cfg.N)
     calls = {
-        "build_los": (lambda: build_los(cfg), unit),
-        "alignment_response": (lambda: alignment_response(cfg, phase), 3 * unit),
-        "aggregated_mean": (lambda: aggregated_mean(cfg, phase), 3 * unit),
-        "align_phase": (lambda: align_phase(cfg, 0), 3 * unit),
-        "rate_lower_bound": (lambda: rate_lower_bound(cfg, phase), 3 * unit),
-        "upper_bound": (lambda: upper_bound(cfg, phase), 3 * unit),
-        "power_scaling_limit": (lambda: power_scaling_limit(cfg, phase, 10.0), 3 * unit),
-        "qhat_gram_mean": (lambda: qhat_gram_mean(cfg, phase), 3 * unit),
-        "exact_rate_mc": (lambda: exact_rate_mc(cfg, phase, 200, 0), 3 * unit),
+        "build_los": (build_los, unit),
+        "alignment_response": (lambda c: alignment_response(c, phase), 3 * unit),
+        "aggregated_mean": (lambda c: aggregated_mean(c, phase), 3 * unit),
+        "align_phase": (lambda c: align_phase(c, 0), 3 * unit),
+        "rate_lower_bound": (lambda c: rate_lower_bound(c, phase), 3 * unit),
+        "upper_bound": (lambda c: upper_bound(c, phase), 3 * unit),
+        "power_scaling_limit": (lambda c: power_scaling_limit(c, phase, 10.0), 3 * unit),
+        "qhat_gram_mean": (lambda c: qhat_gram_mean(c, phase), 3 * unit),
+        "exact_rate_mc": (lambda c: exact_rate_mc(c, phase, 200, 0), 3 * unit),
         # G and Z (K x N each) and nothing more of size N
-        "build_problem": (lambda: build_problem(cfg), (2 * cfg.K + 1) * unit),
+        "build_problem": (build_problem, (2 * cfg.K + 1) * unit),
     }
     for call, _ in calls.values():           # lazy set-up is not part of the peak
-        call()
+        call(cfg.replace())
     peaks = {}
     tracemalloc.start()
     try:
         for name, (call, _) in calls.items():
+            fresh = cfg.replace()            # the LoS and statistics build is part of the peak
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            call()
+            call(fresh)
             peaks[name] = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

@@ -122,12 +122,15 @@ def test_run_scenario_bits_axis(small_config):
 
 
 def test_run_scenario_rows_independent_of_workers(small_config):
-    sc = Scenario(config=small_config, phase_design="case3_random",
-                  sweep_axis="N", sweep_values=(16, 24, 32, 40), trials=30, seed=3)
     header = csv_header(small_config.K)
-    texts = [csv_text(header, [row_values(row) for row in run_scenario(sc, max_workers=w)])
-             for w in (1, 4)]
-    assert texts[0] == texts[1]
+    # every point of the bits axis shares one config instance, and with it
+    # the LoS and statistics stored on that instance
+    for axis, values in (("N", (16, 24, 32, 40)), ("bits", (1, 2, 3, 8))):
+        sc = Scenario(config=small_config, phase_design="case3_random",
+                      sweep_axis=axis, sweep_values=values, trials=30, seed=3)
+        texts = [csv_text(header, [row_values(row) for row in run_scenario(sc, max_workers=w)])
+                 for w in (1, 4)]
+        assert texts[0] == texts[1], axis
 
 
 def test_csv_byte_identical_roundtrip(tmp_path, small_config):

@@ -446,12 +446,18 @@ def test_gram_law_error_root():
                                    rtol=0, atol=1e-10)
 
 
-def _mc_peak(call):
-    call()                                   # lazy set-up is not part of the peak
+def _mc_peak(call, cfg):
+    """Traced peak of ``call(config)`` on a fresh copy of ``cfg``, after a warm-up call.
+
+    The LoS and statistics are stored per config instance, so each call gets
+    a new one and their build stays inside the peak.
+    """
+    call(cfg.replace())                      # lazy set-up is not part of the peak
+    fresh = cfg.replace()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        call()
+        call(fresh)
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -463,7 +469,7 @@ def test_exact_rate_mc_memory_does_not_grow_with_m():
     for m in (64, 4096):
         cfg = default_profile(M=m, N=400)
         phase = PhaseShifts.identity(cfg.N)
-        peaks[m] = _mc_peak(lambda: exact_rate_mc(cfg, phase, 200, 0))
+        peaks[m] = _mc_peak(lambda c: exact_rate_mc(c, phase, 200, 0), cfg)
     assert peaks[4096] - peaks[64] < 4 * 16 * 4096, peaks
 
 
@@ -472,5 +478,5 @@ def test_exact_rate_mc_peak_at_default_point():
     # the ~1.0 MB that an M x K draw in chunks of 16 trials takes here
     cfg = default_profile(N=400)
     phase = align_phase(cfg, cfg.K - 1)
-    peak = _mc_peak(lambda: exact_rate_mc(cfg, phase, 1000, 0))
+    peak = _mc_peak(lambda c: exact_rate_mc(c, phase, 1000, 0), cfg)
     assert peak <= 1.0e6, peak
