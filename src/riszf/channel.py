@@ -88,29 +88,71 @@ def steering_gram(L: int, angles, d_over_lambda: float = 0.5) -> np.ndarray:
     return axis_sum(du, lx) * axis_sum(dc, ly)
 
 
-@dataclass(frozen=True)
+def _require_unit_modulus(moduli: np.ndarray) -> None:
+    """Raise :class:`ConfigError` unless every modulus is within 1e-9 of 1 (overwrites ``moduli``)."""
+    moduli -= 1.0
+    np.abs(moduli, out=moduli)
+    if not np.all(moduli < 1e-9):
+        raise ConfigError("phase-shift entries must be unit modulus")
+
+
 class PhaseShifts:
-    """Unit-modulus RIS control vector.
+    """Unit-modulus RIS control vector (immutable).
 
     Stores the conjugated phase profile: element n equals exp(-j*theta_n),
     where theta_n is the physical phase shift applied by element n.  The
     reflection matrix is diagonal with entries ``phi_diag`` (= conj of the
     stored vector).  This is the variable the optimizer works on.
+
+    A separable profile (:meth:`from_factors`: beam alignment, the identity)
+    is stored as its two per-axis factors, like the URA responses of
+    :class:`LosComponents`: O(L_x + L_y) memory, and the cascaded LoS
+    response costs O(K (L_x + L_y)) (:func:`alignment_response`).  Its
+    ``v`` is assembled on the first read and kept.  ``v`` is read-only
+    either way.
     """
 
-    v: np.ndarray
+    __slots__ = ("_v", "_factors")
 
-    def __post_init__(self):
-        v = np.asarray(self.v, dtype=complex).reshape(-1)
+    def __init__(self, v):
+        v = np.asarray(v, dtype=complex).reshape(-1)
         if v.size < 1:
             raise ConfigError("phase-shift vector must be non-empty")
-        err = np.abs(v)
-        err -= 1.0
-        np.abs(err, out=err)
-        if not np.all(err < 1e-9):
-            raise ConfigError("phase-shift entries must be unit modulus")
+        _require_unit_modulus(np.abs(v))
         v.setflags(write=False)
-        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "_v", v)
+        object.__setattr__(self, "_factors", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def from_factors(cls, rows, cols) -> "PhaseShifts":
+        """Separable profile v = kron(rows, cols) on the :func:`decompose_grid` grid.
+
+        The sizes (L_x, L_y) must be the :func:`decompose_grid` pair of
+        L_x L_y.  Element (x, y) has modulus |rows[x]| |cols[y]|, whose
+        extremes are the products of the per-factor extremes, so the
+        unit-modulus check covers every element in O(L_x + L_y).
+        """
+        rows = np.array(rows, dtype=complex).reshape(-1)
+        cols = np.array(cols, dtype=complex).reshape(-1)
+        n = rows.size * cols.size
+        if n < 1:
+            raise ConfigError("phase-shift vector must be non-empty")
+        grid = decompose_grid(n)
+        if (rows.size, cols.size) != grid:
+            raise ConfigError(f"factors of sizes ({rows.size}, {cols.size}) are not the "
+                              f"{grid} grid of {n} elements")
+        row_mod, col_mod = np.abs(rows), np.abs(cols)
+        _require_unit_modulus(np.array([row_mod.min() * col_mod.min(),
+                                        row_mod.max() * col_mod.max()]))
+        rows.setflags(write=False)
+        cols.setflags(write=False)
+        phase = cls.__new__(cls)
+        object.__setattr__(phase, "_v", None)
+        object.__setattr__(phase, "_factors", (rows, cols))
+        return phase
 
     @classmethod
     def from_angles(cls, theta) -> "PhaseShifts":
@@ -119,8 +161,9 @@ class PhaseShifts:
 
     @classmethod
     def identity(cls, n: int) -> "PhaseShifts":
-        """All phases zero, i.e. the reflection matrix is the identity."""
-        return cls(np.ones(n, dtype=complex))
+        """All phases zero, i.e. the reflection matrix is the identity (separable)."""
+        lx, ly = decompose_grid(n)
+        return cls.from_factors(np.ones(lx), np.ones(ly))
 
     @classmethod
     def random(cls, n: int, rng) -> "PhaseShifts":
@@ -129,8 +172,25 @@ class PhaseShifts:
         return cls.from_angles(rng.uniform(0.0, 2.0 * np.pi, n))
 
     @property
+    def v(self) -> np.ndarray:
+        """The stored profile (length N), read-only; a separable one is assembled on first read."""
+        if self._v is None:
+            v = np.multiply.outer(*self._factors).reshape(-1)
+            v.setflags(write=False)
+            object.__setattr__(self, "_v", v)
+        return self._v
+
+    @property
+    def factors(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Read-only per-axis factors (rows, cols) with v = kron(rows, cols), or None if dense."""
+        return self._factors
+
+    @property
     def n(self) -> int:
-        return self.v.size
+        if self._factors is None:
+            return self._v.size
+        rows, cols = self._factors
+        return rows.size * cols.size
 
     @property
     def phi_diag(self) -> np.ndarray:
@@ -155,8 +215,9 @@ class LosComponents:
     a_n = kron(ris_rows, ris_cols).  ``a_m`` is the BS arrival vector.  The
     LoS part of the RIS-BS link is rank one, a_m a_n^H.  Every closed form
     and the Monte-Carlo mean work from the cascaded response
-    a_n^H Phi hbar_k (see :func:`alignment_response`) in O(N + K (L_x + L_y))
-    memory.  ``hbar`` (N x K), ``a_n`` and ``hbar2`` (M x N) assemble the
+    a_n^H Phi hbar_k (see :func:`alignment_response`) in O(K (L_x + L_y))
+    memory beyond the phase vector, and none of size N for a separable
+    phase.  ``hbar`` (N x K), ``a_n`` and ``hbar2`` (M x N) assemble the
     dense arrays on demand, for the dense channel draw and for checks.
 
     :func:`build_los` computes one instance per :class:`SystemConfig`
@@ -211,12 +272,17 @@ def _response(geometry: LosComponents, phase: PhaseShifts) -> np.ndarray:
 
     conj(a_N) * hbar_k is kron(p_k, q_k) with p_k = conj(r) * r_k (L_x) and
     q_k = conj(c) * c_k (L_y), where a_N = kron(r, c) and hbar_k =
-    kron(r_k, c_k).  With V = conj(v) laid out on the L_x x L_y grid, the
-    response is sum_x p_k[x] (V q_k)[x]: one L_x x L_y by L_y x K product,
-    O(NK) time and O(K (L_x + L_y)) memory beyond v, with no N x K temporary.
+    kron(r_k, c_k).  A separable phase v = kron(s, t) splits the sum into
+    (s^H p_k)(t^H q_k): O(K (L_x + L_y)) time and memory, nothing of size N.
+    A dense v, laid out as V = conj(v) on the L_x x L_y grid, gives
+    sum_x p_k[x] (V q_k)[x]: one L_x x L_y by L_y x K product, O(NK) time
+    and O(K (L_x + L_y)) memory beyond v, with no N x K temporary.
     """
     rows = np.conj(geometry.ris_rows)[:, None] * geometry.user_rows
     cols = np.conj(geometry.ris_cols)[:, None] * geometry.user_cols
+    if phase.factors is not None:
+        phase_rows, phase_cols = phase.factors
+        return (np.conj(phase_rows) @ rows) * (np.conj(phase_cols) @ cols)
     grid = phase.v.reshape(rows.shape[0], cols.shape[0])
     # V q_k = conj(v_grid conj(q_k)): conjugating the L_x x K product, not v
     return np.sum(rows * np.conj(grid @ np.conj(cols)), axis=0)

@@ -158,10 +158,12 @@ class SystemConfig:
 
         The estimate is the largest O(N) working set, as traced:
         ``build_problem``'s K x N arrays G and Z = Lam^{-1} G plus the phase
-        vector, (2K + 1)*16*N bytes of complex128.  Construction does not
-        call this, because the closed-form statistics and bounds take O(K^2)
-        memory at any N; the config-file reader and every sweep point do,
-        before anything allocates an N-sized array.
+        vector, (2K + 1)*16*N bytes of complex128.  It is conservative for
+        an alignment or identity point, whose separable phase and closed
+        forms allocate nothing of size N.  Construction does not call this,
+        because the closed-form statistics and bounds take O(K^2) memory at
+        any N; the config-file reader and every sweep point do, before
+        anything allocates an N-sized array.
         """
         need = (2 * self.K + 1) * 16 * self.N
         try:

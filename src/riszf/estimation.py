@@ -105,8 +105,6 @@ def compute_statistics(config: SystemConfig) -> ChannelStatistics:
     Computed once per config instance: later calls return the same
     :class:`ChannelStatistics`, whose arrays are read-only.
     """
-    if config.p <= 0 or config.sigma2 <= 0 or config.tau <= 0:
-        raise ConfigError("compute_statistics needs positive p, sigma2, and tau")
     noise = config.sigma2 / (config.tau * config.p)
     c = random_component_power(config)
     kappa = c / (c + noise)

@@ -456,16 +456,15 @@ def align_phase(config: SystemConfig, k: int) -> PhaseShifts:
 
     Sets theta_n = -angle(conj(a_N[n]) * hbar_k[n]), which makes the beam
     response a_N^H Phi hbar_k equal to N exactly.  Both vectors are
-    assembled from their per-axis factors as L_x x L_y outer products: O(N),
-    with two N-sized arrays and no N x K array.
+    Kronecker products of per-axis factors, so the profile is the separable
+    kron(conj(r) * r_k, conj(c) * c_k) (:meth:`PhaseShifts.from_factors`):
+    O(L_x + L_y) time and memory, nothing of size N.
     """
     if not 0 <= k < config.K:
         raise ConfigError(f"user index {k} out of range for K={config.K}")
     los = build_los(config)
-    v = np.multiply.outer(los.ris_rows, los.ris_cols)
-    np.conj(v, out=v)
-    v *= np.multiply.outer(los.user_rows[:, k], los.user_cols[:, k])
-    return PhaseShifts(v)
+    return PhaseShifts.from_factors(np.conj(los.ris_rows) * los.user_rows[:, k],
+                                    np.conj(los.ris_cols) * los.user_cols[:, k])
 
 
 def quantize_phase(phase: PhaseShifts, bits: int) -> PhaseShifts:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riszf.channel import (ChannelRealization, PhaseShifts, aggregated_mean,
+from riszf.channel import (ChannelRealization, PhaseShifts, _response, aggregated_mean,
                            alignment_response, build_los, decompose_grid, h1_matrix,
                            sample_aggregated, sample_channels, steering_gram, steering_vector)
 from riszf.config import default_profile
@@ -14,7 +14,7 @@ from riszf.errors import ConfigError
 from riszf.estimation import compute_statistics, qhat_gram_mean
 from riszf.optimizer import align_phase, build_problem
 from riszf.rate import (exact_rate_mc, phase_independent_bound, power_scaling_limit,
-                        rate_lower_bound, upper_bound)
+                        rate_lower_bound, rate_report, upper_bound)
 
 from conftest import random_config, toy_config
 
@@ -133,6 +133,95 @@ def test_phase_shift_random_seeded():
     b = PhaseShifts.random(16, 5)
     np.testing.assert_array_equal(a.v, b.v)
     np.testing.assert_allclose(np.abs(a.v), 1.0, atol=1e-12)
+
+
+def test_separable_phase_checks_every_element():
+    ident = PhaseShifts.identity(12)
+    assert ident.factors is not None and ident.n == 12
+    np.testing.assert_array_equal(ident.v, np.ones(12))
+    # each factor is within 1e-9 of unit modulus, their products are not
+    with pytest.raises(ConfigError):
+        PhaseShifts.from_factors(np.full(3, 1.0 + 6e-10), np.full(4, 1.0 + 6e-10))
+    with pytest.raises(ConfigError):
+        PhaseShifts.from_factors(np.ones(3), np.array([1.0, 1.0, np.nan, 1.0]))
+    # moduli that cancel across the axes give a unit-modulus kron
+    PhaseShifts.from_factors(np.full(3, 2.0), np.full(4, 0.5))
+    with pytest.raises(ConfigError):
+        PhaseShifts.from_factors(np.ones(2), np.ones(6))     # not the 3 x 4 grid of 12
+    with pytest.raises(ConfigError):
+        PhaseShifts.from_factors(np.ones(0), np.ones(4))
+    with pytest.raises(AttributeError):
+        ident.v = np.ones(12)
+
+
+def test_separable_v_is_read_only_and_built_on_demand():
+    cfg = default_profile(N=4096)
+    los = build_los(cfg)
+    unit = 16 * cfg.N                        # one complex N-vector
+    for k in range(cfg.K):
+        phase = align_phase(cfg, k)
+        rows, cols = phase.factors
+        assert rows.shape == (decompose_grid(cfg.N)[0],) and not rows.flags.writeable
+        assert not cols.flags.writeable
+        tracemalloc.start()
+        try:
+            v = phase.v
+            first = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            assert phase.v is v              # kept, not rebuilt
+            second = tracemalloc.get_traced_memory()[1] - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert first >= unit and second < unit // 16
+        assert not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0] = 1.0
+        np.testing.assert_allclose(v, np.conj(los.a_n) * los.hbar[:, k], rtol=1e-12)
+
+
+def test_separable_response_matches_dense():
+    # the (p^H rows_k)(q^H cols_k) form against the dense grid product, for every
+    # user, on a prime N (1 x N grid), non-square grids and a square grid
+    rng = np.random.default_rng(43)
+    for n in (61, 48, 45, 64):
+        cfg = random_config(rng, N=n)
+        los = build_los(cfg)
+        phases = [align_phase(cfg, k) for k in range(cfg.K)] + [PhaseShifts.identity(n)]
+        for phase in phases:
+            dense = PhaseShifts(phase.v)
+            assert dense.factors is None
+            np.testing.assert_allclose(_response(los, phase), _response(los, dense),
+                                       rtol=1e-12, atol=1e-12 * n)
+        for k in range(cfg.K):
+            assert abs(alignment_response(cfg, phases[k])[k]) == pytest.approx(n, rel=1e-12)
+
+
+def test_alignment_point_allocates_no_n_vector():
+    # an aligned or identity sweep point touches only per-axis and K x K arrays
+    cfg = default_profile(N=65536)
+    unit = 16 * cfg.N                        # one complex N-vector
+    calls = {                                # a fresh phase has not assembled its v
+        "align_phase": lambda c: align_phase(c, 0),
+        "identity": lambda c: PhaseShifts.identity(c.N),
+        "alignment_response": lambda c: alignment_response(c, align_phase(c, 0)),
+        "identity_response": lambda c: alignment_response(c, PhaseShifts.identity(c.N)),
+        "rate_report": lambda c: rate_report(c, align_phase(c, 0), 64, 0),
+    }
+    for call in calls.values():              # lazy set-up is not part of the peak
+        call(cfg.replace())
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name, call in calls.items():
+            fresh = cfg.replace()            # the LoS and statistics build is part of the peak
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            call(fresh)
+            peaks[name] = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    over = {name: peak for name, peak in peaks.items() if peak >= unit}
+    assert not over, over
 
 
 # --- LoS geometry -------------------------------------------------------------
