@@ -10,7 +10,7 @@ from .channel import (ChannelRealization, PhaseShifts, build_los, decompose_grid
                       sample_channels, steering_vector)
 from .config import SystemConfig, dbm_to_watt, default_profile, parse_config_file, watt_to_dbm
 from .errors import ConfigError, NumericalError
-from .estimation import ChannelStatistics, compute_statistics, mmse_estimate
+from .estimation import ChannelStatistics, compute_statistics
 from .optimizer import (FractionalProblem, OptTrace, align_phase, build_problem, mm_optimize,
                         quantize_phase)
 from .rate import (MonteCarloRate, RateReport, exact_rate_mc, phase_independent_bound,
@@ -23,7 +23,7 @@ __all__ = [
     "sample_channels", "steering_vector",
     "SystemConfig", "dbm_to_watt", "default_profile", "parse_config_file", "watt_to_dbm",
     "ConfigError", "NumericalError",
-    "ChannelStatistics", "compute_statistics", "mmse_estimate",
+    "ChannelStatistics", "compute_statistics",
     "FractionalProblem", "OptTrace", "align_phase", "build_problem",
     "mm_optimize", "quantize_phase",
     "MonteCarloRate", "RateReport", "exact_rate_mc", "phase_independent_bound",

@@ -262,11 +262,6 @@ def build_los(config: SystemConfig) -> LosComponents:
                          a_m=steering_vector(config.M, *config.bs_aoa, d))
 
 
-def h1_matrix(config: SystemConfig) -> np.ndarray:
-    """User-RIS channel (N x K): column k is sqrt(alpha_k) * hbar_k."""
-    return build_los(config).hbar * np.sqrt(config.alpha)
-
-
 def _response(geometry: LosComponents, phase: PhaseShifts) -> np.ndarray:
     """a_N^H Phi hbar_k for every user k (length K), from the per-axis factors.
 
@@ -307,8 +302,7 @@ def aggregated_mean(config: SystemConfig, phase: PhaseShifts) -> np.ndarray:
     is the only non-random part of Q.  Formed as one outer product in O(MK),
     without the M x N LoS matrix.
     """
-    a_m = steering_vector(config.M, *config.bs_aoa, config.d_over_lambda)
-    return np.outer(a_m, mean_row(config, phase))
+    return np.outer(build_los(config).a_m, mean_row(config, phase))
 
 
 def mean_row(config: SystemConfig, phase: PhaseShifts) -> np.ndarray:

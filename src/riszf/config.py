@@ -148,11 +148,6 @@ class SystemConfig:
         """Fraction of the coherence interval left for data, (tau_c - tau) / tau_c."""
         return (self.tau_c - self.tau) / self.tau_c
 
-    @property
-    def pilot_snr(self) -> float:
-        """Pilot processing gain tau * p / sigma2."""
-        return self.tau * self.p / self.sigma2
-
     def check_memory(self) -> None:
         """Raise :class:`ConfigError` if the O(N) working set exceeds physical memory.
 

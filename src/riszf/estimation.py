@@ -2,7 +2,8 @@
 
 The pilot phase is not simulated slot by slot: the sufficient statistic for
 user k is its aggregated channel plus CN(0, sigma2/(tau p) I) noise, so the
-estimator works directly on ``realization.q + realization.pilot_noise``.
+estimator (:func:`shrink_estimate`) works directly on draws of the channel
+``q`` and that ``pilot_noise``.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, PhaseShifts, aggregated_mean, mean_row, steering_gram
+from .channel import steering_gram
 from .config import SystemConfig, _once_per_config
-from .errors import ConfigError, NumericalError
+from .errors import NumericalError
 
 
 def cholesky_factor(mat: np.ndarray, context: str) -> np.ndarray:
@@ -76,11 +77,6 @@ class ChannelStatistics:
     noise: float
     scale: float
 
-    @property
-    def upsilon(self) -> np.ndarray:
-        """diag(kappa) as a dense K x K matrix."""
-        return np.diag(self.kappa)
-
 
 def _hermitian_part(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.conj().T)
@@ -131,48 +127,14 @@ def compute_statistics(config: SystemConfig) -> ChannelStatistics:
 
 def shrink_estimate(q: np.ndarray, pilot_noise: np.ndarray, mean: np.ndarray,
                     kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(qhat, q - qhat)`` with qhat = mean + kappa (q - mean + pilot_noise).
+    """MMSE estimate of the aggregated channel and the estimation error.
 
-    The MMSE formula of :func:`mmse_estimate` on raw arrays; ``q`` and
-    ``pilot_noise`` may be stacks (..., M, K) of draws.
+    Returns ``(qhat, q - qhat)`` with qhat = mean + kappa (q - mean + pilot_noise):
+    column k of qhat is mean_k + kappa_k (q_k - mean_k + pilot_noise_k), with
+    ``mean`` the channel mean (:func:`riszf.channel.aggregated_mean`) and
+    ``kappa`` the shrinkage weights (:attr:`ChannelStatistics.kappa`).  The
+    error is independent of the estimate by the orthogonality principle.
+    ``q`` and ``pilot_noise`` may be stacks (..., M, K) of draws.
     """
     qhat = mean + kappa * (q - mean + pilot_noise)
     return qhat, q - qhat
-
-
-def mmse_estimate(config: SystemConfig, realization: ChannelRealization,
-                  stats: ChannelStatistics | None = None,
-                  mean: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """MMSE estimate of the aggregated channel and the estimation error.
-
-    Returns ``(qhat, err)`` with ``err = q - qhat``; the error is independent
-    of the estimate by the orthogonality principle.  ``stats`` and ``mean``
-    (the deterministic channel mean for the realization's phase) may be
-    passed in to avoid recomputation in Monte-Carlo loops.
-
-    Column k of qhat is  mean_k + kappa_k * (q_k - mean_k + pilot_noise_k).
-    """
-    if realization.q.shape != (config.M, config.K):
-        raise ConfigError(
-            f"realization shape {realization.q.shape} does not match config "
-            f"({config.M}, {config.K})"
-        )
-    if realization.phase.n != config.N:
-        raise ConfigError(f"realization phase has {realization.phase.n} entries, "
-                          f"config expects {config.N}")
-    if stats is None:
-        stats = compute_statistics(config)
-    if mean is None:
-        mean = aggregated_mean(config, realization.phase)
-    return shrink_estimate(realization.q, realization.pilot_noise, mean, stats.kappa)
-
-
-def qhat_gram_mean(config: SystemConfig, phase: PhaseShifts) -> np.ndarray:
-    """Expected Gram matrix E{qhat^H qhat} (K x K).
-
-    Equals M * (lam + mu^H mu) with mu the channel-mean row
-    (:func:`riszf.channel.mean_row`); the random part contributes M * lam and
-    the rank-one LoS part the rest.
-    """
-    mu = mean_row(config, phase)
-    return config.M * (compute_statistics(config).lam + np.outer(np.conj(mu), mu))

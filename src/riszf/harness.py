@@ -41,20 +41,20 @@ SWEEP_AXES = ("N", "M", "p", "delta", "bits")
 class Scenario:
     """One experiment: a config, a phase design, and an optional sweep.
 
-    ``phase_design`` is one of :data:`PHASE_CASES` or an explicit
-    :class:`PhaseShifts`.  The alignment cases take the nearest and farthest
-    users from the config's ``user_ris_dist`` metadata.
+    ``phase_design`` is one of :data:`PHASE_CASES`.  The alignment cases
+    take the nearest and farthest users from the config's ``user_ris_dist``
+    metadata.
     """
 
     config: SystemConfig
-    phase_design: str | PhaseShifts = "case4_identity"
+    phase_design: str = "case4_identity"
     sweep_axis: str | None = None
     sweep_values: tuple = ()
     trials: int = 2000
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.phase_design, str) and self.phase_design not in PHASE_CASES:
+        if not isinstance(self.phase_design, str) or self.phase_design not in PHASE_CASES:
             raise ConfigError(f"unknown phase design {self.phase_design!r}; "
                               f"expected one of {PHASE_CASES}")
         if self.sweep_axis is not None:
@@ -129,11 +129,6 @@ def resolve_phase(config: SystemConfig, scenario: Scenario, rng) -> tuple[PhaseS
     default iteration cap and tolerance.
     """
     design = scenario.phase_design
-    if isinstance(design, PhaseShifts):
-        if design.n != config.N:
-            raise ConfigError(f"explicit phase vector has {design.n} entries, "
-                              f"config expects {config.N}")
-        return design, 0
     if design == "case4_identity":
         return PhaseShifts.identity(config.N), 0
     if design == "case3_random":
@@ -303,15 +298,13 @@ def write_rows_json(rows: list[ResultRow], path, k: int) -> None:
 def write_manifest(path, scenario: Scenario, figure: str | None = None,
                    extra: dict | None = None) -> None:
     """Write the ``.manifest.json`` sidecar describing a run."""
-    design = scenario.phase_design
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "package_version": __version__,
         "figure": figure,
         "seed": scenario.seed,
         "trials": scenario.trials,
-        "phase_design": (design if isinstance(design, str)
-                         else {"explicit_theta": design.theta.tolist()}),
+        "phase_design": scenario.phase_design,
         "sweep_axis": scenario.sweep_axis,
         "sweep_values": list(scenario.sweep_values),
         "config": scenario.config.to_dict(),

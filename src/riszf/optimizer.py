@@ -172,14 +172,10 @@ def fractional_objective(problem: FractionalProblem, v: np.ndarray) -> np.ndarra
     return _point(problem, np.asarray(v, dtype=complex)).values
 
 
-def smoothed_min(values: np.ndarray, mu: float) -> float:
-    """Soft minimum -(1/mu) ln sum exp(-mu f_k), a lower bound on min f_k."""
-    return _softmin(np.asarray(values, dtype=float), mu)[1]
-
-
 def _softmin(values: np.ndarray, mu: float) -> tuple[np.ndarray, float]:
-    """``(weights, smoothed_min(values, mu))``; the softmin weights
-    exp(-mu f_k) / sum_j exp(-mu f_j) are computed in log-space with a max shift."""
+    """``(weights, smoothed)``: the softmin weights exp(-mu f_k) / sum_j exp(-mu f_j),
+    computed in log-space with a max shift, and the soft minimum
+    -(1/mu) ln sum exp(-mu f_k), a lower bound on min f_k."""
     scaled = -mu * values
     shift = scaled.max()
     weights = np.exp(scaled - shift)
@@ -188,39 +184,20 @@ def _softmin(values: np.ndarray, mu: float) -> tuple[np.ndarray, float]:
     return weights, float(-(shift + math.log(total)) / mu)
 
 
-def surrogate_maxsum(v_n: np.ndarray, problem: FractionalProblem
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Linear touching minorant of each f_k at the expansion point v_n.
-
-    Returns ``(const, fvec)`` such that
-        f_k(v) >= const[k] + 2 Re{fvec[k]^H v}   for all unit-modulus v,
-    with equality at v = v_n.  This forms the K x N array ``fvec``; the
-    optimizer's steps use only its weighted sums and row norms, from K x K
-    factors (:func:`_surrogate_factors`).
-    """
-    p = _point(problem, np.asarray(v_n, dtype=complex))
-    v_n, y, vbv, vcv = p.v, p.y, p.vbv, p.vcv
-    n = v_n.size
-    # B v = v/N + rho G^H y and C_k v = scale ([Lam^{-1}]_kk B v - rho y_k z_k)
-    bv = v_n / problem.n + problem.rho * np.conj(np.conj(y) @ problem.g)
-    cv = problem.scale * (problem.lam_inv_diag[:, None] * bv
-                          - problem.rho * y[:, None] * np.conj(problem.los_rows))
-    omega = 1.0 / vcv
-    psi = vbv / (vcv * (vcv + vbv))
-    lam = problem.spectral_bounds
-    fvec = omega[:, None] * bv - psi[:, None] * (cv + bv - lam[:, None] * v_n)
-    const = (p.values - vbv / vcv
-             - psi * (lam * n - (vcv + vbv))
-             - n * psi * lam)
-    return const, fvec
-
-
 def _surrogate_factors(problem: FractionalProblem, p: _Point
                        ) -> tuple[np.ndarray, np.ndarray]:
     """``(s, R)`` with fvec_k = s_k v + G^H r_k (r_k column k of R): O(K^2), no product by G.
 
-    With psi_k = v^H B v / (v^H C_k v (v^H C_k v + v^H B v)), the surrogate
-    vector of :func:`surrogate_maxsum` has
+    fvec_k is the vector of the linear touching minorant of f_k at v,
+
+        f_k(v') >= const_k + 2 Re{fvec_k^H v'}   for all unit-modulus v',
+
+    with equality at v' = v, and
+
+        fvec_k = B v / v^H C_k v - psi_k (C_k v + B v - lam_k v),
+        psi_k  = v^H B v / (v^H C_k v (v^H C_k v + v^H B v)),
+
+    lam_k the spectral bound.  Expanding B v and C_k v in G gives
 
         alpha_k = 1 / v^H C_k v - psi_k (1 + scale [Lam^{-1}]_kk)
                 = -scale rho psi_k |y_k|^2 / v^H B v,
@@ -228,7 +205,9 @@ def _surrogate_factors(problem: FractionalProblem, p: _Point
         r_k = alpha_k rho y + scale rho psi_k y_k l_k   (l_k = column k of Lam^{-1}).
 
     The second form of alpha_k and the K x K matrix R keep the cancellation
-    of B's rank-K part against C_k's out of N-sized sums.
+    of B's rank-K part against C_k's out of N-sized sums.  The steps use only
+    weighted sums of the fvec_k (:func:`_weighted_fvec`) and their norms
+    (:func:`_fvec_norms`), never the K x N array itself.
     """
     rho, scale = problem.rho, problem.scale
     psi = p.vbv / (p.vcv * (p.vcv + p.vbv))
@@ -270,9 +249,20 @@ def _maxsum_coeff(problem: FractionalProblem, p: _Point) -> np.ndarray:
 
 def _maxmin_from(problem: FractionalProblem, p: _Point, weights: np.ndarray, floor: float,
                  mu: float) -> tuple[_Point, np.ndarray, float, int]:
-    """The guarded step of :func:`maxmin_step` from p, whose ``_softmin`` is
-    ``(weights, floor)``; returns the new point with its ``_softmin`` and the
-    number of times the guard raised the curvature."""
+    """One closed-form smoothed-min ascent step from p, guarded to never lower the objective.
+
+    ``(weights, floor)`` is the ``_softmin`` of p.  The softmin weights w_k
+    reweight the per-user surrogate vectors into f_bar = sum_k w_k f_k^n.
+    The concave log-sum-exp of the linear minorants is itself minorized by a
+    quadratic whose curvature 2 mu (sum_k w_k ||f_k^n||^2 - ||f_bar||^2), the
+    weighted spread of the f_k^n about f_bar, enters the aligned coefficient
+    as that multiple of p's v.  The weights move along the step, so this
+    centred curvature is not a guaranteed minorant: while the step does not
+    raise the smoothed minimum the curvature is doubled, up to the valid
+    constant 2 mu max_k ||f_k^n||^2.  Two products by G per step; no K x N
+    array.  Returns the new point with its ``_softmin`` and the number of
+    times the guard raised the curvature.
+    """
     s, r = _surrogate_factors(problem, p)
     fbar = _weighted_fvec(problem, p, s, r, weights)
     norm2 = _fvec_norms(problem, p, s, r)
@@ -291,31 +281,6 @@ def _maxmin_from(problem: FractionalProblem, p: _Point, weights: np.ndarray, flo
         doubled += 1
 
 
-def maxsum_step(v_n: np.ndarray, problem: FractionalProblem) -> np.ndarray:
-    """One closed-form sum-objective ascent step: align to sum_k f_k^n."""
-    p = _point(problem, np.asarray(v_n, dtype=complex))
-    return _phase_align(_maxsum_coeff(problem, p), p.v)
-
-
-def maxmin_step(v_n: np.ndarray, problem: FractionalProblem, mu: float) -> np.ndarray:
-    """One closed-form smoothed-min ascent step, guarded to never lower the objective.
-
-    The softmin weights w_k (log-space, max shift) reweight the per-user
-    surrogate vectors into f_bar = sum_k w_k f_k^n.  The concave log-sum-exp
-    of the linear minorants is itself minorized by a quadratic whose
-    curvature 2 mu (sum_k w_k ||f_k^n||^2 - ||f_bar||^2), the weighted spread
-    of the f_k^n about f_bar, enters the aligned coefficient as that
-    multiple of v_n.  The weights move along the step, so this centred
-    curvature is not a guaranteed minorant: while the step does not raise
-    the smoothed minimum the curvature is doubled, up to the valid constant
-    2 mu max_k ||f_k^n||^2.  Two products by G per step; no K x N array.
-    """
-    if mu <= 0.0:
-        raise NumericalError("log-sum-exp sharpness mu must be positive")
-    p = _point(problem, np.asarray(v_n, dtype=complex))
-    return _maxmin_from(problem, p, *_softmin(p.values, mu), mu)[0].v
-
-
 @dataclass(frozen=True)
 class OptTrace:
     """Record of one optimizer run.
@@ -325,7 +290,7 @@ class OptTrace:
     best visited point measured by the true objective (for the min objective
     the accepted sequence tracks its smooth surrogate, so the best true
     minimum over accepted iterates is returned).  ``curvature_doublings``
-    counts the curvature raises of the min step's guard (:func:`maxmin_step`)
+    counts the curvature raises of the min step's guard (:func:`_maxmin_from`)
     over the run; it is 0 for the sum objective.
     """
 
@@ -337,10 +302,6 @@ class OptTrace:
     @property
     def iterations(self) -> int:
         return self.iterates[-1][0]
-
-    @property
-    def final_objective(self) -> float:
-        return self.iterates[-1][1]
 
 
 _MAX_BACKTRACK = 30
@@ -355,15 +316,15 @@ def mm_optimize(config: SystemConfig, objective: str = "sum",
     ``objective`` is ``"sum"`` (sum of f_k) or ``"min"`` (log-sum-exp
     smoothed minimum with sharpness ``config.mu``; the smoothing is what
     makes monotone closed-form steps possible).  Each iteration takes two
-    closed-form steps (:func:`maxsum_step` or the guarded
-    :func:`maxmin_step`), extrapolates through them, and halves the
-    extrapolation back (at most 30 times) until the objective does not
-    decrease; the plain second step is accepted if extrapolation never
-    helps (both steps are ascent steps: the sum step exactly, the min step
-    by its guard).  Every point is evaluated once: the product G v that gives its
-    objective is reused by the step taken from it.  Terminates when the
-    relative objective change drops below ``rel_tol`` or after ``max_iter``
-    iterations.
+    closed-form steps (the phase alignment to the summed surrogate vectors,
+    :func:`_maxsum_coeff`, or the guarded :func:`_maxmin_from`), extrapolates
+    through them, and halves the extrapolation back (at most 30 times) until
+    the objective does not decrease; the plain second step is accepted if
+    extrapolation never helps (both steps are ascent steps: the sum step
+    exactly, the min step by its guard).  Every point is evaluated once: the
+    product G v that gives its objective is reused by the step taken from
+    it.  Terminates when the relative objective change drops below
+    ``rel_tol`` or after ``max_iter`` iterations.
 
     Defaults to the identity phase configuration when ``init`` is omitted.
     """

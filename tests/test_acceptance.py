@@ -13,16 +13,17 @@ import numpy as np
 
 from riszf.channel import PhaseShifts, aggregated_mean, alignment_response
 from riszf.config import default_profile
-from riszf.estimation import compute_statistics, mmse_estimate, qhat_gram_mean
+from riszf.estimation import compute_statistics
 from riszf.harness import solve_antennas_for_snr
 from riszf.optimizer import (align_phase, build_problem, fractional_objective,
-                             mm_optimize, quantize_phase, surrogate_maxsum)
+                             mm_optimize, quantize_phase)
 from riszf.rate import (exact_rate_mc, phase_independent_bound, rate_lower_bound,
                         power_scaling_limit, required_antennas, rate_lower_bound_snr,
                         upper_bound)
 from riszf.channel import sample_channels
 
 from conftest import random_config
+from oracle import mmse_estimate, qhat_gram_mean, surrogate_maxsum
 
 
 def _report(number, description, ok, detail=""):

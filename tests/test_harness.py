@@ -28,6 +28,8 @@ def test_scenario_validation(small_config):
     with pytest.raises(ConfigError):
         Scenario(config=small_config, phase_design="case7_bogus")
     with pytest.raises(ConfigError):
+        Scenario(config=small_config, phase_design=PhaseShifts.identity(small_config.N))
+    with pytest.raises(ConfigError):
         Scenario(config=small_config, sweep_axis="Q", sweep_values=(1, 2))
     with pytest.raises(ConfigError):
         Scenario(config=small_config, sweep_axis="N", sweep_values=(32, 16))
@@ -50,10 +52,6 @@ def test_resolve_phase_cases(small_config):
                                      Scenario(config=small_config, phase_design=design),
                                      rng)
         assert check(phase) and iters == 0
-    explicit = PhaseShifts.identity(small_config.N)
-    phase, _ = resolve_phase(small_config,
-                             Scenario(config=small_config, phase_design=explicit), rng)
-    assert phase is explicit
 
 
 def test_resolve_phase_optimizer_beats_heuristics(small_config):

@@ -8,17 +8,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riszf.channel import PhaseShifts, alignment_response, build_los, h1_matrix
+from riszf.channel import PhaseShifts, alignment_response, build_los
 from riszf.config import default_profile
 from riszf.errors import ConfigError
 from riszf.estimation import compute_statistics
-from riszf.optimizer import (FractionalProblem, OptTrace, _fvec_norms, _point,
+from riszf.optimizer import (FractionalProblem, OptTrace, _fvec_norms, _maxmin_from,
+                             _maxsum_coeff, _phase_align, _point, _softmin,
                              _surrogate_factors, _weighted_fvec, align_phase, build_problem,
-                             fractional_objective, maxmin_step, maxsum_step, mm_optimize,
-                             quantize_phase, smoothed_min, surrogate_maxsum)
+                             fractional_objective, mm_optimize, quantize_phase)
 from riszf.rate import rate_lower_bound, rate_lower_bound_snr
 
 from conftest import random_config, toy_config
+from oracle import surrogate_maxsum
+
+
+def _sum_step(prob, v):
+    """The closed-form sum step of mm_optimize from v."""
+    p = _point(prob, v)
+    return _phase_align(_maxsum_coeff(prob, p), p.v)
+
+
+def _min_step(prob, v, mu):
+    """The guarded min step of mm_optimize from v."""
+    p = _point(prob, v)
+    return _maxmin_from(prob, p, *_softmin(p.values, mu), mu)[0].v
+
+
+def _smoothed_min(values, mu):
+    return _softmin(values, mu)[1]
 
 
 # --- problem assembly -----------------------------------------------------------
@@ -72,7 +89,7 @@ def _dense_problem(cfg):
     """
     los = build_los(cfg)
     stats = compute_statistics(cfg)
-    g = h1_matrix(cfg).conj().T * los.a_n
+    g = (los.hbar * np.sqrt(cfg.alpha)).conj().T * los.a_n
     lam_inv = np.linalg.inv(stats.lam)
     z = lam_inv @ g
     rho = cfg.beta * cfg.delta / (cfg.delta + 1.0)
@@ -135,7 +152,7 @@ def test_low_rank_problem_matches_dense_oracle():
                                        atol=1e-10 * np.abs(d_fvec).max())
 
             dense_sum = np.exp(1j * np.angle(d_fvec.sum(axis=0)))
-            np.testing.assert_allclose(maxsum_step(v, prob), dense_sum, atol=1e-9)
+            np.testing.assert_allclose(_sum_step(prob, v), dense_sum, atol=1e-9)
             values = _dense_objective(num, den, v)
             weights = np.exp(-cfg.mu * (values - values.min()))
             weights /= weights.sum()
@@ -145,11 +162,11 @@ def test_low_rank_problem_matches_dense_oracle():
             prox = 2.0 * cfg.mu * max(weights @ norms - np.vdot(fbar, fbar).real, 0.0)
             while True:
                 dense_min = np.exp(1j * np.angle(fbar + prox * v))
-                after = smoothed_min(_dense_objective(num, den, dense_min), cfg.mu)
-                if prox >= valid or after >= smoothed_min(values, cfg.mu):
+                after = _smoothed_min(_dense_objective(num, den, dense_min), cfg.mu)
+                if prox >= valid or after >= _smoothed_min(values, cfg.mu):
                     break
                 prox = min(2.0 * prox, valid) if prox > 0.0 else valid
-            np.testing.assert_allclose(maxmin_step(v, prob, cfg.mu), dense_min, atol=1e-9)
+            np.testing.assert_allclose(_min_step(prob, v, cfg.mu), dense_min, atol=1e-9)
 
 
 def test_large_n_problem_stays_low_rank():
@@ -197,11 +214,11 @@ def test_maxmin_step_memory_is_a_few_vectors():
     cfg = default_profile(N=65536)
     prob = build_problem(cfg)
     v = PhaseShifts.random(cfg.N, 3).v
-    maxmin_step(v, prob, cfg.mu)             # lazy set-up is not part of the peak
+    _min_step(prob, v, cfg.mu)             # lazy set-up is not part of the peak
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        maxmin_step(v, prob, cfg.mu)
+        _min_step(prob, v, cfg.mu)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -247,7 +264,7 @@ def test_maxsum_step_argmax_property(reference_config):
     v0 = PhaseShifts.random(reference_config.N, rng).v
     _, fvec = surrogate_maxsum(v0, prob)
     coeff = fvec.sum(axis=0)
-    v1 = maxsum_step(v0, prob)
+    v1 = _sum_step(prob, v0)
     target = float(np.real(coeff @ np.conj(v1)))
     for _ in range(100):
         u = PhaseShifts.random(reference_config.N, rng).v
@@ -260,7 +277,7 @@ def test_maxsum_step_monotone(reference_config):
     for _ in range(10):
         v0 = PhaseShifts.random(reference_config.N, rng).v
         before = fractional_objective(prob, v0).sum()
-        after = fractional_objective(prob, maxsum_step(v0, prob)).sum()
+        after = fractional_objective(prob, _sum_step(prob, v0)).sum()
         assert after >= before - 1e-12
 
 
@@ -286,9 +303,9 @@ def test_maxmin_step_weights_and_monotonicity(reference_config):
         weights /= weights.sum()
         assert weights.sum() == pytest.approx(1.0)
         assert np.all((weights > 0) & (weights < 1))
-        v1 = maxmin_step(v0, prob, mu)
-        before = smoothed_min(values, mu)
-        after = smoothed_min(fractional_objective(prob, v1), mu)
+        v1 = _min_step(prob, v0, mu)
+        before = _smoothed_min(values, mu)
+        after = _smoothed_min(fractional_objective(prob, v1), mu)
         assert after >= before - 1e-12
 
 
@@ -304,16 +321,16 @@ def test_guarded_maxmin_step_never_lowers_smoothed_min():
         v = PhaseShifts.random(cfg.N, rng).v
         for _ in range(40):
             values = fractional_objective(prob, v)
-            before = smoothed_min(values, cfg.mu)
+            before = _smoothed_min(values, cfg.mu)
             _, fvec = surrogate_maxsum(v, prob)
             weights = np.exp(-cfg.mu * (values - values.min()))
             weights /= weights.sum()
             fbar = weights @ fvec
             spread = weights @ np.sum(np.abs(fvec) ** 2, axis=1) - np.vdot(fbar, fbar).real
             centred = np.exp(1j * np.angle(fbar + 2.0 * cfg.mu * max(spread, 0.0) * v))
-            centred_lowered += smoothed_min(fractional_objective(prob, centred), cfg.mu) < before
-            v = maxmin_step(v, prob, cfg.mu)
-            assert smoothed_min(fractional_objective(prob, v), cfg.mu) >= before
+            centred_lowered += _smoothed_min(fractional_objective(prob, centred), cfg.mu) < before
+            v = _min_step(prob, v, cfg.mu)
+            assert _smoothed_min(fractional_objective(prob, v), cfg.mu) >= before
     assert centred_lowered > 0
 
 
@@ -351,8 +368,8 @@ def test_objective_global_phase_invariance(reference_config):
 def test_smoothed_min_lower_bounds_min():
     values = np.array([1.0, 1.4, 3.0])
     for mu in (1.0, 5.0, 25.0):
-        assert smoothed_min(values, mu) <= values.min()
-        assert smoothed_min(values, mu) >= values.min() - math.log(values.size) / mu
+        assert _smoothed_min(values, mu) <= values.min()
+        assert _smoothed_min(values, mu) >= values.min() - math.log(values.size) / mu
 
 
 # --- full optimizer --------------------------------------------------------------------
@@ -363,7 +380,7 @@ def test_mm_optimize_monotone_trace(objective, reference_config):
     objs = [val for _, val, _ in trace.iterates]
     assert all(b >= a - 1e-12 for a, b in zip(objs, objs[1:]))
     assert isinstance(trace, OptTrace)
-    assert trace.final_objective >= objs[0]
+    assert objs[-1] >= objs[0]
     np.testing.assert_allclose(np.abs(trace.final_v.v), 1.0, atol=1e-9)
 
 

@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 
 import riszf.rate as rate_module
-from riszf.channel import (PhaseShifts, aggregated_mean, build_los, h1_matrix,
-                           sample_channels)
+from riszf.channel import PhaseShifts, aggregated_mean, build_los, sample_channels
 from riszf.config import default_profile
 from riszf.errors import ConfigError, NumericalError
-from riszf.estimation import (compute_statistics, mmse_estimate, qhat_gram_mean,
-                              random_component_power)
+from riszf.estimation import compute_statistics, random_component_power
 from riszf.optimizer import align_phase
 from riszf.rate import (MonteCarloRate, exact_rate_mc, phase_independent_bound,
                         rate_lower_bound, power_scaling_limit, rate_no_ris,
@@ -18,6 +16,7 @@ from riszf.rate import (MonteCarloRate, exact_rate_mc, phase_independent_bound,
                         gram_law, sample_gram, zf_terms)
 
 from conftest import random_config, toy_config
+from oracle import mmse_estimate, qhat_gram_mean
 
 
 # --- closed-form bounds -------------------------------------------------------
@@ -47,7 +46,7 @@ def test_lower_bound_dense_inverse_oracle():
     ph = PhaseShifts.random(cfg.N, 5)
     los = build_los(cfg)
     stats = compute_statistics(cfg)
-    w = h1_matrix(cfg).conj().T @ (ph.v * los.a_n)
+    w = (los.hbar * np.sqrt(cfg.alpha)).conj().T @ (ph.v * los.a_n)
     rho = cfg.beta * cfg.delta / (cfg.delta + 1)
     dense = np.linalg.inv(stats.lam + rho * np.outer(w, w.conj()))
     denom = cfg.p * stats.epsilon.sum() + cfg.sigma2
@@ -179,7 +178,7 @@ def test_power_scaling_limit_two_user_scalar_oracle():
     ph = PhaseShifts.random(cfg.N, 3)
     e_u = 4.0
     los = build_los(cfg)
-    w = h1_matrix(cfg).conj().T @ (ph.v * los.a_n)
+    w = (los.hbar * np.sqrt(cfg.alpha)).conj().T @ (ph.v * los.a_n)
     a = cfg.alpha * cfg.beta / (cfg.delta + 1)
     x = a**2 / (a + cfg.sigma2 / (cfg.tau * e_u))
     c = cfg.beta * cfg.delta / (cfg.delta + 1) / cfg.N
