@@ -13,9 +13,8 @@ from .errors import ConfigError, NumericalError
 from .estimation import ChannelStatistics, compute_statistics
 from .optimizer import (FractionalProblem, OptTrace, align_phase, build_problem, mm_optimize,
                         quantize_phase)
-from .rate import (MonteCarloRate, RateReport, exact_rate_mc, phase_independent_bound,
-                   rate_lower_bound, power_scaling_limit, rate_no_ris, rate_report,
-                   required_antennas, upper_bound)
+from .rate import (MonteCarloRate, exact_rate_mc, phase_independent_bound, rate_lower_bound,
+                   power_scaling_limit, rate_no_ris, required_antennas, upper_bound)
 
 __all__ = [
     "__version__",
@@ -26,7 +25,6 @@ __all__ = [
     "ChannelStatistics", "compute_statistics",
     "FractionalProblem", "OptTrace", "align_phase", "build_problem",
     "mm_optimize", "quantize_phase",
-    "MonteCarloRate", "RateReport", "exact_rate_mc", "phase_independent_bound",
-    "rate_lower_bound", "power_scaling_limit", "rate_no_ris", "rate_report",
-    "required_antennas", "upper_bound",
+    "MonteCarloRate", "exact_rate_mc", "phase_independent_bound", "rate_lower_bound",
+    "power_scaling_limit", "rate_no_ris", "required_antennas", "upper_bound",
 ]

@@ -18,8 +18,8 @@ from .channel import PhaseShifts, aggregated_mean
 from .config import default_profile, parse_config_file
 from .errors import ConfigError, NumericalError
 from .estimation import compute_statistics, shrink_estimate
-from .harness import (FIGURE_IDS, PHASE_CASES, SWEEP_AXES, Scenario, csv_header, csv_text,
-                      reproduce, row_values, run_scenario, write_scenario_outputs)
+from .harness import (FIGURE_IDS, PHASE_CASES, SWEEP_AXES, Scenario, reproduce, rows_text,
+                      run_scenario, write_scenario_outputs)
 from .optimizer import mm_optimize
 from .rate import _mean_and_se, exact_rate_mc, mc_draws
 
@@ -46,13 +46,11 @@ def cli(ctx, config_path, seed, trials, out_path, fmt):
 
 
 def _emit_rows(ctx, rows, scenario):
-    out = ctx.obj["out"]
+    out, fmt = ctx.obj["out"], ctx.obj["fmt"]
     if out is None:
-        click.echo(csv_text(csv_header(scenario.config.K), [row_values(row) for row in rows]),
-                   nl=False)
+        click.echo(rows_text(rows, scenario.config.K, fmt), nl=False)
         return
-    paths = write_scenario_outputs(rows, scenario, out, fmt=ctx.obj["fmt"])
-    for p in paths:
+    for p in write_scenario_outputs(rows, scenario, out, fmt=fmt):
         click.echo(p)
 
 

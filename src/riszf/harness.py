@@ -5,7 +5,10 @@ optional sweep axis.  Each sweep point is evaluated independently and emits
 one :class:`ResultRow`; rows come back ordered by sweep value.  Only a
 multi-point ``riszf sweep`` spreads its points over a thread pool; a single
 point (``riszf rate``) and the figure sweeps of :func:`reproduce` run
-serially.  CSV output is schema-versioned and byte-identical for
+serially.  A row holds only the per-user arrays a point computes; the sum
+and min columns are derived from them by :func:`row_values`, and
+:func:`rows_text` renders every row, as CSV or as a JSON list, for files
+and stdout alike.  CSV output is schema-versioned and byte-identical for
 identical seeds; a ``.manifest.json`` sidecar records everything needed to
 re-execute the run.
 """
@@ -13,9 +16,8 @@ re-execute the run.
 from __future__ import annotations
 
 import json
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +28,9 @@ from .config import SystemConfig, default_profile
 from .errors import ConfigError, NumericalError
 from .optimizer import (align_phase, build_problem, fractional_objective, mm_optimize,
                         quantize_phase)
-from .rate import (phase_independent_snr, power_scaling_limit, rate_lower_bound, rate_report,
-                   required_antennas)
+from .rate import (_rates_from_snr, _substream, exact_rate_mc, phase_independent_bound,
+                   phase_independent_snr, power_scaling_limit, rate_lower_bound,
+                   required_antennas, upper_bound)
 
 SCHEMA_VERSION = 1
 
@@ -75,40 +78,30 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One evaluated sweep point.
+    """One evaluated sweep point: what the point computes, per user.
 
     ``error`` is empty on success, otherwise an error code
     (``invalid_config`` or ``numerical_failure``) and every numeric field is
-    NaN.  ``wall_time_s`` is measured but not serialized, so CSV output stays
-    reproducible.
+    NaN.  ``sum_rate_mc_se`` is the standard error of the per-trial sum rate,
+    which the per-user standard errors do not give.  The other sum and min
+    columns of the CSV are derived from the per-user arrays by
+    :func:`row_values`, and only there.
     """
 
     sweep_value: float
     error: str
+    opt_iterations: int
     mc_rate: np.ndarray
     mc_se: np.ndarray
+    sum_rate_mc_se: float
     lower_bound: np.ndarray
     floor_bound: np.ndarray
     ub: np.ndarray
-    sum_rate_mc: float
-    sum_rate_mc_se: float
-    min_rate_mc: float
-    min_rate_mc_se: float
-    sum_rate_lb: float
-    min_rate_lb: float
-    opt_iterations: int
-    wall_time_s: float = field(compare=False)
 
 
-def _nan_row(sweep_value, error, k, wall_time) -> ResultRow:
+def _nan_row(sweep_value, error, k) -> ResultRow:
     nan_vec = np.full(k, np.nan)
-    return ResultRow(sweep_value=sweep_value, error=error,
-                     mc_rate=nan_vec, mc_se=nan_vec, lower_bound=nan_vec,
-                     floor_bound=nan_vec, ub=nan_vec,
-                     sum_rate_mc=np.nan, sum_rate_mc_se=np.nan,
-                     min_rate_mc=np.nan, min_rate_mc_se=np.nan,
-                     sum_rate_lb=np.nan, min_rate_lb=np.nan,
-                     opt_iterations=0, wall_time_s=wall_time)
+    return ResultRow(sweep_value, error, 0, nan_vec, nan_vec, np.nan, nan_vec, nan_vec, nan_vec)
 
 
 def _alignment_indices(config: SystemConfig) -> tuple[int, int]:
@@ -181,33 +174,27 @@ def _point_seed(seed: int, index: int) -> int:
 
 def _run_point(scenario: Scenario, index: int, value,
                base_phase: PhaseShifts | None) -> ResultRow:
-    start = time.perf_counter()
     sweep_value = float(value) if value is not None else float("nan")
     k = scenario.config.K
     try:
         config = _apply_axis(scenario.config, scenario.sweep_axis, value)
         phase = None if base_phase is None else quantize_phase(base_phase, value)
     except ConfigError:
-        return _nan_row(sweep_value, "invalid_config", k, time.perf_counter() - start)
+        return _nan_row(sweep_value, "invalid_config", k)
     try:
         opt_iters = 0
         if phase is None:
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=scenario.seed, spawn_key=(index, 1)))
-            phase, opt_iters = resolve_phase(config, scenario, rng)
-        report = rate_report(config, phase, scenario.trials, _point_seed(scenario.seed, index))
+            phase, opt_iters = resolve_phase(config, scenario,
+                                             _substream(scenario.seed, (index, 1)))
+        mc = exact_rate_mc(config, phase, scenario.trials, _point_seed(scenario.seed, index))
+        floor_bound, _ = phase_independent_bound(config)
+        ub, _ = upper_bound(config, phase)
+        lower_bound = rate_lower_bound(config, phase)
     except NumericalError:
-        return _nan_row(sweep_value, "numerical_failure", k, time.perf_counter() - start)
-    mc_rate, mc_se, lb = report.mc_rate, report.mc_std_error, report.lower_bound
-    min_idx = int(np.argmin(mc_rate))
-    return ResultRow(
-        sweep_value=sweep_value, error="",
-        mc_rate=mc_rate, mc_se=mc_se, lower_bound=lb, floor_bound=report.floor_bound,
-        ub=report.ub, sum_rate_mc=float(mc_rate.sum()), sum_rate_mc_se=report.mc_sum_rate_se,
-        min_rate_mc=float(mc_rate[min_idx]), min_rate_mc_se=float(mc_se[min_idx]),
-        sum_rate_lb=float(lb.sum()), min_rate_lb=float(lb.min()),
-        opt_iterations=opt_iters, wall_time_s=time.perf_counter() - start,
-    )
+        return _nan_row(sweep_value, "numerical_failure", k)
+    return ResultRow(sweep_value=sweep_value, error="", opt_iterations=opt_iters,
+                     mc_rate=mc.rates, mc_se=mc.std_errors, sum_rate_mc_se=mc.sum_rate_se,
+                     lower_bound=lower_bound, floor_bound=floor_bound, ub=ub)
 
 
 def run_scenario(scenario: Scenario, max_workers: int | None = None) -> list[ResultRow]:
@@ -224,9 +211,7 @@ def run_scenario(scenario: Scenario, max_workers: int | None = None) -> list[Res
         return [_run_point(scenario, 0, None, None)]
     base_phase = None
     if scenario.sweep_axis == "bits":
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=scenario.seed,
-                                                           spawn_key=(0, 1)))
-        base_phase, _ = resolve_phase(scenario.config, scenario, rng)
+        base_phase, _ = resolve_phase(scenario.config, scenario, _substream(scenario.seed, (0, 1)))
     points = list(enumerate(scenario.sweep_values))
     workers = max_workers or min(4, len(points))
     if workers <= 1 or len(points) == 1:
@@ -267,32 +252,36 @@ def csv_text(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_table(path, header: list[str], rows: list[list]) -> None:
+def _write_text(path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(csv_text(header, rows))
+        fh.write(text)
 
 
 def row_values(row: ResultRow) -> list:
+    """The schema-v1 values of one row, in :func:`csv_header` order.
+
+    The sum and min columns are formed here and nowhere else: the sums and
+    minima of the row's per-user MC rates and lower bounds, and the MC
+    standard error of the user with the smallest MC rate.
+    """
+    mc_rate, mc_se, lower_bound = row.mc_rate, row.mc_se, row.lower_bound
     values = [row.sweep_value, row.error, row.opt_iterations]
-    for j in range(row.mc_rate.size):
-        values += [row.mc_rate[j], row.mc_se[j]]
-    values += list(row.lower_bound) + list(row.floor_bound) + list(row.ub)
-    values += [row.sum_rate_mc, row.sum_rate_mc_se, row.min_rate_mc,
-               row.min_rate_mc_se, row.sum_rate_lb, row.min_rate_lb]
+    for j in range(mc_rate.size):
+        values += [mc_rate[j], mc_se[j]]
+    values += list(lower_bound) + list(row.floor_bound) + list(row.ub)
+    min_idx = int(np.argmin(mc_rate))
+    values += [float(mc_rate.sum()), row.sum_rate_mc_se, mc_rate[min_idx], mc_se[min_idx],
+               lower_bound.sum(), lower_bound.min()]
     return values
 
 
-def write_rows_csv(rows: list[ResultRow], path, k: int) -> None:
-    """Write rows as UTF-8 CSV with full-precision (repr) floats."""
-    _write_table(path, csv_header(k), [row_values(row) for row in rows])
-
-
-def write_rows_json(rows: list[ResultRow], path, k: int) -> None:
+def rows_text(rows: list[ResultRow], k: int, fmt: str = "csv") -> str:
+    """Rows for K users as CSV text or, with ``fmt="json"``, as a JSON list of objects."""
     header = csv_header(k)
-    payload = [dict(zip(header, row_values(row))) for row in rows]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    values = [row_values(row) for row in rows]
+    if fmt == "csv":
+        return csv_text(header, values)
+    return json.dumps([dict(zip(header, v)) for v in values], indent=1) + "\n"
 
 
 def write_manifest(path, scenario: Scenario, figure: str | None = None,
@@ -311,9 +300,7 @@ def write_manifest(path, scenario: Scenario, figure: str | None = None,
     }
     if extra:
         manifest.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_text(path, json.dumps(manifest, indent=1, sort_keys=True) + "\n")
 
 
 def manifest_path(out_path) -> str:
@@ -322,8 +309,7 @@ def manifest_path(out_path) -> str:
 
 def write_scenario_outputs(rows, scenario: Scenario, out_path, fmt: str = "csv",
                            figure: str | None = None) -> list[str]:
-    writer = write_rows_csv if fmt == "csv" else write_rows_json
-    writer(rows, out_path, scenario.config.K)
+    _write_text(out_path, rows_text(rows, scenario.config.K, fmt))
     write_manifest(manifest_path(out_path), scenario, figure=figure)
     return [str(out_path), manifest_path(out_path)]
 
@@ -403,7 +389,7 @@ def reproduce(figure_id: str, out_dir, config: SystemConfig | None = None,
             gain = n * config.alpha[user] * config.beta + config.gamma[user]
             rows.append([n, c0, user, m_solved, m_formula, (m_solved - config.K) * gain])
         path = out_dir / "fig4a.csv"
-        _write_table(path, header, rows)
+        _write_text(path, csv_text(header, rows))
         scenario = Scenario(config=config, trials=trials, seed=seed)
         write_manifest(manifest_path(path), scenario, figure="fig4a",
                        extra={"C0": c0, "user": user, "columns": header})
@@ -419,11 +405,11 @@ def reproduce(figure_id: str, out_dir, config: SystemConfig | None = None,
             phase = PhaseShifts.identity(n)
             lb_avg = float(np.mean(rate_lower_bound(cfg, phase)))
             limit_snr, bound_snr = power_scaling_limit(cfg, phase, e_u)
-            limit_avg = float(np.mean(cfg.tau_overhead * np.log2(1.0 + limit_snr)))
-            bound_avg = float(np.mean(cfg.tau_overhead * np.log2(1.0 + bound_snr)))
+            limit_avg = float(np.mean(_rates_from_snr(cfg, limit_snr)))
+            bound_avg = float(np.mean(_rates_from_snr(cfg, bound_snr)))
             rows.append([n, m, e_u / n, lb_avg, limit_avg, bound_avg])
     path = out_dir / "fig4b.csv"
-    _write_table(path, header, rows)
+    _write_text(path, csv_text(header, rows))
     scenario = Scenario(config=config, trials=trials, seed=seed)
     write_manifest(manifest_path(path), scenario, figure="fig4b",
                    extra={"E_u": e_u, "columns": header})

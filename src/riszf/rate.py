@@ -61,15 +61,12 @@ def rate_lower_bound(config: SystemConfig, phase: PhaseShifts) -> np.ndarray:
 def rate_no_ris(config: SystemConfig) -> np.ndarray:
     """Per-user rate of the conventional system with the RIS switched off.
 
-    Depends only on the direct links; equals the statistical-CSI bound
-    evaluated at alpha = beta = 0.
+    Depends only on the direct links: the statistical-CSI bound at
+    alpha = beta = 0, where the channel mean vanishes and the bound is the
+    exact phase-independent one.  Evaluated through the latter, which needs
+    no LoS vector of size M.
     """
-    noise_over_gain = config.sigma2 / (config.tau * config.p)
-    err = 1.0 / (config.tau * config.p / config.sigma2 + 1.0 / config.gamma)
-    denom = config.p * float(err.sum()) + config.sigma2
-    snr = (config.p * (config.M - config.K) / denom
-           * config.gamma**2 / (config.gamma + noise_over_gain))
-    return _rates_from_snr(config, snr)
+    return phase_independent_bound(config.replace(alpha=np.zeros(config.K), beta=0.0))[0]
 
 
 def phase_independent_snr(config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -377,41 +374,3 @@ def exact_rate_mc(config: SystemConfig, phase: PhaseShifts, trials: int,
     return MonteCarloRate(rates=rates, std_errors=std_errors,
                           sum_rate=float(rates.sum()), sum_rate_se=float(sum_se),
                           trials=trials, seed=seed, singular_retries=retries)
-
-
-@dataclass(frozen=True)
-class RateReport:
-    """All rate quantities of one scenario evaluation."""
-
-    mc_rate: np.ndarray
-    mc_std_error: np.ndarray
-    mc_sum_rate_se: float
-    lower_bound: np.ndarray
-    floor_bound: np.ndarray
-    floor_bound_approx: np.ndarray
-    ub: np.ndarray
-    ub_aligned: np.ndarray
-    trials: int
-    seed: int
-    tau_overhead: float
-    singular_retries: int
-
-
-def rate_report(config: SystemConfig, phase: PhaseShifts, trials: int,
-                seed: int) -> RateReport:
-    """Monte-Carlo rate plus every closed-form bound at one operating point.
-
-    Runs :func:`exact_rate_mc`, :func:`rate_lower_bound`,
-    :func:`phase_independent_bound` and :func:`upper_bound` in turn; each
-    derives the LoS and statistics it needs from ``config``.
-    """
-    mc = exact_rate_mc(config, phase, trials, seed)
-    floor_bound, floor_bound_approx = phase_independent_bound(config)
-    ub, ub_aligned = upper_bound(config, phase)
-    return RateReport(
-        mc_rate=mc.rates, mc_std_error=mc.std_errors, mc_sum_rate_se=mc.sum_rate_se,
-        lower_bound=rate_lower_bound(config, phase),
-        floor_bound=floor_bound, floor_bound_approx=floor_bound_approx, ub=ub, ub_aligned=ub_aligned,
-        trials=trials, seed=seed, tau_overhead=config.tau_overhead,
-        singular_retries=mc.singular_retries,
-    )

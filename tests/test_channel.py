@@ -12,9 +12,10 @@ from riszf.channel import (ChannelRealization, PhaseShifts, _response, aggregate
 from riszf.config import default_profile
 from riszf.errors import ConfigError
 from riszf.estimation import compute_statistics
+from riszf.harness import Scenario, run_scenario
 from riszf.optimizer import align_phase, build_problem
 from riszf.rate import (exact_rate_mc, phase_independent_bound, power_scaling_limit,
-                        rate_lower_bound, rate_report, upper_bound)
+                        rate_lower_bound, upper_bound)
 
 from conftest import random_config, toy_config
 from oracle import qhat_gram_mean
@@ -206,7 +207,8 @@ def test_alignment_point_allocates_no_n_vector():
         "identity": lambda c: PhaseShifts.identity(c.N),
         "alignment_response": lambda c: alignment_response(c, align_phase(c, 0)),
         "identity_response": lambda c: alignment_response(c, PhaseShifts.identity(c.N)),
-        "rate_report": lambda c: rate_report(c, align_phase(c, 0), 64, 0),
+        "point": lambda c: run_scenario(Scenario(config=c, phase_design="case1_align_nearest",
+                                                 trials=64)),
     }
     for call in calls.values():              # lazy set-up is not part of the peak
         call(cfg.replace())

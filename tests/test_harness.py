@@ -14,8 +14,8 @@ from riszf.cli import main as cli_main
 from riszf.config import default_profile, write_config_file
 from riszf.errors import ConfigError
 from riszf.harness import (Scenario, csv_header, csv_text, manifest_path, reproduce,
-                           resolve_phase, row_values, run_scenario, solve_antennas_for_snr,
-                           write_rows_csv, write_scenario_outputs)
+                           resolve_phase, row_values, rows_text, run_scenario,
+                           solve_antennas_for_snr, write_scenario_outputs)
 from riszf.rate import rate_lower_bound, required_antennas
 
 
@@ -72,7 +72,7 @@ def test_run_scenario_rows_and_monotone_lb(small_config):
     rows = run_scenario(sc)
     assert [row.sweep_value for row in rows] == [16.0, 32.0]
     assert all(row.error == "" for row in rows)
-    assert rows[0].sum_rate_lb <= rows[1].sum_rate_lb
+    assert rows[0].lower_bound.sum() <= rows[1].lower_bound.sum()
 
 
 def test_min_rate_design_converges_at_fig3b_point():
@@ -89,7 +89,7 @@ def test_run_scenario_infeasible_point_marked(small_config):
                   sweep_axis="M", sweep_values=(2, 16), trials=10, seed=0)
     rows = run_scenario(sc)
     assert rows[0].error == "invalid_config"
-    assert np.isnan(rows[0].sum_rate_mc)
+    assert np.all(np.isnan(rows[0].mc_rate))
     assert rows[1].error == ""
     # non-integral element counts and bit widths are invalid points too
     for axis, values in (("N", (16.5, 32)), ("bits", (0, 2))):
@@ -137,8 +137,8 @@ def test_csv_byte_identical_roundtrip(tmp_path, small_config):
     rows_a = run_scenario(sc)
     rows_b = run_scenario(sc, max_workers=1)
     pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_rows_csv(rows_a, pa, small_config.K)
-    write_rows_csv(rows_b, pb, small_config.K)
+    write_scenario_outputs(rows_a, sc, pa)
+    write_scenario_outputs(rows_b, sc, pb)
     assert pa.read_bytes() == pb.read_bytes()
 
     # full-precision round trip of every numeric field
@@ -154,6 +154,29 @@ def test_csv_byte_identical_roundtrip(tmp_path, small_config):
                 assert int(text) == value
             else:
                 assert float(text) == float(value)
+
+
+def test_summary_columns_derive_from_per_user_columns(small_config):
+    sc = Scenario(config=small_config, phase_design="case3_random",
+                  sweep_axis="M", sweep_values=(2, 16), trials=20, seed=6)
+    bad, good = run_scenario(sc)
+    assert bad.error == "invalid_config" and good.error == ""
+    header = csv_header(small_config.K)
+    text = [dict(zip(header, line.split(",")))
+            for line in rows_text([bad, good], small_config.K).strip().split("\n")[1:]]
+    numeric = [name for name in header if name not in ("sweep_value", "error",
+                                                       "opt_iterations")]
+    assert all(text[0][name] == "nan" for name in numeric)
+    row = {name: float(text[1][name]) for name in numeric}
+    k = small_config.K
+    mc = np.array([row[f"mc_rate_u{j}"] for j in range(1, k + 1)])
+    se = np.array([row[f"mc_se_u{j}"] for j in range(1, k + 1)])
+    lb = np.array([row[f"lower_bound_u{j}"] for j in range(1, k + 1)])
+    assert row["sum_rate_mc"] == float(mc.sum())
+    assert row["min_rate_mc"] == mc.min()
+    assert row["min_rate_mc_se"] == se[np.argmin(mc)]
+    assert row["sum_rate_lb"] == lb.sum()
+    assert row["min_rate_lb"] == lb.min()
 
 
 def test_write_outputs_and_manifest(tmp_path, small_config):
@@ -180,7 +203,7 @@ def test_write_outputs_json(tmp_path, small_config):
     write_scenario_outputs(rows, sc, out, fmt="json")
     payload = json.loads(open(out).read())
     assert len(payload) == 1
-    assert payload[0]["sum_rate_mc"] == pytest.approx(rows[0].sum_rate_mc)
+    assert payload[0]["sum_rate_mc"] == pytest.approx(rows[0].mc_rate.sum())
 
 
 def test_solve_antennas_matches_formula(small_config):
@@ -230,8 +253,8 @@ def test_reproduce_runs_serially_and_matches_pooled_sweep(tmp_path, small_config
     for case in cases:
         sc = Scenario(config=small_config, phase_design=case, sweep_axis="N",
                       sweep_values=(64, 128, 256), trials=20, seed=5)
-        write_rows_csv(run_scenario(sc, max_workers=4), tmp_path / f"pooled_{case}.csv",
-                       small_config.K)
+        write_scenario_outputs(run_scenario(sc, max_workers=4), sc,
+                               tmp_path / f"pooled_{case}.csv")
 
     def no_pool(*args, **kwargs):
         raise AssertionError("reproduce started a thread pool")
@@ -328,6 +351,14 @@ def test_cli_optimize(tmp_path):
     assert len(payload["final_theta"]) == 8
     values = [step["value"] for step in payload["objective_trace"]]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+
+def test_cli_json_format_applies_to_stdout(capsys):
+    code = cli_main(["--trials", "5", "--format", "json", "rate"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert isinstance(payload, list) and len(payload) == 1
+    assert payload[0]["error"] == "" and payload[0]["sum_rate_mc"] > 0
 
 
 def test_cli_sweep_stdout(tmp_path, capsys):

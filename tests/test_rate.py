@@ -12,7 +12,7 @@ from riszf.estimation import compute_statistics, random_component_power
 from riszf.optimizer import align_phase
 from riszf.rate import (MonteCarloRate, exact_rate_mc, phase_independent_bound,
                         rate_lower_bound, power_scaling_limit, rate_no_ris,
-                        rate_report, required_antennas, rate_lower_bound_snr, upper_bound,
+                        required_antennas, rate_lower_bound_snr, upper_bound,
                         gram_law, sample_gram, zf_terms)
 
 from conftest import random_config, toy_config
@@ -293,17 +293,15 @@ def test_exact_rate_mc_jensen_direction_at_delta_zero():
     assert np.all(mc.rates >= lb - 3 * mc.std_errors)
 
 
-def test_rate_report_bundles_everything(reference_config):
+def test_floor_lower_and_upper_bounds_ordered(reference_config):
     ph = PhaseShifts.identity(reference_config.N)
-    report = rate_report(reference_config, ph, trials=50, seed=11)
-    assert report.trials == 50 and report.seed == 11
-    assert report.tau_overhead == pytest.approx(reference_config.tau_overhead)
-    k = reference_config.K
-    for field in ("mc_rate", "mc_std_error", "lower_bound", "floor_bound", "floor_bound_approx",
-                  "ub", "ub_aligned"):
-        assert getattr(report, field).shape == (k,)
-    assert np.all(report.floor_bound <= report.lower_bound * (1 + 1e-10))
-    assert np.all(report.lower_bound <= report.ub * (1 + 1e-10))
+    floor_bound, floor_bound_approx = phase_independent_bound(reference_config)
+    lower_bound = rate_lower_bound(reference_config, ph)
+    ub, ub_aligned = upper_bound(reference_config, ph)
+    for bound in (floor_bound, floor_bound_approx, lower_bound, ub, ub_aligned):
+        assert bound.shape == (reference_config.K,)
+    assert np.all(floor_bound <= lower_bound * (1 + 1e-10))
+    assert np.all(lower_bound <= ub * (1 + 1e-10))
 
 
 def test_rate_lower_bound_snr_positive(reference_config):
