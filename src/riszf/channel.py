@@ -212,13 +212,15 @@ class LosComponents:
     ``user_rows`` (L_x x K) and ``user_cols`` (L_y x K) for the per-user RIS
     responses hbar_k = kron(user_rows[:, k], user_cols[:, k]), and
     ``ris_rows`` (L_x) and ``ris_cols`` (L_y) for the RIS departure vector
-    a_n = kron(ris_rows, ris_cols).  ``a_m`` is the BS arrival vector.  The
-    LoS part of the RIS-BS link is rank one, a_m a_n^H.  Every closed form
-    and the Monte-Carlo mean work from the cascaded response
-    a_n^H Phi hbar_k (see :func:`alignment_response`) in O(K (L_x + L_y))
-    memory beyond the phase vector, and none of size N for a separable
-    phase.  ``hbar`` (N x K), ``a_n`` and ``hbar2`` (M x N) assemble the
-    dense arrays on demand, for the dense channel draw and for checks.
+    a_n = kron(ris_rows, ris_cols).  The LoS part of the RIS-BS link is rank
+    one, a_M a_n^H; the BS arrival vector a_M is not stored: only the two
+    channel draws (:func:`aggregated_mean`, :func:`sample_channels`) need
+    it, and they build it.  Every closed form and the Monte-Carlo mean work
+    from the cascaded response a_n^H Phi hbar_k (see
+    :func:`alignment_response`) in O(K (L_x + L_y)) memory beyond the phase
+    vector, and none of size M, nor of size N for a separable phase.
+    ``hbar`` (N x K) and ``a_n`` assemble the dense arrays on demand, for
+    the dense channel draw and for checks.
 
     :func:`build_los` computes one instance per :class:`SystemConfig`
     instance and hands it to every caller, so the stored arrays are
@@ -229,7 +231,6 @@ class LosComponents:
     user_cols: np.ndarray
     ris_rows: np.ndarray
     ris_cols: np.ndarray
-    a_m: np.ndarray
 
     @property
     def hbar(self) -> np.ndarray:
@@ -241,15 +242,10 @@ class LosComponents:
         """Dense RIS departure steering vector (length N), assembled on demand."""
         return np.kron(self.ris_rows, self.ris_cols)
 
-    @property
-    def hbar2(self) -> np.ndarray:
-        """Dense rank-one LoS factor a_m a_n^H (M x N), assembled on demand."""
-        return np.outer(self.a_m, np.conj(self.a_n))
-
 
 @_once_per_config
 def build_los(config: SystemConfig) -> LosComponents:
-    """Per-axis steering factors of ``config``: O(K (L_x + L_y) + M) memory, no N x K array.
+    """RIS-side per-axis steering factors of ``config``: O(K (L_x + L_y)), no M or N array.
 
     Computed once per config instance: later calls return the same
     :class:`LosComponents`, whose arrays are read-only.
@@ -258,8 +254,7 @@ def build_los(config: SystemConfig) -> LosComponents:
     user_rows, user_cols = _axis_responses(config.N, config.user_ris_angles, d)
     ris_rows, ris_cols = _axis_responses(config.N, config.ris_aod, d)
     return LosComponents(user_rows=user_rows, user_cols=user_cols,
-                         ris_rows=ris_rows[:, 0], ris_cols=ris_cols[:, 0],
-                         a_m=steering_vector(config.M, *config.bs_aoa, d))
+                         ris_rows=ris_rows[:, 0], ris_cols=ris_cols[:, 0])
 
 
 def _response(geometry: LosComponents, phase: PhaseShifts) -> np.ndarray:
@@ -299,10 +294,11 @@ def aggregated_mean(config: SystemConfig, phase: PhaseShifts) -> np.ndarray:
 
     The mean is sqrt(beta delta / (delta + 1)) a_M (a_N^H Phi H1), so column
     k is sqrt(alpha_k beta delta / (delta + 1)) a_N^H Phi hbar_k * a_M; this
-    is the only non-random part of Q.  Formed as one outer product in O(MK),
-    without the M x N LoS matrix.
+    is the only non-random part of Q.  Builds a_M and forms one outer product
+    in O(MK), without the M x N LoS matrix.
     """
-    return np.outer(build_los(config).a_m, mean_row(config, phase))
+    a_m = steering_vector(config.M, *config.bs_aoa, config.d_over_lambda)
+    return np.outer(a_m, mean_row(config, phase))
 
 
 def mean_row(config: SystemConfig, phase: PhaseShifts) -> np.ndarray:
@@ -351,7 +347,8 @@ def sample_channels(config: SystemConfig, phase: PhaseShifts, rng_seed) -> Chann
 
     ``rng_seed`` may be anything accepted by ``np.random.default_rng`` (an
     int, a SeedSequence, or a Generator).  Draw order is fixed: RIS-BS NLoS
-    block, then direct channels, then pilot noise.
+    block, then direct channels, then pilot noise.  Builds a_M itself: the
+    LoS matrix a_M a_n^H is the start of ``h2``.
     """
     if phase.n != config.N:
         raise ConfigError(f"phase vector has {phase.n} entries, config expects {config.N}")
@@ -359,9 +356,10 @@ def sample_channels(config: SystemConfig, phase: PhaseShifts, rng_seed) -> Chann
     los = build_los(config)
     h1 = los.hbar * np.sqrt(config.alpha)
     h2_nlos = _complex_randn(rng, (config.M, config.N))
-    # h2 = sqrt(beta/(delta+1)) (sqrt(delta) a_m a_n^H + NLoS), built in place
+    # h2 = sqrt(beta/(delta+1)) (sqrt(delta) a_M a_n^H + NLoS), built in place
     # so a draw holds only two M x N arrays
-    h2 = los.hbar2
+    h2 = np.outer(steering_vector(config.M, *config.bs_aoa, config.d_over_lambda),
+                  np.conj(los.a_n))
     h2 *= math.sqrt(config.delta)
     h2 += h2_nlos
     h2 *= math.sqrt(config.beta / (config.delta + 1.0))

@@ -151,14 +151,14 @@ class SystemConfig:
     def check_memory(self) -> None:
         """Raise :class:`ConfigError` if the O(N) working set exceeds physical memory.
 
-        The estimate is the largest O(N) working set, as traced:
-        ``build_problem``'s K x N arrays G and Z = Lam^{-1} G plus the phase
-        vector, (2K + 1)*16*N bytes of complex128.  It is conservative for
-        an alignment or identity point, whose separable phase and closed
-        forms allocate nothing of size N.  Construction does not call this,
-        because the closed-form statistics and bounds take O(K^2) memory at
-        any N; the config-file reader and every sweep point do, before
-        anything allocates an N-sized array.
+        The estimate is (2K + 1)*16*N bytes of complex128, two K x N arrays
+        and an N-vector, at every point.  ``build_problem`` stores one K x N
+        array, G (Z = Lam^{-1} G is assembled on demand), so it is about twice
+        a design's data, and conservative for an alignment or identity point,
+        whose separable phase and closed forms allocate nothing of size N.
+        Construction does not call this, because the closed-form statistics
+        and bounds take O(K^2) memory at any N; the config-file reader and
+        every sweep point do, before anything allocates an N-sized array.
         """
         need = (2 * self.K + 1) * 16 * self.N
         try:

@@ -276,11 +276,12 @@ def row_values(row: ResultRow) -> list:
 
 
 def rows_text(rows: list[ResultRow], k: int, fmt: str = "csv") -> str:
-    """Rows for K users as CSV text or, with ``fmt="json"``, as a JSON list of objects."""
+    """Rows for K users as CSV text or, with ``fmt="json"``, as JSON objects (NaN as ``null``)."""
     header = csv_header(k)
     values = [row_values(row) for row in rows]
     if fmt == "csv":
         return csv_text(header, values)
+    values = [[None if isinstance(x, float) and np.isnan(x) else x for x in v] for v in values]
     return json.dumps([dict(zip(header, v)) for v in values], indent=1) + "\n"
 
 

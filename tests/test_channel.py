@@ -199,32 +199,36 @@ def test_separable_response_matches_dense():
 
 
 def test_alignment_point_allocates_no_n_vector():
-    # an aligned or identity sweep point touches only per-axis and K x K arrays
-    cfg = default_profile(N=65536)
-    unit = 16 * cfg.N                        # one complex N-vector
+    # an aligned or identity sweep point touches only per-axis and K x K arrays:
+    # nothing of size N at large N, and nothing of size M (no a_M) at large M
     calls = {                                # a fresh phase has not assembled its v
         "align_phase": lambda c: align_phase(c, 0),
         "identity": lambda c: PhaseShifts.identity(c.N),
         "alignment_response": lambda c: alignment_response(c, align_phase(c, 0)),
         "identity_response": lambda c: alignment_response(c, PhaseShifts.identity(c.N)),
+        "rate_lower_bound": lambda c: rate_lower_bound(c, align_phase(c, 0)),
+        "upper_bound": lambda c: upper_bound(c, align_phase(c, 0)),
+        "power_scaling_limit": lambda c: power_scaling_limit(c, align_phase(c, 0), 10.0),
         "point": lambda c: run_scenario(Scenario(config=c, phase_design="case1_align_nearest",
                                                  trials=64)),
     }
-    for call in calls.values():              # lazy set-up is not part of the peak
-        call(cfg.replace())
-    peaks = {}
-    tracemalloc.start()
-    try:
-        for name, call in calls.items():
-            fresh = cfg.replace()            # the LoS and statistics build is part of the peak
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            call(fresh)
-            peaks[name] = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    over = {name: peak for name, peak in peaks.items() if peak >= unit}
-    assert not over, over
+    for cfg in (default_profile(N=65536), default_profile(M=2**22)):
+        unit = 16 * max(cfg.M, cfg.N)        # one complex N-vector, then one M-vector
+        for call in calls.values():          # lazy set-up is not part of the peak
+            call(cfg.replace())
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for name, call in calls.items():
+                fresh = cfg.replace()        # the LoS and statistics build is part of the peak
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                call(fresh)
+                peaks[name] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        over = {name: peak for name, peak in peaks.items() if peak >= unit}
+        assert not over, (cfg.M, cfg.N, over)
 
 
 # --- LoS geometry -------------------------------------------------------------
@@ -234,14 +238,16 @@ def test_build_los_norms_and_rank(reference_config):
     n, k = reference_config.N, reference_config.K
     assert los.hbar.shape == (n, k)
     np.testing.assert_allclose(np.sum(np.abs(los.hbar) ** 2, axis=0), n, rtol=1e-12)
-    assert np.vdot(los.a_m, los.a_m).real == pytest.approx(reference_config.M, rel=1e-12)
+    a_m = steering_vector(reference_config.M, *reference_config.bs_aoa,
+                          reference_config.d_over_lambda)
+    assert np.vdot(a_m, a_m).real == pytest.approx(reference_config.M, rel=1e-12)
     # column k is the response toward user k
     for k, (az, el) in enumerate(reference_config.user_ris_angles):
         np.testing.assert_allclose(
             los.hbar[:, k], steering_vector(n, az, el, reference_config.d_over_lambda),
             rtol=0, atol=1e-12)
     # rank one: all 2x2 minors vanish
-    h2 = los.hbar2
+    h2 = np.outer(a_m, np.conj(los.a_n))
     s = np.linalg.svd(h2, compute_uv=False)
     assert s[1] < 1e-10 * s[0]
 
@@ -301,7 +307,8 @@ def test_sample_channels_pure_los_limit():
     cfg = toy_config(delta=1e12)
     real = sample_channels(cfg, PhaseShifts.identity(cfg.N), 11)
     los = build_los(cfg)
-    target = math.sqrt(cfg.beta) * los.hbar2
+    a_m = steering_vector(cfg.M, *cfg.bs_aoa, cfg.d_over_lambda)
+    target = math.sqrt(cfg.beta) * np.outer(a_m, np.conj(los.a_n))
     rel = np.linalg.norm(real.h2 - target) / np.linalg.norm(target)
     assert rel < 1e-5
 
@@ -399,7 +406,7 @@ def test_alignment_response_bounds(reference_config):
 
 
 def test_aggregated_mean_matches_dense_oracle():
-    # the factored mean against the dense rank-one LoS product a_m a_n^H Phi H1
+    # the factored mean against the dense rank-one LoS product a_M a_n^H Phi H1
     rng = np.random.default_rng(31)
     configs = [random_config(rng) for _ in range(6)]
     configs.append(configs[0].replace(delta=0.0))
@@ -408,7 +415,8 @@ def test_aggregated_mean_matches_dense_oracle():
         ph = PhaseShifts.random(cfg.N, rng)
         los = build_los(cfg)
         scale = math.sqrt(cfg.beta * cfg.delta / (cfg.delta + 1.0))
-        dense = scale * (np.outer(los.a_m, np.conj(los.a_n))
+        a_m = steering_vector(cfg.M, *cfg.bs_aoa, cfg.d_over_lambda)
+        dense = scale * (np.outer(a_m, np.conj(los.a_n))
                          @ (ph.phi_diag[:, None] * (los.hbar * np.sqrt(cfg.alpha))))
         mean = aggregated_mean(cfg, ph)
         assert mean.shape == (cfg.M, cfg.K)
@@ -456,8 +464,7 @@ def test_factored_los_matches_dense_oracle():
         assert hbar.shape == (cfg.N, cfg.K) and a_n.shape == (cfg.N,)
         np.testing.assert_allclose(a_n, steering_vector(cfg.N, *cfg.ris_aod, spacing),
                                    rtol=1e-12)
-        np.testing.assert_allclose(los.a_m, steering_vector(cfg.M, *cfg.bs_aoa, spacing),
-                                   rtol=1e-12)
+        a_m = steering_vector(cfg.M, *cfg.bs_aoa, spacing)
         for k, (az, el) in enumerate(cfg.user_ris_angles):
             np.testing.assert_allclose(hbar[:, k], steering_vector(cfg.N, az, el, spacing),
                                        rtol=1e-12)
@@ -468,7 +475,7 @@ def test_factored_los_matches_dense_oracle():
             dense = np.conj(ph.v * a_n) @ hbar
             np.testing.assert_allclose(alignment_response(cfg, ph), dense, rtol=1e-12,
                                        atol=1e-12 * cfg.N)
-            dense_mean = scale * np.outer(los.a_m, np.sqrt(cfg.alpha) * dense)
+            dense_mean = scale * np.outer(a_m, np.sqrt(cfg.alpha) * dense)
             np.testing.assert_allclose(aggregated_mean(cfg, ph), dense_mean, rtol=1e-12,
                                        atol=1e-12 * np.abs(dense_mean).max())
 

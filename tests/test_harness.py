@@ -361,6 +361,21 @@ def test_cli_json_format_applies_to_stdout(capsys):
     assert payload[0]["error"] == "" and payload[0]["sum_rate_mc"] > 0
 
 
+def test_cli_json_failed_row_is_strict_json(capsys):
+    # a failed row's NaN values are written as null, which a strict parser accepts
+    code = cli_main(["--trials", "5", "--format", "json",
+                     "sweep", "--axis", "N", "--values", "16,100000000000"])
+    assert code == 0
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    good, bad = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert good["error"] == "" and good["sum_rate_mc"] > 0
+    assert bad["error"] == "invalid_config"
+    assert bad["sum_rate_mc"] is None and bad["mc_rate_u1"] is None
+
+
 def test_cli_sweep_stdout(tmp_path, capsys):
     cfg_path = tmp_path / "tiny.cfg"
     write_config_file(default_profile(K=2, M=8, N=8), cfg_path)

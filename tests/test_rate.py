@@ -116,6 +116,25 @@ def test_aligned_upper_bound_doubling_increment():
     assert ub400[0] - ub200[0] == pytest.approx(2 * tau_o, rel=0.10)
 
 
+def test_closed_forms_gain_tau_o_per_antenna_doubling():
+    # the paper's O(log2 M) law: each doubling of M adds tau_o bits to the
+    # lower bound, the floor and the general upper bound of the aligned user.
+    # Measured distance to tau_o of the mean increment per doubling:
+    # 2.5e-3 over 2^10..2^14, then 1.6e-4, 9.9e-6 and 6.2e-7 over the next
+    # three 16x steps up to 2^26; the tolerance 5e-4 is 3x the 2^14..2^18 margin
+    tau_o = default_profile().tau_overhead
+    rates = {}
+    for e in (14, 18, 22, 26):
+        cfg = default_profile(N=256, M=2**e)
+        phase = align_phase(cfg, 0)
+        rates[e] = np.array([rate_lower_bound(cfg, phase)[0],
+                             phase_independent_bound(cfg)[0][0],
+                             upper_bound(cfg, phase)[0][0]])
+    for lo, hi in ((14, 18), (18, 22), (22, 26)):
+        increment = (rates[hi] - rates[lo]) / (hi - lo)
+        np.testing.assert_allclose(increment, tau_o, rtol=0, atol=5e-4)
+
+
 def test_lower_bound_monotone_in_m_and_p(reference_config):
     ph = PhaseShifts.identity(reference_config.N)
     base = rate_lower_bound(reference_config, ph)
