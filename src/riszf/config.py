@@ -31,13 +31,6 @@ def dbm_to_watt(x_dbm: float) -> float:
     return 10.0 ** ((x_dbm - 30.0) / 10.0)
 
 
-def watt_to_dbm(x_w: float) -> float:
-    """Convert a power from watts to dBm."""
-    if x_w <= 0.0:
-        raise ConfigError("power must be positive to express in dBm")
-    return 10.0 * math.log10(x_w) + 30.0
-
-
 @dataclass(frozen=True)
 class SystemConfig:
     """Uplink scenario: a BS with M antennas, an RIS with N elements, K users.
@@ -321,31 +314,21 @@ DEFAULT_RIS_AOD = (1.1, 0.8)
 DEFAULT_BS_AOA = (2.2, 1.1)
 
 
-def default_profile(M=64, N=64, K=8, delta=1.0, seed=None) -> SystemConfig:
+def default_profile(M=64, N=64, K=8, delta=1.0) -> SystemConfig:
     """Build the bundled reference scenario.
 
     Geometry: the :func:`circle_layout`, users ordered nearest-to-RIS
     first.  Path losses follow :func:`path_loss` with
     :data:`DEFAULT_EXPONENTS`.  User directions come from
     :func:`beam_directions` (the tuned beam table for K <= 8, the
-    :func:`spread_angles` grid beyond) unless ``seed`` is an integer, in
-    which case they are drawn uniformly at random.  The scalar defaults
+    :func:`spread_angles` grid beyond), the RIS and BS directions from
+    :data:`DEFAULT_RIS_AOD` and :data:`DEFAULT_BS_AOA`.  The scalar defaults
     (K=8, M=N=64, delta=1, tau_c=196, tau=K, p=30 dBm, sigma2=-104 dBm,
     mu=10) describe the default operating point; the path-loss constants
     and angles are illustrative, not measurements.  Override any other
     field through :meth:`SystemConfig.replace`.
     """
     geo = circle_layout(K)
-    if seed is None:
-        user_angles = beam_directions(K)
-        ris_aod = DEFAULT_RIS_AOD
-        bs_aoa = DEFAULT_BS_AOA
-    else:
-        rng = np.random.default_rng(seed)
-        user_angles = np.stack([rng.uniform(0.0, 2.0 * np.pi, K),
-                                rng.uniform(0.0, np.pi, K)], axis=1)
-        ris_aod = (rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.0, np.pi))
-        bs_aoa = (rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.0, np.pi))
     exp_ur, exp_rb, exp_ub = DEFAULT_EXPONENTS
     return SystemConfig(
         M=M, N=N, K=K, tau_c=196, tau=K,
@@ -354,9 +337,9 @@ def default_profile(M=64, N=64, K=8, delta=1.0, seed=None) -> SystemConfig:
         beta=float(path_loss(geo.d_ris_bs, exp_rb)),
         alpha=path_loss(geo.d_user_ris, exp_ur),
         gamma=path_loss(geo.d_user_bs, exp_ub),
-        user_ris_angles=user_angles,
-        ris_aod=ris_aod,
-        bs_aoa=bs_aoa,
+        user_ris_angles=beam_directions(K),
+        ris_aod=DEFAULT_RIS_AOD,
+        bs_aoa=DEFAULT_BS_AOA,
         user_ris_dist=geo.d_user_ris,
     )
 

@@ -82,10 +82,11 @@ class ResultRow:
 
     ``error`` is empty on success, otherwise an error code
     (``invalid_config`` or ``numerical_failure``) and every numeric field is
-    NaN.  ``sum_rate_mc_se`` is the standard error of the per-trial sum rate,
-    which the per-user standard errors do not give.  The other sum and min
-    columns of the CSV are derived from the per-user arrays by
-    :func:`row_values`, and only there.
+    NaN.  A point whose rates, standard errors or bounds are not all finite
+    is a ``numerical_failure``.  ``sum_rate_mc_se`` is the standard error of
+    the per-trial sum rate, which the per-user standard errors do not give.
+    The other sum and min columns of the CSV are derived from the per-user
+    arrays by :func:`row_values`, and only there.
     """
 
     sweep_value: float
@@ -191,6 +192,10 @@ def _run_point(scenario: Scenario, index: int, value,
         ub, _ = upper_bound(config, phase)
         lower_bound = rate_lower_bound(config, phase)
     except NumericalError:
+        return _nan_row(sweep_value, "numerical_failure", k)
+    # an overflow at an edge of scale (say 1/scale at p = 1e300) gives inf, not an error
+    if not all(np.all(np.isfinite(x)) for x in (mc.rates, mc.std_errors, mc.sum_rate_se,
+                                                 lower_bound, floor_bound, ub)):
         return _nan_row(sweep_value, "numerical_failure", k)
     return ResultRow(sweep_value=sweep_value, error="", opt_iterations=opt_iters,
                      mc_rate=mc.rates, mc_se=mc.std_errors, sum_rate_mc_se=mc.sum_rate_se,

@@ -59,17 +59,6 @@ def rate_lower_bound(config: SystemConfig, phase: PhaseShifts) -> np.ndarray:
     return _rates_from_snr(config, rate_lower_bound_snr(config, phase))
 
 
-def rate_no_ris(config: SystemConfig) -> np.ndarray:
-    """Per-user rate of the conventional system with the RIS switched off.
-
-    Depends only on the direct links: the statistical-CSI bound at
-    alpha = beta = 0, where the channel mean vanishes and the bound is the
-    exact phase-independent one.  Evaluated through the latter, which takes
-    no phase configuration.
-    """
-    return phase_independent_bound(config.replace(alpha=np.zeros(config.K), beta=0.0))[0]
-
-
 def phase_independent_snr(config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     """(exact, approximate) per-user SNR of the phase-independent lower bound."""
     stats = compute_statistics(config)
@@ -84,7 +73,8 @@ def phase_independent_bound(config: SystemConfig) -> tuple[np.ndarray, np.ndarra
     The exact form uses [lam^{-1}]_kk; the approximation replaces lam by its
     diagonal, giving the closed form (N alpha_k beta/(delta+1) + gamma_k)^2 /
     (N alpha_k beta/(delta+1) + gamma_k + sigma2/(tau p)).  Equality with
-    ``rate_lower_bound`` holds at delta = 0.
+    ``rate_lower_bound`` holds at delta = 0, and with the RIS switched off
+    (alpha = beta = 0), where the exact form is the conventional system's.
     """
     exact, approx = phase_independent_snr(config)
     return _rates_from_snr(config, exact), _rates_from_snr(config, approx)
@@ -228,10 +218,12 @@ def gram_law(config: SystemConfig, phase: PhaseShifts) -> GramLaw:
     cov_factor = cholesky_factor(stats.cov, "channel row covariance")
     t_factor = cholesky_factor(cov_factor.conj().T @ cov_factor + stats.noise * np.eye(config.K),
                                "estimation-error covariance")
+    # factored before the solve, so that a Lambda that is not positive
+    # definite raises NumericalError, not numpy's LinAlgError
+    lam_factor = cholesky_factor(stats.lam, "estimate correlation matrix")
     bias = np.linalg.solve(stats.lam, stats.kappa[:, None] * stats.cov) - np.eye(config.K)
     r1_mean = math.sqrt(config.M) * mean_row(config, phase)
-    return GramLaw(lam_factor=cholesky_factor(stats.lam, "estimate correlation matrix"),
-                   r1_mean=r1_mean, bias=bias, bias_row=r1_mean @ bias,
+    return GramLaw(lam_factor=lam_factor, r1_mean=r1_mean, bias=bias, bias_row=r1_mean @ bias,
                    noise_root_h=(math.sqrt(stats.noise)
                                  * np.linalg.solve(t_factor, cov_factor.conj().T)),
                    dof=config.M - 1)

@@ -36,6 +36,21 @@ def toy_config(K=3, M=12, N=16, delta=0.5, tau=None, tau_c=None, p=1.0,
     )
 
 
+def random_angle_profile(seed, **kwargs):
+    """``default_profile(**kwargs)`` with user, RIS and BS directions drawn uniformly from ``seed``.
+
+    Azimuths in [0, 2 pi), elevations in [0, pi): the K user azimuths, the K
+    user elevations, then the RIS departure and the BS arrival pairs.
+    """
+    base = default_profile(**kwargs)
+    rng = np.random.default_rng(seed)
+    return base.replace(
+        user_ris_angles=np.stack([rng.uniform(0.0, 2.0 * np.pi, base.K),
+                                  rng.uniform(0.0, np.pi, base.K)], axis=1),
+        ris_aod=(rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.0, np.pi)),
+        bs_aoa=(rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.0, np.pi)))
+
+
 def random_config(rng, K=None, M=None, N=None, delta=None):
     """Random physically-scaled config with moderate spreads.
 

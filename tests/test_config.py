@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from riszf.config import (CircleGeometry, circle_layout, dbm_to_watt,
-                          default_profile, parse_config_file, path_loss, watt_to_dbm,
-                          write_config_file)
+                          default_profile, parse_config_file, path_loss, write_config_file)
 from riszf.errors import ConfigError
 
 from conftest import toy_config
@@ -17,9 +16,7 @@ def test_dbm_round_trip():
     assert dbm_to_watt(30.0) == pytest.approx(1.0)
     assert dbm_to_watt(0.0) == pytest.approx(1e-3)
     assert dbm_to_watt(-104.0) == pytest.approx(10 ** (-13.4))
-    assert watt_to_dbm(dbm_to_watt(17.3)) == pytest.approx(17.3)
-    with pytest.raises(ConfigError):
-        watt_to_dbm(0.0)
+    assert 10.0 * np.log10(dbm_to_watt(17.3)) + 30.0 == pytest.approx(17.3)
 
 
 @pytest.mark.parametrize("changes", [
@@ -102,10 +99,6 @@ def test_default_profile_shape():
     # nearest-first ordering carries into the path losses
     assert np.all(np.diff(cfg.alpha) <= 0)
     assert cfg.user_ris_dist is not None
-    # seeded variant draws different angles but same powers
-    other = default_profile(seed=1)
-    assert not np.allclose(other.user_ris_angles, cfg.user_ris_angles)
-    assert np.allclose(other.alpha, cfg.alpha)
 
 
 def test_default_profile_angle_spread():

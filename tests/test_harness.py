@@ -376,6 +376,15 @@ def test_cli_json_failed_row_is_strict_json(capsys):
     assert bad["sum_rate_mc"] is None and bad["mc_rate_u1"] is None
 
 
+def test_cli_sweep_edge_powers_are_numerical_failures(capsys):
+    # p = 1e-300 and 1e-200 underflow Lambda to 0; at p = 1e300 the ZF scale
+    # is subnormal and the bounds overflow to inf
+    code = cli_main(["--trials", "3", "sweep", "--axis", "p", "--values", "1e-300,1e-200,1e300"])
+    assert code == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert [line.split(",")[1] for line in lines[1:]] == ["numerical_failure"] * 3
+
+
 def test_cli_sweep_stdout(tmp_path, capsys):
     cfg_path = tmp_path / "tiny.cfg"
     write_config_file(default_profile(K=2, M=8, N=8), cfg_path)

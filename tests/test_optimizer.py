@@ -18,7 +18,7 @@ from riszf.optimizer import (FractionalProblem, OptTrace, _fvec_norms, _maxmin_f
                              fractional_objective, mm_optimize, quantize_phase)
 from riszf.rate import rate_lower_bound, rate_lower_bound_snr
 
-from conftest import random_config, toy_config
+from conftest import random_angle_profile, random_config, toy_config
 from oracle import surrogate_maxsum
 
 
@@ -315,7 +315,7 @@ def test_guarded_maxmin_step_never_lowers_smoothed_min():
     rng = np.random.default_rng(15)
     centred_lowered = 0
     for i in range(12):
-        base = random_config(rng) if i % 2 else default_profile(N=16, seed=i)
+        base = random_config(rng) if i % 2 else random_angle_profile(i, N=16)
         cfg = base.replace(mu=1000.0)
         prob = build_problem(cfg)
         v = PhaseShifts.random(cfg.N, rng).v
@@ -398,7 +398,7 @@ def test_mm_optimize_counts_curvature_doublings():
     rng = np.random.default_rng(16)
     doublings = 0
     for i in range(6):
-        base = random_config(rng) if i % 2 else default_profile(N=16, seed=i)
+        base = random_config(rng) if i % 2 else random_angle_profile(i, N=16)
         cfg = base.replace(mu=1000.0)
         trace = mm_optimize(cfg, objective="min", init=PhaseShifts.random(cfg.N, rng),
                             max_iter=100)

@@ -11,7 +11,7 @@ from riszf.errors import ConfigError, NumericalError
 from riszf.estimation import compute_statistics, random_component_power
 from riszf.optimizer import align_phase
 from riszf.rate import (MonteCarloRate, exact_rate_mc, phase_independent_bound,
-                        rate_lower_bound, power_scaling_limit, rate_no_ris,
+                        rate_lower_bound, power_scaling_limit,
                         required_antennas, rate_lower_bound_snr, upper_bound,
                         gram_law, sample_gram, zf_terms)
 
@@ -135,6 +135,41 @@ def test_closed_forms_gain_tau_o_per_antenna_doubling():
         np.testing.assert_allclose(increment, tau_o, rtol=0, atol=5e-4)
 
 
+def test_closed_forms_gain_two_tau_o_per_element_doubling():
+    # the paper's O(log2 N^2) law: each doubling of N adds 2 tau_o bits to the
+    # lower bound and both upper bounds of the aligned user, and tau_o to the
+    # floor of every user.  Odd exponents give non-square grids.  Measured
+    # over N = 2^15 ... 2^24: LB 1.91830-1.91920 per doubling, UBs
+    # 1.91831-1.91837 (2 tau_o = 1.91837), the floor within 5.9e-5 of tau_o;
+    # the tolerances 2e-3 and 1.5e-4 are ~2.5x the largest distances
+    tau_o = default_profile().tau_overhead
+    previous = None
+    for e in range(15, 25):
+        cfg = default_profile(N=2**e)
+        phase = align_phase(cfg, 0)
+        general, aligned = upper_bound(cfg, phase)
+        rates = np.array([rate_lower_bound(cfg, phase)[0], general[0], aligned[0]])
+        floor_bound = phase_independent_bound(cfg)[0]
+        if previous is not None:
+            np.testing.assert_allclose(rates - previous[0], 2 * tau_o, rtol=0, atol=2e-3)
+            np.testing.assert_allclose(floor_bound - previous[1], tau_o, rtol=0, atol=1.5e-4)
+        previous = rates, floor_bound
+
+
+def test_power_scaling_gap_falls_as_one_over_n():
+    # at p = E_u / N the lower bound approaches its limit as 1/N, for the
+    # identity and the aligned phase, and at the prime N = 1000003, whose grid
+    # is (1, N).  The largest relative rate gap times N measured
+    # 4.18698-4.18758; the tolerance 1.5e-3 is ~3x the largest distance to 4.1875
+    e_u = 10.0
+    for n in (2**16, 2**20, 2**24, 1000003):
+        cfg = default_profile(N=n).replace(p=e_u / n)
+        for phase in (PhaseShifts.identity(n), align_phase(cfg, 0)):
+            limit = cfg.tau_overhead * np.log2(1.0 + power_scaling_limit(cfg, phase, e_u)[0])
+            gap = np.max(np.abs(rate_lower_bound(cfg, phase) - limit) / limit)
+            assert abs(gap * n - 4.1875) < 1.5e-3, (n, gap * n)
+
+
 def test_lower_bound_monotone_in_m_and_p(reference_config):
     ph = PhaseShifts.identity(reference_config.N)
     base = rate_lower_bound(reference_config, ph)
@@ -151,27 +186,31 @@ def test_lower_bound_monotone_in_m_and_p(reference_config):
 
 # --- conventional baseline ------------------------------------------------------
 
-def test_rate_no_ris_equals_bound_with_ris_off():
+def _ris_off_rates(config):
+    """Per-user exact floor bound with the RIS switched off (alpha = beta = 0)."""
+    return phase_independent_bound(config.replace(alpha=np.zeros(config.K), beta=0.0))[0]
+
+
+def test_ris_off_floor_equals_lower_bound():
     cfg = toy_config().replace(alpha=np.zeros(3), beta=0.0)
     ph = PhaseShifts.identity(cfg.N)
-    np.testing.assert_allclose(rate_no_ris(cfg), rate_lower_bound(cfg, ph), rtol=1e-12)
     floor_bound, _ = phase_independent_bound(cfg)
-    np.testing.assert_allclose(rate_no_ris(cfg), floor_bound, rtol=1e-12)
+    np.testing.assert_allclose(floor_bound, rate_lower_bound(cfg, ph), rtol=1e-12)
 
 
-def test_rate_no_ris_power_scaling_limit():
+def test_ris_off_power_scaling_limit():
     cfg = default_profile()
     e_u = 1.0
     m = 10**8
     scaled = cfg.replace(M=m, p=e_u / math.sqrt(m))
     limit = cfg.tau_overhead * np.log2(
         1 + cfg.tau * e_u**2 * cfg.gamma**2 / cfg.sigma2**2)
-    np.testing.assert_allclose(rate_no_ris(scaled), limit, rtol=1e-3)
+    np.testing.assert_allclose(_ris_off_rates(scaled), limit, rtol=1e-3)
 
 
-def test_rate_no_ris_vanishes_at_low_power():
+def test_ris_off_rate_vanishes_at_low_power():
     cfg = toy_config(K=3, M=4)
-    rates = [rate_no_ris(cfg.replace(p=p)).max() for p in (1e-6, 1e-8, 1e-10)]
+    rates = [_ris_off_rates(cfg.replace(p=p)).max() for p in (1e-6, 1e-8, 1e-10)]
     assert rates[0] > rates[1] > rates[2]
     assert rates[-1] < 1e-6
 
@@ -179,7 +218,7 @@ def test_rate_no_ris_vanishes_at_low_power():
 def test_delta_sweep_approaches_no_ris():
     cfg = default_profile(delta=1e12)
     floor_bound, _ = phase_independent_bound(cfg)
-    np.testing.assert_allclose(floor_bound, rate_no_ris(cfg), rtol=1e-3)
+    np.testing.assert_allclose(floor_bound, _ris_off_rates(cfg), rtol=1e-3)
 
 
 # --- power scaling limit ---------------------------------------------------------
@@ -276,7 +315,7 @@ def test_exact_rate_mc_rejects_bad_arguments(reference_config):
 def test_exact_rate_mc_matches_no_ris_closed_form():
     cfg = default_profile(K=4, M=32, N=16).replace(alpha=np.zeros(4), beta=0.0)
     mc = exact_rate_mc(cfg, PhaseShifts.identity(16), 1500, seed=7)
-    np.testing.assert_allclose(mc.rates, rate_no_ris(cfg), rtol=0.05)
+    np.testing.assert_allclose(mc.rates, _ris_off_rates(cfg), rtol=0.05)
 
 
 def test_exact_rate_mc_single_user_scalar_oracle():
@@ -399,6 +438,14 @@ def test_exact_rate_mc_gives_up_on_persistent_singularity(monkeypatch):
     monkeypatch.setattr(rate_module, "sample_gram", always_zero)
     with pytest.raises(NumericalError, match="stayed singular"):
         exact_rate_mc(cfg, PhaseShifts.identity(cfg.N), 4, seed=5)
+
+
+def test_exact_rate_mc_rejects_underflowed_lambda():
+    # at p = 1e-200 the shrinkage weights square to 0, so Lambda is exactly 0
+    cfg = default_profile().replace(p=1e-200)
+    assert not np.any(compute_statistics(cfg).lam)
+    with pytest.raises(NumericalError, match="estimate correlation matrix"):
+        exact_rate_mc(cfg, PhaseShifts.identity(cfg.N), 3, seed=0)
 
 
 def test_lower_inverse_matches_dense_inverse():
