@@ -261,12 +261,17 @@ def _maxmin_from(problem: FractionalProblem, p: _Point, weights: np.ndarray, flo
     raise the smoothed minimum the curvature is doubled, up to the valid
     constant 2 mu max_k ||f_k^n||^2.  Two products by G per step; no K x N
     array.  Returns the new point with its ``_softmin`` and the number of
-    times the guard raised the curvature.
+    times the guard raised the curvature.  Raises :class:`NumericalError`
+    when the valid constant is not finite (the surrogate norms overflow, as
+    at p = 1e300), where the guard could never end.
     """
     s, r = _surrogate_factors(problem, p)
     fbar = _weighted_fvec(problem, p, s, r, weights)
     norm2 = _fvec_norms(problem, p, s, r)
     valid = 2.0 * mu * float(norm2.max())
+    if not math.isfinite(valid):
+        # the guard below ends only once prox reaches a finite valid constant
+        raise NumericalError("min-rate step: surrogate norms are not finite")
     spread = float(weights @ norm2) - np.vdot(fbar, fbar).real
     prox = min(2.0 * mu * max(spread, 0.0), valid)
     doubled = 0
@@ -327,6 +332,7 @@ def mm_optimize(config: SystemConfig, objective: str = "sum",
     ``rel_tol`` or after ``max_iter`` iterations.
 
     Defaults to the identity phase configuration when ``init`` is omitted.
+    Raises :class:`NumericalError` when the best point is not finite.
     """
     if objective not in ("sum", "min"):
         raise ConfigError(f"objective must be 'sum' or 'min', got {objective!r}")
@@ -408,6 +414,8 @@ def mm_optimize(config: SystemConfig, objective: str = "sum",
             converged = True
             break
 
+    if not np.all(np.isfinite(best_v)):
+        raise NumericalError(f"{objective} objective: the designed phases are not finite")
     return OptTrace(iterates=iterates, converged=converged, final_v=PhaseShifts(best_v),
                     curvature_doublings=doublings)
 

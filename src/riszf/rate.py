@@ -186,18 +186,22 @@ def mc_draws(config: SystemConfig, mean: np.ndarray, trials: int, seed: int):
 class GramLaw:
     """Per-point constants of the K x K law of (G, G^{-1} Qhat^H E) (see :func:`gram_law`).
 
-    ``lam_factor`` is L = chol(Lambda); ``r1_mean`` is sqrt(M) mu;
-    ``bias`` is B = Lambda^{-1} U R - I and ``bias_row`` sqrt(M) mu B;
-    ``noise_root_h`` is S_F^H for a root S_F S_F^H = Sigma_F; ``dof`` is
-    M - 1, the degrees of freedom of the Wishart part of G.
+    ``lam_factor_inv`` is L^{-1}, L = chol(Lambda); ``white_mean`` is the
+    whitened mean m = L^{-1} sqrt(M) mu^H (length K); ``bias`` is
+    B = Lambda^{-1} U R - I and ``bias_row`` b = sqrt(M) mu B;
+    ``noise_root_h`` is S_F^H for a root S_F S_F^H = Sigma_F; ``dof`` holds
+    M - 1 - i, the shape of |A_ii|^2 for the Bartlett factor A of the Wishart
+    part of G; ``lower`` is the K x K strictly-lower mask that A's
+    off-diagonal normals fill.
     """
 
-    lam_factor: np.ndarray
-    r1_mean: np.ndarray
+    lam_factor_inv: np.ndarray
+    white_mean: np.ndarray
     bias: np.ndarray
     bias_row: np.ndarray
     noise_root_h: np.ndarray
-    dof: int
+    dof: np.ndarray
+    lower: np.ndarray
 
 
 def gram_law(config: SystemConfig, phase: PhaseShifts) -> GramLaw:
@@ -212,35 +216,43 @@ def gram_law(config: SystemConfig, phase: PhaseShifts) -> GramLaw:
     tends to 0 at near-perfect CSI, so its root is not a Cholesky factor of
     Sigma_F: with R = L_R L_R^H, Sigma_F = s2 L_R (L_R^H L_R + s2 I)^{-1} L_R^H,
     so S_F = s L_R T^{-H} with T the Cholesky factor of L_R^H L_R + s2 I, a
-    positive-definite matrix, and no cancellation.
+    positive-definite matrix, and no cancellation.  Lambda is factored first,
+    so a Lambda that is not positive definite (it underflows to 0 at
+    p = 1e-200) raises :class:`NumericalError`; the trials then need only
+    L^{-1}, never L.
     """
     stats = compute_statistics(config)
+    k = config.K
     cov_factor = cholesky_factor(stats.cov, "channel row covariance")
-    t_factor = cholesky_factor(cov_factor.conj().T @ cov_factor + stats.noise * np.eye(config.K),
+    t_factor = cholesky_factor(cov_factor.conj().T @ cov_factor + stats.noise * np.eye(k),
                                "estimation-error covariance")
     # factored before the solve, so that a Lambda that is not positive
     # definite raises NumericalError, not numpy's LinAlgError
     lam_factor = cholesky_factor(stats.lam, "estimate correlation matrix")
-    bias = np.linalg.solve(stats.lam, stats.kappa[:, None] * stats.cov) - np.eye(config.K)
+    lam_factor_inv = _lower_inverse(lam_factor[None])[0]
+    bias = np.linalg.solve(stats.lam, stats.kappa[:, None] * stats.cov) - np.eye(k)
     r1_mean = math.sqrt(config.M) * mean_row(config, phase)
-    return GramLaw(lam_factor=lam_factor, r1_mean=r1_mean, bias=bias, bias_row=r1_mean @ bias,
+    return GramLaw(lam_factor_inv=lam_factor_inv, white_mean=lam_factor_inv @ r1_mean.conj(),
+                   bias=bias, bias_row=r1_mean @ bias,
                    noise_root_h=(math.sqrt(stats.noise)
                                  * np.linalg.solve(t_factor, cov_factor.conj().T)),
-                   dof=config.M - 1)
+                   dof=config.M - 1.0 - np.arange(k), lower=np.tri(k, k, -1, dtype=bool))
 
 
 def sample_gram(law: GramLaw, rng_seed, trials: int
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(r1, gram, z)`` of ``trials`` draws, exactly in the law of the M x K draw.
+    """``(w, A, z)`` of ``trials`` draws, exactly in the law of the M x K draw.
 
     A Householder reflection that maps a_M to sqrt(M) e_1 leaves the i.i.d.
-    rows of Qhat - mean i.i.d., so G = Qhat^H Qhat = r1^H r1 + L A A^H L^H
-    with r1 = sqrt(M) mu + w L^H (w a CN(0, I) row) and A the lower Bartlett
-    factor of a complex Wishart CW_K(M - 1, I): |A_ii|^2 ~ Gamma(M - 1 - i),
+    rows of Qhat - mean i.i.d., so G = Qhat^H Qhat = P P^H + x x^H with
+    P = L A, x = sqrt(M) mu^H + L w^H (``w`` (trials, K) a CN(0, I) row) and
+    A (trials, K, K) the lower Bartlett factor of a complex Wishart
+    CW_K(M - 1, I) (Goodman 1963): |A_ii|^2 ~ Gamma(M - 1 - i),
     A_ij ~ CN(0, 1) below the diagonal.  ``z`` (trials, K, K) is i.i.d.
     CN(0, 1) and carries the part of the leakage that is independent of
     Qhat (:func:`zf_terms`).  Per trial: K + K(K-1)/2 + K^2 complex normals
-    and K gammas, drawn in that order; nothing of size M or N.
+    and K gammas, drawn in that order; nothing of size M or N.  G itself is
+    never formed.
     """
     rng = np.random.default_rng(rng_seed)
     k = law.bias.shape[0]
@@ -249,71 +261,106 @@ def sample_gram(law: GramLaw, rng_seed, trials: int
     normals = rng.standard_normal((trials, k + n_lower + k * k, 2)).view(complex)[..., 0]
     normals *= math.sqrt(0.5)
     bartlett = np.zeros((trials, k, k), dtype=complex)
-    bartlett[:, np.tri(k, k, -1, dtype=bool)] = normals[:, k:k + n_lower]
+    bartlett[:, law.lower] = normals[:, k:k + n_lower]
     diag = np.arange(k)
-    bartlett[:, diag, diag] = np.sqrt(rng.standard_gamma(law.dof - diag, size=(trials, k)))
-    r1 = normals[:, :k] @ law.lam_factor.conj().T
-    r1 += law.r1_mean
-    # G = X X^H with the K x (K + 1) root X = [L A, r1^H]
-    root = np.empty((trials, k, k + 1), dtype=complex)
-    np.matmul(law.lam_factor, bartlett, out=root[..., :k])
-    root[..., k] = r1.conj()
-    gram = root @ root.conj().swapaxes(-1, -2)
-    return r1, gram, normals[:, k + n_lower:].reshape(trials, k, k)
+    bartlett[:, diag, diag] = np.sqrt(rng.standard_gamma(law.dof, size=(trials, k)))
+    return normals[:, :k], bartlett, normals[:, k + n_lower:].reshape(trials, k, k)
 
 
-def _lower_inverse(chol: np.ndarray) -> np.ndarray:
+def _lower_inverse(lower: np.ndarray) -> np.ndarray:
     """Inverses of stacked lower-triangular matrices (trials, K, K), by forward substitution.
 
-    Row i of L^{-1} is (e_i - L[i, :i] L^{-1}[:i, :]) / L[i, i]; each of the K
-    steps runs over every trial at once.
+    Row i of L^{-1} is -L[i, :i] L^{-1}[:i, :] / L[i, i] off the diagonal and
+    1 / L[i, i] on it; each of the K steps runs over every trial at once.
     """
-    k = chol.shape[-1]
-    inv = np.zeros_like(chol)
-    recip = 1.0 / np.diagonal(chol, axis1=-2, axis2=-1)
-    neg_recip = -recip
-    for i in range(k):
-        if i:
-            # entries :i of row i; as L^{-1}[:i, i] = 0, entry i is 1 / L[i, i] alone
-            row = inv[:, i, :i]
-            np.matmul(chol[:, i:i + 1, :i], inv[:, :i, :i], out=row[:, None, :])
-            row *= neg_recip[:, i:i + 1]
-        inv[:, i, i] = recip[:, i]
+    trials, k, _ = lower.shape
+    inv = np.zeros_like(lower)
+    recip = 1.0 / np.diagonal(lower, axis1=-2, axis2=-1)
+    inv.reshape(trials, k * k)[:, ::k + 1] = recip
+    # rows scaled by -1 / L[i, i], so that each step is one product written in place
+    scaled = lower * -recip[:, :, None]
+    for i in range(1, k):
+        # as L^{-1}[:i, i:] = 0, entries :i of row i need only the leading block
+        np.matmul(scaled[:, i:i + 1, :i], inv[:, :i, :i], out=inv[:, i:i + 1, :i])
     return inv
 
 
-def zf_terms(law: GramLaw, r1: np.ndarray, gram: np.ndarray, z: np.ndarray
+def _row_norms2(a: np.ndarray) -> np.ndarray:
+    """sum_j |a_ij|^2 over the last axis of a complex array, as re^2 + im^2."""
+    pairs = a.view(float)
+    return np.einsum("...i,...i->...", pairs, pairs)
+
+
+def _zf_root(law: GramLaw, w: np.ndarray, bartlett: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray]:
-    """``(leakage, rx_norm2)`` of stacked draws from :func:`sample_gram`.
+    """``(V, G^{-1} x)`` of stacked draws, V V^H = G^{-1} (see :func:`zf_terms`), with no Gram.
 
-    With C = chol(G), the ZF leakage G^{-1} Qhat^H E is
-    B - G^{-1} (sqrt(M) r1^H) mu B + C^{-H} Z S_F^H (trials, K, K), and
-    rx_norm2 the diagonal of G^{-1} (trials, K), the squared norms of the ZF
-    receiver columns.  Raises :class:`NumericalError` when any G is singular.
+    ``V`` is (trials, K, K) and ``G^{-1} x`` (trials, K, 1).  Raises
+    :class:`NumericalError` when an A has a diagonal entry that is not
+    positive (G singular).
     """
-    chol_inv = _lower_inverse(cholesky_factor(gram, "estimate Gram matrix"))
-    inner = z @ law.noise_root_h
-    inner -= (chol_inv @ r1.conj()[:, :, None]) * law.bias_row
-    leakage = chol_inv.conj().swapaxes(-1, -2) @ inner
+    trials, k, _ = bartlett.shape
+    if not np.all(np.diagonal(bartlett, axis1=-2, axis2=-1).real > 0.0):
+        raise NumericalError("estimate Gram matrix: Bartlett factor is singular")
+    a_inv = _lower_inverse(bartlett)
+    y = a_inv @ (law.white_mean + w.conj())[:, :, None]
+    p_inv = (a_inv.reshape(trials * k, k) @ law.lam_factor_inv).reshape(trials, k, k)
+    v = np.conjugate(p_inv.swapaxes(-1, -2), order="C")     # P^{-H}, before the update
+    g = v @ y
+    r2 = 1.0 + _row_norms2(y[..., 0])[:, None, None]
+    r = np.sqrt(r2)
+    v -= (g / (r * (r + 1.0))) * y.conj().swapaxes(-1, -2)
+    return v, g / r2
+
+
+def zf_terms(law: GramLaw, w: np.ndarray, bartlett: np.ndarray, z: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """``(leakage, rx_norm2)`` of stacked draws from :func:`sample_gram`, with no Gram.
+
+    G = P (I + y y^H) P^H with y = P^{-1} x = A^{-1} (m + w^H), so by
+    Sherman & Morrison (1950), with r = sqrt(1 + |y|^2) and
+    c = 1 / (r (r + 1)), V = P^{-H} (I - c y y^H) satisfies V V^H = G^{-1},
+    and G^{-1} x = g / r^2 with g = P^{-H} y.  P^{-1} = A^{-1} L^{-1} costs
+    one triangular inverse per trial and one GEMM per chunk.  V is not the
+    Cholesky root: V = C^{-H} U with C = chol(G) and U = C^H V unitary, a
+    function of (A, w) alone and so independent of Z, and U Z has the law of
+    Z.  Hence the ZF leakage G^{-1} Qhat^H E, in law
+    B - G^{-1} x b + C^{-H} Z S_F^H, is drawn exactly as
+    B - (g / r^2) b + V Z S_F^H (trials, K, K).  rx_norm2, the diagonal of
+    G^{-1} (trials, K) and the squared norms of the ZF receiver columns, is
+    the squared row norms of V.  Raises :class:`NumericalError` when an A
+    has a diagonal entry that is not positive (G singular).
+    """
+    trials, k, _ = z.shape
+    v, gram_inv_x = _zf_root(law, w, bartlett)
+    leakage = v @ (z.reshape(trials * k, k) @ law.noise_root_h).reshape(trials, k, k)
+    leakage -= gram_inv_x * law.bias_row
     leakage += law.bias
-    return leakage, np.sum(np.abs(chol_inv) ** 2, axis=-2)
+    return leakage, _row_norms2(v)
 
 
-def _zf_rates(config: SystemConfig, law: GramLaw, r1: np.ndarray, gram: np.ndarray,
+def _zf_rates(config: SystemConfig, law: GramLaw, w: np.ndarray, bartlett: np.ndarray,
               z: np.ndarray) -> np.ndarray:
-    """Per-trial ZF rates (trials x K) of stacked draws from :func:`sample_gram`."""
-    leakage, rx_norm2 = zf_terms(law, r1, gram, z)
-    interference = config.p * np.sum(np.abs(leakage) ** 2, axis=-1)
+    """Per-trial ZF rates (trials x K) of stacked draws from :func:`sample_gram`.
+
+    Raises :class:`NumericalError` when a trial's G is singular
+    (:func:`zf_terms`) or any rate is not finite.
+    """
+    leakage, rx_norm2 = zf_terms(law, w, bartlett, z)
+    interference = config.p * _row_norms2(leakage)
     sinr = config.p / (interference + config.sigma2 * rx_norm2)
-    return config.tau_overhead * np.log2(1.0 + sinr)
+    rates = config.tau_overhead * np.log2(1.0 + sinr)
+    if not np.all(np.isfinite(rates)):
+        raise NumericalError("estimate Gram matrix: ZF rates are not finite")
+    return rates
 
 
 def _trial_rates(config: SystemConfig, law: GramLaw, draws: tuple, seed: int,
                  key: tuple) -> tuple[np.ndarray, int]:
     """``(rates, redraws)`` of one trial's ``draws`` (each with a leading axis of 1).
 
-    While its Gram is singular the trial is redrawn from the substream
-    (seed, *key, attempt), at most ``_MAX_RESAMPLE`` times.
+    While it is singular (:func:`_zf_rates` raises) the trial is redrawn from
+    the substream (seed, *key, attempt), at most ``_MAX_RESAMPLE`` times.
     """
     for attempt in range(_MAX_RESAMPLE + 1):
         if attempt:
@@ -333,15 +380,18 @@ def exact_rate_mc(config: SystemConfig, phase: PhaseShifts, trials: int,
 
     A trial's rate depends on its channel only through two K x K matrices,
     the estimate Gram G = Qhat^H Qhat and the leakage G^{-1} Qhat^H E, so
-    each trial draws those directly in their exact joint law
-    (:func:`gram_law`, :func:`sample_gram`) and evaluates
+    each trial draws them in their exact joint law (:func:`gram_law`,
+    :func:`sample_gram`) and evaluates
         tau_overhead * log2(1 + p / (p sum_i |a_k^H e_i|^2 + sigma2 |a_k|^2))
-    for the ZF receiver A = Qhat G^{-1} through the Cholesky factor of G (one
-    stacked factorization per chunk of trials).  The cost per trial is
-    O(K^3), independent of M and N.  Chunk c of trials draws from the
-    substream (seed, c); if a Gram in the chunk is singular the chunk is
-    redone trial by trial and trial i is redrawn from (seed, c, i, attempt).
-    Results are bit-identical for a given seed.
+    for the ZF receiver A = Qhat G^{-1}.  G is never formed or factored: a
+    Sherman-Morrison root V with V V^H = G^{-1}, built from the inverse of
+    the Bartlett factor (:func:`zf_terms`), gives both terms, exactly in
+    law.  The cost per trial is O(K^3), independent of M and N.  Chunk c of
+    trials draws from the substream (seed, c).  A trial is singular when
+    its Bartlett factor has a diagonal entry that is not positive or its
+    rates are not finite; then the chunk is redone trial by trial and
+    trial i is redrawn from (seed, c, i, attempt).  Results are
+    bit-identical for a given seed.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")

@@ -1,5 +1,8 @@
 """Shared fixtures and config factories for the test suite."""
 
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
@@ -80,3 +83,21 @@ def random_config(rng, K=None, M=None, N=None, delta=None):
         bs_aoa=(rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi)),
         mu=float(rng.uniform(2.0, 20.0)),
     )
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise ``TimeoutError`` in the block after ``seconds``: a hang becomes a failure.
+
+    Uses ``SIGALRM`` on the calling (main) thread and starts no process.
+    """
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -1,9 +1,12 @@
 """Reference implementations that the tests compare the package against.
 
 The K x N surrogate of the MM steps, the mean Gram of the channel estimate
-from its definition, and the MMSE estimate of one dense draw
-(:func:`riszf.channel.sample_channels`).
+from its definition, the MMSE estimate of one dense draw
+(:func:`riszf.channel.sample_channels`), and the dense Gram of one K x K
+Monte-Carlo draw.
 """
+
+import math
 
 import numpy as np
 
@@ -63,3 +66,18 @@ def mmse_estimate(config: SystemConfig, realization: ChannelRealization,
         realization.q, realization.pilot_noise,
         aggregated_mean(config, realization.phase) if mean is None else mean,
         (compute_statistics(config) if stats is None else stats).kappa)
+
+
+def gram_from_draw(config: SystemConfig, phase: PhaseShifts, w: np.ndarray,
+                   bartlett: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(G, x)`` of draws ``(w, A)`` from :func:`riszf.rate.sample_gram`, formed densely.
+
+    G = P P^H + x x^H (trials, K, K) with P = L A, L = chol(Lambda), and
+    x = sqrt(M) mu^H + L w^H (trials, K), mu the channel-mean row.  The
+    Monte-Carlo kernel never forms G; the tests check it against this.
+    """
+    lam_factor = np.linalg.cholesky(compute_statistics(config).lam)
+    root = lam_factor @ bartlett
+    x = math.sqrt(config.M) * np.conj(mean_row(config, phase)) + w.conj() @ lam_factor.T
+    gram = root @ root.conj().swapaxes(-1, -2) + x[:, :, None] * x.conj()[:, None, :]
+    return gram, x

@@ -18,6 +18,8 @@ from riszf.harness import (Scenario, csv_header, csv_text, manifest_path, reprod
                            solve_antennas_for_snr, write_scenario_outputs)
 from riszf.rate import rate_lower_bound, required_antennas
 
+from conftest import deadline
+
 
 @pytest.fixture(scope="module")
 def small_config():
@@ -351,6 +353,17 @@ def test_cli_optimize(tmp_path):
     assert len(payload["final_theta"]) == 8
     values = [step["value"] for step in payload["objective_trace"]]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+
+def test_cli_optimize_min_at_huge_power_exits_3(tmp_path):
+    # at p = 1e300 the min-rate step's guard used to loop forever; it is a
+    # numerical failure, exit code 3
+    cfg_path = tmp_path / "huge_p.cfg"
+    write_config_file(default_profile().replace(p=1e300), cfg_path)
+    with deadline(20), np.errstate(over="ignore", invalid="ignore"):
+        code = cli_main(["--config", str(cfg_path), "--trials", "5", "optimize",
+                         "--objective", "min", "--max-iter", "5"])
+    assert code == 3
 
 
 def test_cli_json_format_applies_to_stdout(capsys):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from riszf.channel import PhaseShifts, alignment_response, build_los
 from riszf.config import default_profile
-from riszf.errors import ConfigError
+from riszf.errors import ConfigError, NumericalError
 from riszf.estimation import compute_statistics
 from riszf.optimizer import (FractionalProblem, OptTrace, _fvec_norms, _maxmin_from,
                              _maxsum_coeff, _phase_align, _point, _softmin,
@@ -18,7 +18,7 @@ from riszf.optimizer import (FractionalProblem, OptTrace, _fvec_norms, _maxmin_f
                              fractional_objective, mm_optimize, quantize_phase)
 from riszf.rate import rate_lower_bound, rate_lower_bound_snr
 
-from conftest import random_angle_profile, random_config, toy_config
+from conftest import deadline, random_angle_profile, random_config, toy_config
 from oracle import surrogate_maxsum
 
 
@@ -427,6 +427,31 @@ def test_mm_optimize_rejects_bad_arguments(reference_config):
         mm_optimize(reference_config, objective="max")
     with pytest.raises(ConfigError):
         mm_optimize(reference_config, init=PhaseShifts.identity(3))
+
+
+def test_min_objective_fails_when_surrogate_norms_overflow():
+    # at p = 1e300 the surrogate norms of the identity start overflow, so the
+    # guard's valid constant 2 mu max_k ||f_k||^2 is not finite; the guard
+    # loop of _maxmin_from used to spin forever there
+    cfg = default_profile(N=16).replace(p=1e300)
+    with deadline(20), np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match="surrogate norms are not finite"):
+        mm_optimize(cfg, "min", max_iter=5)
+
+
+@pytest.mark.parametrize("n, measured", [(64, 0.9870), (256, 0.9916), (1024, 0.9988)])
+def test_aligning_to_any_user_nears_the_max_sum_rate(n, measured):
+    # the abstract's last claim: aligning the RIS to an arbitrary user comes
+    # close to the maximum sum rate.  At default_profile(N), with the sum MM
+    # started from the best aligned phase, aligning to the worst of the 8
+    # users reaches 0.98697, 0.99156 and 0.99880 of the MM's sum lower bound;
+    # the margin is 0.002 below those
+    cfg = default_profile(N=n)
+    aligned = [float(rate_lower_bound(cfg, align_phase(cfg, k)).sum()) for k in range(cfg.K)]
+    trace = mm_optimize(cfg, "sum", init=align_phase(cfg, int(np.argmax(aligned))))
+    designed = float(rate_lower_bound(cfg, trace.final_v).sum())
+    assert max(aligned) <= designed
+    assert min(aligned) / designed >= measured - 0.002, min(aligned) / designed
 
 
 # --- alignment and quantization ------------------------------------------------------

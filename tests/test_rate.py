@@ -16,7 +16,7 @@ from riszf.rate import (MonteCarloRate, exact_rate_mc, phase_independent_bound,
                         gram_law, sample_gram, zf_terms)
 
 from conftest import random_config, toy_config
-from oracle import mmse_estimate, qhat_gram_mean
+from oracle import gram_from_draw, mmse_estimate, qhat_gram_mean
 
 
 # --- closed-form bounds -------------------------------------------------------
@@ -404,17 +404,17 @@ def test_batched_mc_matches_dense_oracle_in_distribution():
 
 
 def test_exact_rate_mc_redraws_singular_trial(monkeypatch):
-    # a zeroed K x K draw has a zero (singular) Gram
+    # a zeroed Bartlett factor and w leave the rank-one (singular) Gram x x^H
     cfg = toy_config(K=3, M=12, N=16, delta=0.0, seed=3)
     ph = PhaseShifts.identity(cfg.N)
     draw = rate_module.sample_gram
 
     def poisoned(law, rng, trials):
-        r1, gram, z = draw(law, rng, trials)
+        w, bartlett, z = draw(law, rng, trials)
         if trials > 1:                        # chunk draws, not single-trial redraws
-            r1[1] = 0.0
-            gram[1] = 0.0
-        return r1, gram, z
+            w[1] = 0.0
+            bartlett[1] = 0.0
+        return w, bartlett, z
 
     monkeypatch.setattr(rate_module, "sample_gram", poisoned)
     a = exact_rate_mc(cfg, ph, 10, seed=4)
@@ -425,15 +425,33 @@ def test_exact_rate_mc_redraws_singular_trial(monkeypatch):
     np.testing.assert_array_equal(a.std_errors, b.std_errors)
 
 
+def test_exact_rate_mc_redraws_trial_with_non_finite_rates(monkeypatch):
+    # a NaN in Z leaves the Bartlett factor regular but the trial's rates NaN:
+    # that trial too is redrawn, and counted
+    cfg = toy_config(K=3, M=12, N=16, delta=0.5, seed=3)
+    draw = rate_module.sample_gram
+
+    def poisoned(law, rng, trials):
+        w, bartlett, z = draw(law, rng, trials)
+        if trials > 1:
+            z[2, 0, 0] = np.nan
+        return w, bartlett, z
+
+    monkeypatch.setattr(rate_module, "sample_gram", poisoned)
+    a = exact_rate_mc(cfg, PhaseShifts.identity(cfg.N), 10, seed=4)
+    assert a.singular_retries == 1
+    assert np.all(np.isfinite(a.rates)) and np.all(np.isfinite(a.std_errors))
+
+
 def test_exact_rate_mc_gives_up_on_persistent_singularity(monkeypatch):
     cfg = toy_config(K=3, M=12, N=16, delta=0.0, seed=3)
     draw = rate_module.sample_gram
 
     def always_zero(law, rng, trials):
-        r1, gram, z = draw(law, rng, trials)
-        r1[0] = 0.0
-        gram[0] = 0.0
-        return r1, gram, z
+        w, bartlett, z = draw(law, rng, trials)
+        w[0] = 0.0
+        bartlett[0] = 0.0
+        return w, bartlett, z
 
     monkeypatch.setattr(rate_module, "sample_gram", always_zero)
     with pytest.raises(NumericalError, match="stayed singular"):
@@ -449,22 +467,74 @@ def test_exact_rate_mc_rejects_underflowed_lambda():
 
 
 def test_lower_inverse_matches_dense_inverse():
-    # the forward substitution of zf_terms against numpy's LU inverse, on the
-    # Cholesky factors of drawn Grams from K = 1 to K = 8
+    # the forward substitution of zf_terms against numpy's LU inverse, on drawn
+    # Bartlett factors and on the Cholesky factors of the Grams rebuilt from
+    # the same draws, from K = 1 to K = 8
     for cfg in (default_profile(N=400), toy_config(K=3, M=12, N=16, seed=2),
                 toy_config(K=1, M=4, N=9, seed=3)):
-        law = gram_law(cfg, PhaseShifts.random(cfg.N, 1))
-        _, gram, _ = sample_gram(law, 1, 200)
-        chol = np.linalg.cholesky(gram)
-        dense = np.linalg.inv(chol)
-        fwd = rate_module._lower_inverse(chol)
-        assert np.all(np.triu(fwd, 1) == 0)
-        np.testing.assert_allclose(fwd, dense, rtol=1e-14, atol=1e-14 * np.abs(dense).max())
+        ph = PhaseShifts.random(cfg.N, 1)
+        w, bartlett, _ = sample_gram(gram_law(cfg, ph), 1, 200)
+        gram, _ = gram_from_draw(cfg, ph, w, bartlett)
+        for lower in (bartlett, np.linalg.cholesky(gram)):
+            dense = np.linalg.inv(lower)
+            fwd = rate_module._lower_inverse(lower)
+            assert np.all(np.triu(fwd, 1) == 0)
+            np.testing.assert_allclose(fwd, dense, rtol=1e-14,
+                                       atol=1e-14 * np.abs(dense).max())
+
+
+def _root_errors(cfg, ph, seed):
+    """Per-draw relative errors of the Sherman-Morrison root against the dense Gram.
+
+    ``(V V^H vs G^{-1}, G^{-1} x, rx_norm2 vs the Cholesky path, median |y|^2)``,
+    each the worst of 200 trials of one draw; G is rebuilt from the same (w, A).
+    """
+    law = gram_law(cfg, ph)
+    w, bartlett, z = sample_gram(law, seed, 200)
+    v, gram_inv_x = rate_module._zf_root(law, w, bartlett)
+    _, rx_norm2 = zf_terms(law, w, bartlett, z)
+    gram, x = gram_from_draw(cfg, ph, w, bartlett)
+    inverse = np.linalg.inv(gram)
+    root_err = np.max(np.abs(v @ v.conj().swapaxes(-1, -2) - inverse)
+                      / np.abs(inverse).max(axis=(-2, -1), keepdims=True))
+    solved = np.linalg.solve(gram, x[:, :, None])
+    solve_err = np.max(np.abs(gram_inv_x - solved)
+                       / np.abs(solved).max(axis=(-2, -1), keepdims=True))
+    chol_inv = np.linalg.inv(np.linalg.cholesky(gram))
+    cholesky_diag = np.sum(np.abs(chol_inv) ** 2, axis=-2)
+    diag_err = np.max(np.abs(rx_norm2 - cholesky_diag) / cholesky_diag)
+    # |y|^2 = x^H (P P^H)^{-1} x, the LoS share of G against its Wishart part
+    p_root = np.linalg.cholesky(compute_statistics(cfg).lam) @ bartlett
+    y2 = np.sum(np.abs(np.linalg.solve(p_root, x[:, :, None])) ** 2, axis=(-2, -1))
+    return root_err, solve_err, diag_err, float(np.median(y2))
+
+
+def test_sherman_morrison_root_matches_dense_gram():
+    # V V^H = G^{-1}, G^{-1} x = g / (1 + |y|^2), and rx_norm2 = diag(C^{-H} C^{-1})
+    # of the Cholesky path C = chol(G), draw by draw at K = 1, 3 and 8
+    for cfg in (toy_config(K=1, M=4, N=9, seed=3), toy_config(K=3, M=12, N=16, seed=2),
+                default_profile(N=400)):
+        root_err, solve_err, diag_err, _ = _root_errors(cfg, PhaseShifts.random(cfg.N, 1), 5)
+        assert root_err < 1e-13 and solve_err < 1e-13, (cfg.K, root_err, solve_err)
+        assert diag_err < 1e-12, (cfg.K, diag_err)
+
+
+def test_sherman_morrison_root_at_strong_los():
+    # aligned at N = 1e7 the LoS dominates G: |y|^2 ~ 1e7 and cond(G) ~ 4e8.
+    # Measured: V V^H within 6e-16 of G^{-1}; G^{-1} x within 2.0e-12 and
+    # rx_norm2 within 3.1e-12 of the dense solve and Cholesky path, both of
+    # which lose up to eps cond(G) themselves; the bound is 1e-10
+    cfg = default_profile(N=10**7)
+    root_err, solve_err, diag_err, y2 = _root_errors(cfg, align_phase(cfg, 0), 5)
+    assert y2 > 1e6, y2
+    assert root_err < 1e-13, root_err
+    assert solve_err < 1e-10 and diag_err < 1e-10, (solve_err, diag_err)
 
 
 def test_gram_draw_matches_first_moments():
-    # E{G} = M (Lambda + rho w w^H) and E{Qhat^H E} = M (U R - Lambda), with
-    # Qhat^H E = G (G^{-1} Qhat^H E) rebuilt from the leakage; the diagonal of
+    # E{G} = M (Lambda + rho w w^H) and E{Qhat^H E} = M (U R - Lambda), with G
+    # rebuilt densely from the draw (oracle.gram_from_draw) and
+    # Qhat^H E = G (G^{-1} Qhat^H E) from the leakage; the diagonal of
     # U R - Lambda is 0 (per-user MMSE), its off-diagonal is not
     cases = [(toy_config(K=3, M=12, N=16, delta=0.7, seed=21), 5),
              (toy_config(K=4, M=6, N=9, delta=3.0, p=0.2, seed=4), 6),
@@ -473,8 +543,9 @@ def test_gram_draw_matches_first_moments():
     for cfg, seed in cases:
         ph = PhaseShifts.random(cfg.N, seed)
         law = gram_law(cfg, ph)
-        r1, gram, z = sample_gram(law, seed, 20000)
-        leakage, _ = zf_terms(law, r1, gram, z)
+        w, bartlett, z = sample_gram(law, seed, 20000)
+        leakage, _ = zf_terms(law, w, bartlett, z)
+        gram, _ = gram_from_draw(cfg, ph, w, bartlett)
         stats = compute_statistics(cfg)
         cross = cfg.M * (stats.kappa[:, None] * stats.cov - stats.lam)
         for samples, expected in ((gram, qhat_gram_mean(cfg, ph)), (gram @ leakage, cross)):
