@@ -96,10 +96,8 @@ def compute_statistics(config: SystemConfig) -> ChannelStatistics:
 
     so [lam]_kk = c_k^2 / (c_k + s2).  Phi is unitary and the NLoS rows of H2
     are i.i.d. CN(0, I), so every row of Q - mean is CN(0, R) for any phase;
-    R is positive definite because gamma > 0.
-
-    Computed once per config instance: later calls return the same
-    :class:`ChannelStatistics`, whose arrays are read-only.
+    R is positive definite because gamma > 0.  Computed once per config
+    instance: later calls return the same read-only :class:`ChannelStatistics`.
     """
     noise = config.sigma2 / (config.tau * config.p)
     c = random_component_power(config)
@@ -133,7 +131,9 @@ def shrink_estimate(q: np.ndarray, pilot_noise: np.ndarray, mean: np.ndarray,
     column k of qhat is mean_k + kappa_k (q_k - mean_k + pilot_noise_k), with
     ``mean`` the channel mean (:func:`riszf.channel.aggregated_mean`) and
     ``kappa`` the shrinkage weights (:attr:`ChannelStatistics.kappa`).  The
-    error is independent of the estimate by the orthogonality principle.
+    orthogonality principle holds per column only: E = (qhat - mean) B + F,
+    F independent of qhat, B = Lam^{-1} diag(kappa) R - I != 0, so an error is
+    correlated with the other users' estimates (README's large-M note).
     ``q`` and ``pilot_noise`` may be stacks (..., M, K) of draws.
     """
     qhat = mean + kappa * (q - mean + pilot_noise)

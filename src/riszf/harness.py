@@ -112,8 +112,8 @@ def _alignment_indices(config: SystemConfig) -> tuple[int, int]:
     return int(np.argmin(config.user_ris_dist)), int(np.argmax(config.user_ris_dist))
 
 
-def resolve_phase(config: SystemConfig, scenario: Scenario, rng) -> tuple[PhaseShifts, int]:
-    """Turn a phase design into concrete phases; returns (phase, optimizer iters).
+def resolve_phase(config: SystemConfig, design: str, rng) -> tuple[PhaseShifts, int]:
+    """Concrete phases for a design of :data:`PHASE_CASES`; returns (phase, optimizer iters).
 
     The optimizer cases warm-start from the best of the four heuristic cases
     under their own objective; monotonicity of the optimizer then guarantees
@@ -122,7 +122,6 @@ def resolve_phase(config: SystemConfig, scenario: Scenario, rng) -> tuple[PhaseS
     other case of the same run.  Both run :func:`mm_optimize` with its
     default iteration cap and tolerance.
     """
-    design = scenario.phase_design
     if design == "case4_identity":
         return PhaseShifts.identity(config.N), 0
     if design == "case3_random":
@@ -149,14 +148,12 @@ def resolve_phase(config: SystemConfig, scenario: Scenario, rng) -> tuple[PhaseS
 
     iterations = 0
     if objective == "min":
-        sum_trace = mm_optimize(config, objective="sum",
-                                init=max(candidates, key=sum_score), problem=problem)
+        sum_trace = mm_optimize(config, objective="sum", init=max(candidates, key=sum_score))
         iterations += sum_trace.iterations
         candidates.append(sum_trace.final_v)
 
     score = sum_score if objective == "sum" else min_score
-    trace = mm_optimize(config, objective=objective, init=max(candidates, key=score),
-                        problem=problem)
+    trace = mm_optimize(config, objective=objective, init=max(candidates, key=score))
     return trace.final_v, iterations + trace.iterations
 
 
@@ -185,7 +182,7 @@ def _run_point(scenario: Scenario, index: int, value,
     try:
         opt_iters = 0
         if phase is None:
-            phase, opt_iters = resolve_phase(config, scenario,
+            phase, opt_iters = resolve_phase(config, scenario.phase_design,
                                              _substream(scenario.seed, (index, 1)))
         mc = exact_rate_mc(config, phase, scenario.trials, _point_seed(scenario.seed, index))
         floor_bound, _ = phase_independent_bound(config)
@@ -216,7 +213,8 @@ def run_scenario(scenario: Scenario, max_workers: int | None = None) -> list[Res
         return [_run_point(scenario, 0, None, None)]
     base_phase = None
     if scenario.sweep_axis == "bits":
-        base_phase, _ = resolve_phase(scenario.config, scenario, _substream(scenario.seed, (0, 1)))
+        base_phase, _ = resolve_phase(scenario.config, scenario.phase_design,
+                                      _substream(scenario.seed, (0, 1)))
     points = list(enumerate(scenario.sweep_values))
     workers = max_workers or min(4, len(points))
     if workers <= 1 or len(points) == 1:
@@ -322,16 +320,16 @@ def write_scenario_outputs(rows, scenario: Scenario, out_path, fmt: str = "csv",
 
 # --- antenna-count inversion (trade-off curves) ------------------------------
 
-def solve_antennas_for_snr(config: SystemConfig, N: int, C0: float, k: int) -> float:
+def solve_antennas_for_snr(config: SystemConfig, C0: float, k: int) -> float:
     """Antenna count at which the phase-independent bound reaches SNR C0.
 
-    Inverts the exact bound for user k over a real-valued antenna count
-    (delta forced to 0, N replaced).  The bound's SNR is per_antenna (m - K),
-    linear in the antenna count m, so the inverse is K + C0 / per_antenna.
-    Serves as the exact-bound counterpart of
+    Inverts the exact bound for user k with the config's N over a
+    real-valued antenna count (delta forced to 0).  The bound's SNR is
+    per_antenna (m - K), linear in the antenna count m, so the inverse is
+    K + C0 / per_antenna.  Serves as the exact-bound counterpart of
     :func:`riszf.rate.required_antennas`.
     """
-    cfg = config.replace(N=int(N), delta=0.0)
+    cfg = config.replace(delta=0.0)
     snr_ref = float(phase_independent_snr(cfg)[0][k])
     per_antenna = snr_ref / (cfg.M - cfg.K)
     return cfg.K + C0 / per_antenna
@@ -390,8 +388,8 @@ def reproduce(figure_id: str, out_dir, config: SystemConfig | None = None,
         rows = []
         for n in (16, 32, 64, 128, 256):
             cfg_n = config.replace(N=n, delta=0.0)
-            m_solved = solve_antennas_for_snr(config, n, c0, user)
-            m_formula = required_antennas(cfg_n, n, c0, user)
+            m_solved = solve_antennas_for_snr(cfg_n, c0, user)
+            m_formula = required_antennas(cfg_n, c0, user)
             gain = n * config.alpha[user] * config.beta + config.gamma[user]
             rows.append([n, c0, user, m_solved, m_formula, (m_solved - config.K) * gain])
         path = out_dir / "fig4a.csv"

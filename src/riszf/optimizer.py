@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import PhaseShifts, build_los
-from .config import SystemConfig
+from .config import SystemConfig, _once_per_config
 from .errors import ConfigError, NumericalError
 from .estimation import compute_statistics, hermitian_inverse
 
@@ -99,6 +99,7 @@ class FractionalProblem:
         return 0.5 * (den + den.conj().transpose(0, 2, 1))
 
 
+@_once_per_config
 def build_problem(config: SystemConfig) -> FractionalProblem:
     """Assemble the low-rank fractional-programming data from the scenario statistics.
 
@@ -111,7 +112,8 @@ def build_problem(config: SystemConfig) -> FractionalProblem:
     G G^H = diag(sqrt(alpha)) S diag(sqrt(alpha)), ``ChannelStatistics.gram``
     from the analytic steering Gram S, and R is its PSD root.  Total cost
     O(N K^2); no N x N or M x N matrix is formed, and no N-sized array
-    beyond G and one vector.
+    beyond G and one vector.  Computed once per config instance: later calls
+    return the same :class:`FractionalProblem`, whose arrays are read-only.
     """
     los = build_los(config)
     stats = compute_statistics(config)
@@ -314,8 +316,7 @@ _MAX_BACKTRACK = 30
 
 def mm_optimize(config: SystemConfig, objective: str = "sum",
                 init: PhaseShifts | None = None, max_iter: int = 500,
-                rel_tol: float = 1e-6,
-                problem: FractionalProblem | None = None) -> OptTrace:
+                rel_tol: float = 1e-6) -> OptTrace:
     """Maximize the sum rate or the minimum user rate over RIS phases.
 
     ``objective`` is ``"sum"`` (sum of f_k) or ``"min"`` (log-sum-exp
@@ -336,8 +337,7 @@ def mm_optimize(config: SystemConfig, objective: str = "sum",
     """
     if objective not in ("sum", "min"):
         raise ConfigError(f"objective must be 'sum' or 'min', got {objective!r}")
-    if problem is None:
-        problem = build_problem(config)
+    problem = build_problem(config)
     if init is None:
         init = PhaseShifts.identity(config.N)
     if init.n != config.N:
@@ -372,47 +372,49 @@ def mm_optimize(config: SystemConfig, objective: str = "sum",
         def true_value(p):
             return float(p.values.min())
 
-    state = evaluate(init.v.copy())
-    obj = state[-1]
-    best_true = true_value(state[0])
-    best_v = state[0].v
-    iterates = [(0, obj, 0)]
-    converged = False
+    # an overflow (as at p = 1e300) is reported by the finite checks, not as a warning
+    with np.errstate(over="ignore"):
+        state = evaluate(init.v.copy())
+        obj = state[-1]
+        best_true = true_value(state[0])
+        best_v = state[0].v
+        iterates = [(0, obj, 0)]
+        converged = False
 
-    for it in range(1, max_iter + 1):
-        s1 = step(state)
-        s2 = step(s1)
-        v = state[0].v
-        d1 = s1[0].v - v
-        d2 = s2[0].v - s1[0].v - d1
-        d1_norm = math.sqrt(np.vdot(d1, d1).real)
-        d2_norm = math.sqrt(np.vdot(d2, d2).real)
+        for it in range(1, max_iter + 1):
+            s1 = step(state)
+            s2 = step(s1)
+            v = state[0].v
+            d1 = s1[0].v - v
+            d2 = s2[0].v - s1[0].v - d1
+            d1_norm = math.sqrt(np.vdot(d1, d1).real)
+            d2_norm = math.sqrt(np.vdot(d2, d2).real)
 
-        backtracks = 0
-        new = s2
-        if d1_norm != 0.0 and d2_norm != 0.0:
-            rho = -d1_norm / d2_norm
-            while True:
-                cand = evaluate(-np.exp(1j * np.angle(v - 2.0 * rho * d1 + rho**2 * d2)))
-                if cand[-1] >= obj or backtracks >= _MAX_BACKTRACK:
-                    break
-                rho = (rho - 1.0) / 2.0
-                backtracks += 1
-            if cand[-1] >= obj:
-                new = cand
-        obj_new = new[-1]
+            backtracks = 0
+            new = s2
+            if d1_norm != 0.0 and d2_norm != 0.0:
+                rho = -d1_norm / d2_norm
+                while True:
+                    cand = evaluate(-np.exp(1j * np.angle(v - 2.0 * rho * d1 + rho**2 * d2)))
+                    if cand[-1] >= obj or backtracks >= _MAX_BACKTRACK:
+                        break
+                    rho = (rho - 1.0) / 2.0
+                    backtracks += 1
+                if cand[-1] >= obj:
+                    new = cand
+            obj_new = new[-1]
 
-        iterates.append((it, obj_new, backtracks))
-        tv = true_value(new[0])
-        if tv > best_true:
-            best_true = tv
-            best_v = new[0].v
-        change = abs(obj_new - obj)
-        obj = obj_new
-        state = new
-        if change <= rel_tol * max(abs(obj), 1e-12):
-            converged = True
-            break
+            iterates.append((it, obj_new, backtracks))
+            tv = true_value(new[0])
+            if tv > best_true:
+                best_true = tv
+                best_v = new[0].v
+            change = abs(obj_new - obj)
+            obj = obj_new
+            state = new
+            if change <= rel_tol * max(abs(obj), 1e-12):
+                converged = True
+                break
 
     if not np.all(np.isfinite(best_v)):
         raise NumericalError(f"{objective} objective: the designed phases are not finite")

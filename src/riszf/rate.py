@@ -120,8 +120,8 @@ def power_scaling_limit(config: SystemConfig, phase: PhaseShifts,
     return prefactor / inv_diag, prefactor * xi_diag
 
 
-def required_antennas(config: SystemConfig, N: int, C0: float, k: int) -> float:
-    """Antennas needed to hit target SNR C0 for user k with N RIS elements.
+def required_antennas(config: SystemConfig, C0: float, k: int) -> float:
+    """Antennas needed to hit target SNR C0 for user k with the config's N RIS elements.
 
     Closed form for a Rayleigh RIS-BS link (delta = 0 semantics; the config's
     delta is ignored) and large N:
@@ -130,7 +130,7 @@ def required_antennas(config: SystemConfig, N: int, C0: float, k: int) -> float:
     """
     if C0 <= 0:
         raise NumericalError("target SNR C0 must be positive")
-    gain = N * config.alpha[k] * config.beta + config.gamma[k]
+    gain = config.N * config.alpha[k] * config.beta + config.gamma[k]
     return (C0 * (config.K + config.tau) * config.sigma2
             / (config.tau * config.p * gain) + config.K)
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from riszf.channel import ChannelRealization, PhaseShifts, aggregated_mean, mean_row
 from riszf.config import SystemConfig
-from riszf.estimation import ChannelStatistics, compute_statistics, shrink_estimate
+from riszf.estimation import compute_statistics, shrink_estimate
 from riszf.optimizer import FractionalProblem, _point
 
 
@@ -54,18 +54,12 @@ def qhat_gram_mean(config: SystemConfig, phase: PhaseShifts) -> np.ndarray:
     return config.M * (compute_statistics(config).lam + np.outer(np.conj(mu), mu))
 
 
-def mmse_estimate(config: SystemConfig, realization: ChannelRealization,
-                  stats: ChannelStatistics | None = None,
-                  mean: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """``(qhat, q - qhat)``: :func:`riszf.estimation.shrink_estimate` of one dense draw.
-
-    ``stats`` and ``mean`` (the channel mean for the realization's phase) may
-    be passed in to keep them out of a Monte-Carlo loop.
-    """
-    return shrink_estimate(
-        realization.q, realization.pilot_noise,
-        aggregated_mean(config, realization.phase) if mean is None else mean,
-        (compute_statistics(config) if stats is None else stats).kappa)
+def mmse_estimate(config: SystemConfig, realization: ChannelRealization
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """``(qhat, q - qhat)``: :func:`riszf.estimation.shrink_estimate` of one dense draw."""
+    return shrink_estimate(realization.q, realization.pilot_noise,
+                           aggregated_mean(config, realization.phase),
+                           compute_statistics(config).kappa)
 
 
 def gram_from_draw(config: SystemConfig, phase: PhaseShifts, w: np.ndarray,

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 
-from riszf.channel import PhaseShifts, aggregated_mean, alignment_response
+from riszf.channel import PhaseShifts, alignment_response
 from riszf.config import default_profile
 from riszf.estimation import compute_statistics
 from riszf.harness import solve_antennas_for_snr
@@ -107,13 +107,12 @@ def test_criterion_05_estimator_moments():
     cfg = default_profile(K=3, M=16, N=16)
     ph = PhaseShifts.identity(cfg.N)
     stats = compute_statistics(cfg)
-    mean = aggregated_mean(cfg, ph)
     trials = 10_000
     err_power = np.empty((trials, cfg.K))
     grams = np.empty((trials, cfg.K, cfg.K), dtype=complex)
     for t in range(trials):
         real = sample_channels(cfg, ph, np.random.SeedSequence(entropy=5, spawn_key=(t,)))
-        qhat, err = mmse_estimate(cfg, real, stats=stats, mean=mean)
+        qhat, err = mmse_estimate(cfg, real)
         err_power[t] = np.sum(np.abs(err) ** 2, axis=0) / cfg.M
         grams[t] = qhat.conj().T @ qhat
 
@@ -162,16 +161,14 @@ def test_criterion_06_mm_correctness():
         def min_rate(phase):
             return float(rate_lower_bound(cfg, phase).min())
 
-        tr_sum = mm_optimize(cfg, "sum", init=max(cases, key=sum_rate),
-                             max_iter=200, problem=prob)
+        tr_sum = mm_optimize(cfg, "sum", init=max(cases, key=sum_rate), max_iter=200)
         objs = [val for _, val, _ in tr_sum.iterates]
         monotone_ok &= all(b >= a - 1e-12 for a, b in zip(objs, objs[1:]))
         best_case_sum = max(sum_rate(p) for p in cases)
         quality_ok &= sum_rate(tr_sum.final_v) >= best_case_sum * (1 - 1e-9)
 
         candidates = cases + [tr_sum.final_v]
-        tr_min = mm_optimize(cfg, "min", init=max(candidates, key=min_rate),
-                             max_iter=200, problem=prob)
+        tr_min = mm_optimize(cfg, "min", init=max(candidates, key=min_rate), max_iter=200)
         objs = [val for _, val, _ in tr_min.iterates]
         monotone_ok &= all(b >= a - 1e-12 for a, b in zip(objs, objs[1:]))
         other_min = max(min_rate(p) for p in candidates)
@@ -230,8 +227,9 @@ def test_criterion_09_antenna_element_tradeoff():
     c0 = 10.0
     worst = 0.0
     for n in (64, 128, 256):
-        solved = solve_antennas_for_snr(cfg, n, c0, user)
-        formula = required_antennas(cfg.replace(N=n, delta=0.0), n, c0, user)
+        cfg_n = cfg.replace(N=n, delta=0.0)
+        solved = solve_antennas_for_snr(cfg_n, c0, user)
+        formula = required_antennas(cfg_n, c0, user)
         worst = max(worst, abs(solved - formula) / formula)
     elapsed = time.perf_counter() - start
     _report(9, "numerically solved antenna count matches the closed form within 5%",

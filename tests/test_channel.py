@@ -263,17 +263,22 @@ def test_build_los_distinct_angles_strict_inequality(reference_config):
 def test_los_and_statistics_computed_once_per_config():
     cfg = toy_config()
     before = repr(cfg), cfg.to_dict()
-    los, stats = build_los(cfg), compute_statistics(cfg)
+    los, stats, problem = build_los(cfg), compute_statistics(cfg), build_problem(cfg)
     assert build_los(cfg) is los and compute_statistics(cfg) is stats
+    assert build_problem(cfg) is problem
     fresh = cfg.replace()
     assert build_los(fresh) is not los and compute_statistics(fresh) is not stats
+    assert build_problem(fresh) is not problem
     np.testing.assert_array_equal(compute_statistics(fresh).lam, stats.lam)
+    np.testing.assert_array_equal(build_problem(fresh).g, problem.g)
     # a shared result is read-only, so a caller cannot corrupt later calls
     with pytest.raises(ValueError):
         stats.lam[0, 0] = 0.0
     with pytest.raises(ValueError):
         los.user_rows[0, 0] = 0.0
-    for value in (*vars(los).values(), *vars(stats).values()):
+    with pytest.raises(ValueError):
+        problem.g[0, 0] = 0.0
+    for value in (*vars(los).values(), *vars(stats).values(), *vars(problem).values()):
         assert not isinstance(value, np.ndarray) or not value.flags.writeable
     # the stored values are not fields: equality, repr and to_dict ignore them
     assert cfg == cfg.replace()

@@ -112,6 +112,24 @@ def test_default_profile_angle_spread():
         assert gram.max() < 0.15
 
 
+@pytest.mark.parametrize("k", [9, 12, 16, 31])
+def test_default_profile_beyond_the_beam_table(k):
+    # K > 8 takes the spread_angles grid; max coupling measured 0.10-0.20 at
+    # N = 64 and at most 0.0035 at N = 4096
+    from riszf.channel import steering_gram
+    from riszf.harness import Scenario, run_scenario
+    cfg = default_profile(K=k)
+    angles = cfg.user_ris_angles
+    assert angles.shape == (k, 2) and np.all(np.isfinite(angles))
+    assert len({tuple(row) for row in angles}) == k
+    for n, limit in ((64, 0.25), (4096, 0.02)):
+        coupling = np.abs(steering_gram(n, angles, cfg.d_over_lambda)) / n
+        np.fill_diagonal(coupling, 0.0)
+        assert coupling.max() <= limit
+    row, = run_scenario(Scenario(config=cfg, phase_design="case1_align_nearest", trials=50))
+    assert row.error == ""
+
+
 def test_config_file_round_trip(tmp_path):
     cfg = default_profile(K=4, M=16, N=32)
     path = tmp_path / "scenario.cfg"

@@ -137,12 +137,11 @@ def test_mmse_error_power_matches_epsilon():
     cfg = toy_config(K=2, M=8, N=8, delta=0.8, seed=6)
     ph = PhaseShifts.random(cfg.N, 2)
     stats = compute_statistics(cfg)
-    mean = aggregated_mean(cfg, ph)
     T = 10_000
     power = np.empty((T, cfg.K))
     for t in range(T):
         real = sample_channels(cfg, ph, np.random.SeedSequence(entropy=9, spawn_key=(t,)))
-        _, err = mmse_estimate(cfg, real, stats=stats, mean=mean)
+        _, err = mmse_estimate(cfg, real)
         power[t] = np.sum(np.abs(err) ** 2, axis=0) / cfg.M
     z = (power.mean(0) - stats.epsilon) / (power.std(0, ddof=1) / math.sqrt(T))
     assert np.all(np.abs(z) < 3.0)
@@ -159,7 +158,7 @@ def test_mmse_orthogonality_principle():
     scale = np.zeros(cfg.K)
     for t in range(T):
         real = sample_channels(cfg, ph, np.random.SeedSequence(entropy=10, spawn_key=(t,)))
-        qhat, err = mmse_estimate(cfg, real, stats=stats, mean=mean)
+        qhat, err = mmse_estimate(cfg, real)
         centered = qhat - mean
         for k in range(cfg.K):
             cross[k] += np.outer(err[:, k], centered[:, k].conj())
@@ -175,13 +174,11 @@ def test_mmse_orthogonality_principle():
 def test_qhat_gram_mean_matches_monte_carlo():
     cfg = toy_config(K=3, M=16, N=16, delta=1.0, seed=8)
     ph = PhaseShifts.random(cfg.N, 6)
-    stats = compute_statistics(cfg)
-    mean = aggregated_mean(cfg, ph)
     T = 10_000
     grams = np.empty((T, cfg.K, cfg.K), dtype=complex)
     for t in range(T):
         real = sample_channels(cfg, ph, np.random.SeedSequence(entropy=11, spawn_key=(t,)))
-        qhat, _ = mmse_estimate(cfg, real, stats=stats, mean=mean)
+        qhat, _ = mmse_estimate(cfg, real)
         grams[t] = qhat.conj().T @ qhat
     theory = qhat_gram_mean(cfg, ph)
     emp = grams.mean(axis=0)

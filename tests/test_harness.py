@@ -50,16 +50,13 @@ def test_resolve_phase_cases(small_config):
         ("case1_align_nearest", lambda p: True),
         ("case2_align_farthest", lambda p: True),
     ]:
-        phase, iters = resolve_phase(small_config,
-                                     Scenario(config=small_config, phase_design=design),
-                                     rng)
+        phase, iters = resolve_phase(small_config, design, rng)
         assert check(phase) and iters == 0
 
 
 def test_resolve_phase_optimizer_beats_heuristics(small_config):
     rng = np.random.default_rng(1)
-    sc = Scenario(config=small_config, phase_design="case5_maxsum")
-    phase, iters = resolve_phase(small_config, sc, np.random.default_rng(1))
+    phase, iters = resolve_phase(small_config, "case5_maxsum", np.random.default_rng(1))
     assert iters > 0
     best_heuristic = max(
         rate_lower_bound(small_config, p).sum()
@@ -211,9 +208,24 @@ def test_write_outputs_json(tmp_path, small_config):
 def test_solve_antennas_matches_formula(small_config):
     cfg = default_profile()
     for n in (64, 256):
-        solved = solve_antennas_for_snr(cfg, n, 10.0, cfg.K - 1)
-        formula = required_antennas(cfg.replace(N=n, delta=0.0), n, 10.0, cfg.K - 1)
+        cfg_n = cfg.replace(N=n, delta=0.0)
+        solved = solve_antennas_for_snr(cfg_n, 10.0, cfg.K - 1)
+        formula = required_antennas(cfg_n, 10.0, cfg.K - 1)
         assert solved == pytest.approx(formula, rel=0.05)
+
+
+def test_antenna_tradeoff_gap_falls_as_one_over_n_squared():
+    # beyond fig4a's N <= 256: the closed form's relative excess over the
+    # exact inversion, times N^2, measured 161.6, 176.2, 178.9, 179.1 and
+    # 179.1 at N = 2^8, 2^12, 2^16, 2^20 and 2^24
+    cfg = default_profile()
+    user = cfg.K - 1
+    for n in (2**8, 2**12, 2**16, 2**20, 2**24):
+        cfg_n = cfg.replace(N=n, delta=0.0)
+        formula = required_antennas(cfg_n, 10.0, user)
+        gap = (solve_antennas_for_snr(cfg_n, 10.0, user) - formula) / formula
+        assert 150.0 <= gap * n**2 <= 190.0
+    assert gap < 1e-12
 
 
 def test_reproduce_fig4a(tmp_path):
@@ -366,6 +378,20 @@ def test_cli_optimize_min_at_huge_power_exits_3(tmp_path):
     assert code == 3
 
 
+def test_cli_optimize_min_at_huge_power_prints_one_stderr_line(tmp_path, capfd):
+    # the overflow behind that failure is reported once, as the failure, and
+    # numpy prints no RuntimeWarning before it; a fresh interpreter shows
+    # stderr as a console user sees it
+    cfg_path = tmp_path / "huge_p.cfg"
+    write_config_file(default_profile().replace(p=1e300), cfg_path)
+    run = subprocess.run([sys.executable, "-m", "riszf.cli", "--config", str(cfg_path),
+                          "--trials", "5", "optimize", "--objective", "min", "--max-iter", "5"],
+                         env=_src_env(), stdout=subprocess.DEVNULL, timeout=20)
+    assert run.returncode == 3
+    assert capfd.readouterr().err == ("numerical failure: min-rate step: "
+                                      "surrogate norms are not finite\n")
+
+
 def test_cli_json_format_applies_to_stdout(capsys):
     code = cli_main(["--trials", "5", "--format", "json", "rate"])
     assert code == 0
@@ -447,13 +473,17 @@ def test_cli_exit_codes(tmp_path):
     assert cli_main(["--trials", "0", "optimize"]) == 2
 
 
-def test_cli_import_loads_no_scipy():
+def _src_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_cli_import_loads_no_scipy():
     probe = ("import sys, riszf.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", probe], env=_src_env(), capture_output=True,
                          text=True, timeout=120, check=True)
     assert out.stdout.strip() == "[]"
 

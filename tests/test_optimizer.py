@@ -178,7 +178,7 @@ def test_large_n_problem_stays_low_rank():
                  if isinstance(getattr(prob, f.name), np.ndarray))
     assert stored < 4 * cfg.K * cfg.N * 16
     for objective in ("sum", "min"):
-        trace = mm_optimize(cfg, objective=objective, max_iter=5, problem=prob)
+        trace = mm_optimize(cfg, objective=objective, max_iter=5)
         objs = [val for _, val, _ in trace.iterates]
         assert all(b >= a - 1e-12 for a, b in zip(objs, objs[1:]))
         np.testing.assert_allclose(np.abs(trace.final_v.v), 1.0, atol=1e-9)
@@ -340,8 +340,8 @@ def test_maxmin_escapes_sum_rate_solution(n, floor):
     # step at 3.517, 4.869 and 6.247 nats, reporting the sum-rate design
     cfg = default_profile(N=n)
     prob = build_problem(cfg)
-    start = mm_optimize(cfg, objective="sum", problem=prob).final_v
-    trace = mm_optimize(cfg, objective="min", init=start, problem=prob)
+    start = mm_optimize(cfg, objective="sum").final_v
+    trace = mm_optimize(cfg, objective="min", init=start)
     assert fractional_objective(prob, trace.final_v.v).min() >= floor
 
 

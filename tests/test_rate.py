@@ -156,6 +156,21 @@ def test_closed_forms_gain_two_tau_o_per_element_doubling():
         previous = rates, floor_bound
 
 
+def test_aligned_mc_rate_gains_two_tau_o_per_element_doubling():
+    # the same law for the Monte-Carlo rate of the aligned user, 2000 trials
+    # at seed 0 for N = 2^12 ... 2^22 in steps of 4x; measured |z| <= 0.5
+    tau_o = default_profile().tau_overhead
+    previous = None
+    for e in range(12, 23, 2):
+        cfg = default_profile(N=2**e)
+        mc = exact_rate_mc(cfg, align_phase(cfg, 0), 2000, 0)
+        rate, se = mc.rates[0], mc.std_errors[0]
+        if previous is not None:
+            z = (rate - previous[0] - 2 * 2 * tau_o) / math.hypot(se, previous[1])
+            assert abs(z) < 3.0
+        previous = rate, se
+
+
 def test_power_scaling_gap_falls_as_one_over_n():
     # at p = E_u / N the lower bound approaches its limit as 1/N, for the
     # identity and the aligned phase, and at the prime N = 1000003, whose grid
@@ -274,7 +289,7 @@ def test_power_scaling_limit_rejects_bad_energy(reference_config):
 def test_required_antennas_limits(reference_config):
     # overwhelming channel gain leaves only the ZF dimensionality floor
     cfg = reference_config.replace(beta=1.0)
-    assert required_antennas(cfg, 10**12, 100.0, 0) == pytest.approx(cfg.K, rel=1e-6)
+    assert required_antennas(cfg.replace(N=10**12), 100.0, 0) == pytest.approx(cfg.K, rel=1e-6)
 
 
 def test_required_antennas_product_identity(reference_config):
@@ -282,7 +297,7 @@ def test_required_antennas_product_identity(reference_config):
     c0, k = 25.0, 2
     products = []
     for n in (50, 100, 200, 400):
-        m = required_antennas(cfg, n, c0, k)
+        m = required_antennas(cfg.replace(N=n), c0, k)
         products.append((m - cfg.K) * (n * cfg.alpha[k] * cfg.beta + cfg.gamma[k]))
     np.testing.assert_allclose(products, products[0], rtol=1e-12)
 
@@ -373,13 +388,11 @@ def _oracle_mc(config, phase, trials, seed):
     Applies the textbook ZF receiver A = Qhat (Qhat^H Qhat)^{-1} with an
     explicit inverse.
     """
-    stats = compute_statistics(config)
-    mean = aggregated_mean(config, phase)
     rates = np.empty((trials, config.K))
     for t in range(trials):
         real = sample_channels(config, phase,
                                np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
-        qhat, err = mmse_estimate(config, real, stats, mean)
+        qhat, err = mmse_estimate(config, real)
         a = qhat @ np.linalg.inv(qhat.conj().T @ qhat)
         interference = config.p * np.sum(np.abs(a.conj().T @ err) ** 2, axis=1)
         noise = config.sigma2 * np.sum(np.abs(a) ** 2, axis=0)
