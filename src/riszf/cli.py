@@ -18,8 +18,8 @@ from .channel import PhaseShifts, aggregated_mean
 from .config import default_profile, parse_config_file
 from .errors import ConfigError, NumericalError
 from .estimation import compute_statistics, shrink_estimate
-from .harness import (FIGURE_IDS, PHASE_CASES, SWEEP_AXES, Scenario, reproduce, rows_text,
-                      run_scenario, write_scenario_outputs)
+from .harness import (FIGURE_IDS, PHASE_CASES, SWEEP_AXES, Scenario, check_memory, reproduce,
+                      rows_text, run_scenario, write_scenario_outputs)
 from .optimizer import mm_optimize
 from .rate import _mean_and_se, exact_rate_mc, mc_draws
 
@@ -90,6 +90,7 @@ def mse(ctx, validate):
         "mse_per_user": (config.M * stats.epsilon).tolist(),
     }
     if validate:
+        check_memory(config, "case4_identity")
         trials = ctx.obj["trials"]
         mean = aggregated_mean(config, PhaseShifts.identity(config.N))
         err_power = np.concatenate([
@@ -112,6 +113,7 @@ def mse(ctx, validate):
 def optimize(ctx, objective, max_iter, rel_tol):
     """Design RIS phases for the sum-rate or min-rate objective."""
     config = ctx.obj["config"]
+    check_memory(config, "case5_maxsum" if objective == "sum" else "case6_maxmin")
     trace = mm_optimize(config, objective=objective, max_iter=max_iter, rel_tol=rel_tol)
     final = trace.final_v
     mc = exact_rate_mc(config, final, ctx.obj["trials"], ctx.obj["seed"])

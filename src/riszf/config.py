@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,28 +139,6 @@ class SystemConfig:
     def tau_overhead(self) -> float:
         """Fraction of the coherence interval left for data, (tau_c - tau) / tau_c."""
         return (self.tau_c - self.tau) / self.tau_c
-
-    def check_memory(self) -> None:
-        """Raise :class:`ConfigError` if the O(N) working set exceeds physical memory.
-
-        The estimate is (2K + 1)*16*N bytes of complex128, two K x N arrays
-        and an N-vector, at every point.  ``build_problem`` stores one K x N
-        array, G (Z = Lam^{-1} G is assembled on demand), so it is about twice
-        a design's data, and conservative for an alignment or identity point,
-        whose separable phase and closed forms allocate nothing of size N.
-        Construction does not call this, because the closed-form statistics
-        and bounds take O(K^2) memory at any N; the config-file reader and
-        every sweep point do, before anything allocates an N-sized array.
-        """
-        need = (2 * self.K + 1) * 16 * self.N
-        try:
-            have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        except (AttributeError, ValueError, OSError):  # a platform without these
-            return
-        if need > have:
-            raise ConfigError(f"N={self.N} needs an estimated {need / 2**30:.3g} GiB "
-                              f"((2K + 1)*16*N bytes), more than the {have / 2**30:.3g} GiB "
-                              f"of physical memory")
 
     def replace(self, **changes) -> "SystemConfig":
         """Return a copy with the given fields replaced (re-validated).
@@ -413,15 +390,13 @@ def parse_config_file(path) -> SystemConfig:
     if len(values["user_ris_az"]) != len(values["user_ris_el"]):
         raise ConfigError("user_ris_az and user_ris_el must have the same length")
 
-    config = SystemConfig(
+    return SystemConfig(
         p=values.pop("p_w"), sigma2=values.pop("sigma2_w"),
         user_ris_angles=np.stack([values.pop("user_ris_az"), values.pop("user_ris_el")], axis=1),
         ris_aod=(values.pop("ris_aod_az"), values.pop("ris_aod_el")),
         bs_aoa=(values.pop("bs_aoa_az"), values.pop("bs_aoa_el")),
         **values,
     )
-    config.check_memory()
-    return config
 
 
 def write_config_file(config: SystemConfig, path) -> None:

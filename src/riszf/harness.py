@@ -16,6 +16,7 @@ re-execute the run.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import PhaseShifts
+from .channel import PhaseShifts, decompose_grid
 from .config import SystemConfig, default_profile
 from .errors import ConfigError, NumericalError
 from .optimizer import (align_phase, build_problem, fractional_objective, mm_optimize,
@@ -157,13 +158,33 @@ def resolve_phase(config: SystemConfig, design: str, rng) -> tuple[PhaseShifts, 
     return trace.final_v, iterations + trace.iterations
 
 
-def _apply_axis(config: SystemConfig, axis: str | None, value) -> SystemConfig:
-    """The config at one sweep point; :class:`SystemConfig` checks the value and
-    :meth:`SystemConfig.check_memory` that the point fits in memory."""
-    if axis is not None and axis != "bits":
-        config = config.replace(**{axis: value})
-    config.check_memory()
-    return config
+def check_memory(config: SystemConfig, design: str, quantized: bool = False) -> int:
+    """Estimated peak bytes of a point of ``design``; :class:`ConfigError` if over physical memory.
+
+    Counts 16-byte entries: 3 (K + 1)(L_x + L_y) for the per-axis LoS
+    factors and their temporaries (a prime N has the 1 x N grid), and the
+    N-vectors the design holds at its peak: none for the separable
+    alignment and identity phases, 3 for a random phase, K + 12 for the MM
+    designs (G is K x N), and 5 more on the ``bits`` axis.  1 MiB +
+    16 KiB K^2 covers the Monte-Carlo chunks.  Every sweep point, the
+    ``bits`` axis before it resolves its base phase, ``riszf optimize`` and
+    ``riszf mse --validate`` call this before anything of size N is
+    allocated.
+    """
+    k = config.K
+    lx, ly = decompose_grid(config.N)
+    vectors = 5 * quantized + {"case3_random": 3, "case5_maxsum": k + 12,
+                               "case6_maxmin": k + 12}.get(design, 0)
+    need = 16 * (3 * (k + 1) * (lx + ly) + vectors * config.N) + 2**20 + 2**14 * k * k
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # a platform without these
+        return need
+    if need > have:
+        raise ConfigError(f"N={config.N} under {design} needs an estimated "
+                          f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB "
+                          f"of physical memory")
+    return need
 
 
 def _point_seed(seed: int, index: int) -> int:
@@ -175,7 +196,10 @@ def _run_point(scenario: Scenario, index: int, value,
     sweep_value = float(value) if value is not None else float("nan")
     k = scenario.config.K
     try:
-        config = _apply_axis(scenario.config, scenario.sweep_axis, value)
+        config = scenario.config
+        if scenario.sweep_axis not in (None, "bits"):
+            config = config.replace(**{scenario.sweep_axis: value})
+        check_memory(config, scenario.phase_design, quantized=base_phase is not None)
         phase = None if base_phase is None else quantize_phase(base_phase, value)
     except ConfigError:
         return _nan_row(sweep_value, "invalid_config", k)
@@ -213,6 +237,7 @@ def run_scenario(scenario: Scenario, max_workers: int | None = None) -> list[Res
         return [_run_point(scenario, 0, None, None)]
     base_phase = None
     if scenario.sweep_axis == "bits":
+        check_memory(scenario.config, scenario.phase_design)
         base_phase, _ = resolve_phase(scenario.config, scenario.phase_design,
                                       _substream(scenario.seed, (0, 1)))
     points = list(enumerate(scenario.sweep_values))

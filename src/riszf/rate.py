@@ -19,7 +19,7 @@ from .config import SystemConfig
 from .errors import ConfigError, NumericalError
 from .estimation import cholesky_factor, compute_statistics, hermitian_inverse
 
-#: Redraws per Monte-Carlo trial before a singular Gram matrix is fatal.
+#: Redraws per Monte-Carlo chunk before a singular Gram matrix is fatal.
 _MAX_RESAMPLE = 32
 
 #: Trials per chunk of :func:`exact_rate_mc`.  Fixed, so that results depend
@@ -139,9 +139,9 @@ def required_antennas(config: SystemConfig, C0: float, k: int) -> float:
 class MonteCarloRate:
     """Per-user Monte-Carlo rate estimates with their standard errors.
 
-    ``singular_retries`` counts trials that had to be redrawn because the
+    ``singular_retries`` counts chunk redraws, each forced by a trial whose
     estimated Gram matrix lost positive definiteness (a probability-zero
-    event under continuous fading).
+    event under continuous fading) or whose rates were not finite.
     """
 
     rates: np.ndarray
@@ -348,30 +348,10 @@ def _zf_rates(config: SystemConfig, law: GramLaw, w: np.ndarray, bartlett: np.nd
     """
     leakage, rx_norm2 = zf_terms(law, w, bartlett, z)
     interference = config.p * _row_norms2(leakage)
-    sinr = config.p / (interference + config.sigma2 * rx_norm2)
-    rates = config.tau_overhead * np.log2(1.0 + sinr)
+    rates = _rates_from_snr(config, config.p / (interference + config.sigma2 * rx_norm2))
     if not np.all(np.isfinite(rates)):
         raise NumericalError("estimate Gram matrix: ZF rates are not finite")
     return rates
-
-
-def _trial_rates(config: SystemConfig, law: GramLaw, draws: tuple, seed: int,
-                 key: tuple) -> tuple[np.ndarray, int]:
-    """``(rates, redraws)`` of one trial's ``draws`` (each with a leading axis of 1).
-
-    While it is singular (:func:`_zf_rates` raises) the trial is redrawn from
-    the substream (seed, *key, attempt), at most ``_MAX_RESAMPLE`` times.
-    """
-    for attempt in range(_MAX_RESAMPLE + 1):
-        if attempt:
-            draws = sample_gram(law, _substream(seed, (*key, attempt - 1)), 1)
-        try:
-            rates = _zf_rates(config, law, *draws)
-        except NumericalError:
-            continue
-        return rates[0], attempt
-    raise NumericalError(f"trial {key}: Gram matrix stayed singular after "
-                         f"{_MAX_RESAMPLE} redraws")
 
 
 def exact_rate_mc(config: SystemConfig, phase: PhaseShifts, trials: int,
@@ -389,9 +369,10 @@ def exact_rate_mc(config: SystemConfig, phase: PhaseShifts, trials: int,
     law.  The cost per trial is O(K^3), independent of M and N.  Chunk c of
     trials draws from the substream (seed, c).  A trial is singular when
     its Bartlett factor has a diagonal entry that is not positive or its
-    rates are not finite; then the chunk is redone trial by trial and
-    trial i is redrawn from (seed, c, i, attempt).  Results are
-    bit-identical for a given seed.
+    rates are not finite; then its whole chunk is redrawn from
+    (seed, c, attempt), at most ``_MAX_RESAMPLE`` times.  Trials are
+    i.i.d., so requiring a regular chunk leaves the law of each trial
+    unchanged.  Results are bit-identical for a given seed.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
@@ -403,14 +384,17 @@ def exact_rate_mc(config: SystemConfig, phase: PhaseShifts, trials: int,
     retries = 0
     for c, start in enumerate(range(0, trials, _CHUNK)):
         block = per_trial[start:start + _CHUNK]
-        draws = sample_gram(law, _substream(seed, (c,)), block.shape[0])
-        try:
-            block[:] = _zf_rates(config, law, *draws)
-        except NumericalError:
-            for i in range(block.shape[0]):
-                block[i], redraws = _trial_rates(config, law, tuple(d[i:i + 1] for d in draws),
-                                                 seed, (c, i))
-                retries += redraws
+        for attempt in range(_MAX_RESAMPLE + 1):
+            draws = sample_gram(law, _substream(seed, (c, attempt) if attempt else (c,)),
+                                block.shape[0])
+            try:
+                block[:] = _zf_rates(config, law, *draws)
+                break
+            except NumericalError:
+                retries += 1
+        else:
+            raise NumericalError(f"chunk {c}: Gram matrix stayed singular after "
+                                 f"{_MAX_RESAMPLE} redraws")
 
     rates, std_errors = _mean_and_se(per_trial)
     _, sum_se = _mean_and_se(per_trial.sum(axis=1))

@@ -52,6 +52,11 @@ def test_invalid_arrays_rejected():
         cfg.replace(gamma=np.array([1.0, 0.0, 1.0]))  # direct links must carry power
     with pytest.raises(ConfigError):
         cfg.replace(alpha=np.array([1.0, -1.0, 1.0]))
+    for changes, message in ((dict(gamma=np.ones(2)), "gamma must have shape"),
+                             (dict(user_ris_angles=np.ones((3, 3))), "user_ris_angles must"),
+                             (dict(user_ris_dist=np.ones(4)), "user_ris_dist must have shape")):
+        with pytest.raises(ConfigError, match=message):
+            cfg.replace(**changes)
     for changes in (dict(alpha=np.array([1.0, np.inf, 1.0])),  # every value must be finite
                     dict(gamma=np.array([1.0, 1.0, np.inf])),
                     dict(user_ris_angles=np.array([[0.1, 0.2], [np.nan, 0.2], [0.3, 0.4]])),
@@ -174,6 +179,8 @@ def test_config_file_dbm_and_comments(tmp_path):
     ("user_ris_el = 1.0\n", "same length"),
     ("p_dbm = abc\n", "cannot parse p_dbm"),
     ("p_dbm = 4000\n", "out of range"),     # 10^397 W overflows a float
+    ("delta 1.0\n", "expected 'key = value'"),
+    ("M = 8\nM = 9\n", "duplicate key 'M'"),
 ])
 def test_config_file_errors(tmp_path, mutation, message):
     base = (
@@ -205,10 +212,12 @@ def test_replace_revalidates():
 
 
 def test_element_count_beyond_memory_rejected():
+    # a config may have any N; the point's design decides what fits
+    from riszf.harness import check_memory
     cfg = default_profile()
     with pytest.raises(ConfigError, match=r"needs an estimated .* GiB"):
-        cfg.replace(N=10**11).check_memory()
-    cfg.replace(N=10**6).check_memory()
+        check_memory(cfg.replace(N=10**11), "case5_maxsum")
+    check_memory(cfg.replace(N=10**6), "case5_maxsum")
 
 
 def test_to_dict_json_ready():

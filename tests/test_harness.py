@@ -1,8 +1,10 @@
+import itertools
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -13,9 +15,10 @@ from riszf.channel import PhaseShifts
 from riszf.cli import main as cli_main
 from riszf.config import default_profile, write_config_file
 from riszf.errors import ConfigError
-from riszf.harness import (Scenario, csv_header, csv_text, manifest_path, reproduce,
-                           resolve_phase, row_values, rows_text, run_scenario,
-                           solve_antennas_for_snr, write_scenario_outputs)
+from riszf.harness import (PHASE_CASES, Scenario, _run_point, check_memory, csv_header,
+                           csv_text, manifest_path, reproduce, resolve_phase, row_values,
+                           rows_text, run_scenario, solve_antennas_for_snr,
+                           write_scenario_outputs)
 from riszf.rate import rate_lower_bound, required_antennas
 
 from conftest import deadline
@@ -39,6 +42,8 @@ def test_scenario_validation(small_config):
         Scenario(config=small_config, sweep_axis="N", sweep_values=(32, np.nan, 16))
     with pytest.raises(ConfigError):
         Scenario(config=small_config, trials=0)
+    with pytest.raises(ConfigError, match="non-empty"):
+        Scenario(config=small_config, sweep_axis="N", sweep_values=())
 
 
 def test_resolve_phase_cases(small_config):
@@ -52,6 +57,8 @@ def test_resolve_phase_cases(small_config):
     ]:
         phase, iters = resolve_phase(small_config, design, rng)
         assert check(phase) and iters == 0
+    with pytest.raises(ConfigError, match="user_ris_dist"):
+        resolve_phase(small_config.replace(user_ris_dist=None), "case1_align_nearest", rng)
 
 
 def test_resolve_phase_optimizer_beats_heuristics(small_config):
@@ -104,9 +111,42 @@ def test_run_scenario_infeasible_point_marked(small_config):
     assert rows[0].error == ""
     assert rows[1].error == "invalid_config"
     # an element count beyond physical memory is refused before any allocation
-    sc = Scenario(config=small_config, phase_design="case4_identity",
+    sc = Scenario(config=small_config, phase_design="case5_maxsum",
                   sweep_axis="N", sweep_values=(16, 10**11), trials=10, seed=0)
     assert [row.error for row in run_scenario(sc)] == ["", "invalid_config"]
+
+
+def test_memory_estimate_knows_the_design():
+    # only the check runs: nothing of size N is allocated
+    cfg = default_profile()
+    check_memory(cfg.replace(N=2**30), "case1_align_nearest")       # a 32768 x 32768 grid
+    with pytest.raises(ConfigError, match="needs an estimated"):
+        check_memory(cfg.replace(N=1_000_000_007), "case1_align_nearest")  # prime: 1 x N
+    # an MM point holds G (K x N) and about 12 N-vectors, K + 12 in all, so at
+    # K = 2 it needs more than twice the (2K + 1) 16 N bytes of a K x N pair
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    n = int(1.1 * have / (16 * 13))
+    with pytest.raises(ConfigError, match="case6_maxmin"):
+        check_memory(default_profile(K=2).replace(N=n), "case6_maxmin")
+
+
+@pytest.mark.parametrize("k", [2, 8])
+def test_memory_estimate_bounds_the_traced_peak(k):
+    # 256 x 256 and the prime 65537 (a 1 x N grid, whose LoS factors are K x N)
+    for n, design, quantized in itertools.product((2**16, 65537), PHASE_CASES, (False, True)):
+        cfg = default_profile(K=k, N=n)
+        sc = Scenario(config=cfg, phase_design=design, sweep_axis="bits",
+                      sweep_values=(3,), trials=200, seed=0)
+        tracemalloc.start()
+        try:
+            # a bits point quantizes the design's phase, resolved first
+            base = resolve_phase(cfg, design, 0)[0] if quantized else None
+            row = _run_point(sc, 0, 3 if quantized else None, base)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert row.error == ""
+        assert peak <= check_memory(cfg, design, quantized), (n, design, quantized, peak)
 
 
 def test_run_scenario_bits_axis(small_config):
@@ -403,7 +443,7 @@ def test_cli_json_format_applies_to_stdout(capsys):
 def test_cli_json_failed_row_is_strict_json(capsys):
     # a failed row's NaN values are written as null, which a strict parser accepts
     code = cli_main(["--trials", "5", "--format", "json",
-                     "sweep", "--axis", "N", "--values", "16,100000000000"])
+                     "sweep", "--axis", "N", "--values", "16,16.5"])
     assert code == 0
 
     def reject(token):
@@ -467,7 +507,10 @@ def test_cli_exit_codes(tmp_path):
     huge_n.write_text(re.sub(r"(?m)^N = .*$", "N = 1" + "0" * 400, huge_n.read_text()))
     assert cli_main(["--config", str(huge_n), "rate"]) == 2
     huge_n.write_text(re.sub(r"(?m)^N = .*$", "N = 100000000000", huge_n.read_text()))
-    assert cli_main(["--config", str(huge_n), "rate"]) == 2
+    assert cli_main(["--config", str(huge_n), "optimize"]) == 2
+    huge_n.write_text(re.sub(r"(?m)^N = .*$", "N = 1000000007", huge_n.read_text()))
+    assert cli_main(["--config", str(huge_n), "mse", "--validate"]) == 2  # K x N LoS factors
+    assert cli_main(["sweep", "--axis", "N", "--values", "1,abc"]) == 2
     assert cli_main(["--trials", "5", "sweep", "--axis", "bits", "--values", "1,2000"]) == 0
     assert cli_main(["--trials", "0", "mse", "--validate"]) == 2
     assert cli_main(["--trials", "0", "optimize"]) == 2

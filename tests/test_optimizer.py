@@ -269,6 +269,11 @@ def test_maxsum_step_argmax_property(reference_config):
     for _ in range(100):
         u = PhaseShifts.random(reference_config.N, rng).v
         assert target >= float(np.real(coeff @ np.conj(u))) - 1e-12
+    # a zero coefficient leaves its entry free, and the step keeps the fallback there
+    coeff[:3] = 0.0
+    aligned = _phase_align(coeff, v0)
+    np.testing.assert_array_equal(aligned[:3], v0[:3])
+    np.testing.assert_allclose(aligned[3:], np.exp(1j * np.angle(coeff[3:])), rtol=1e-15)
 
 
 def test_maxsum_step_monotone(reference_config):

@@ -290,6 +290,9 @@ def test_required_antennas_limits(reference_config):
     # overwhelming channel gain leaves only the ZF dimensionality floor
     cfg = reference_config.replace(beta=1.0)
     assert required_antennas(cfg.replace(N=10**12), 100.0, 0) == pytest.approx(cfg.K, rel=1e-6)
+    for c0 in (0.0, -1.0):
+        with pytest.raises(NumericalError, match="C0 must be positive"):
+            required_antennas(cfg, c0, 0)
 
 
 def test_required_antennas_product_identity(reference_config):
@@ -416,21 +419,36 @@ def test_batched_mc_matches_dense_oracle_in_distribution():
         assert np.max(np.abs(z)) <= 4.0, (cfg.N, cfg.delta, cfg.beta, z)
 
 
+def _poison_first_draw(monkeypatch, poison):
+    """Patch ``sample_gram`` so that ``poison(w, bartlett, z)`` spoils only its first draw;
+    returns the trial counts of every draw, a list that the caller may clear."""
+    draw = rate_module.sample_gram
+    calls = []
+
+    def poisoned(law, rng, trials):
+        w, bartlett, z = draw(law, rng, trials)
+        calls.append(trials)
+        if len(calls) == 1:                   # the chunk's first draw, not its redraw
+            poison(w, bartlett, z)
+        return w, bartlett, z
+
+    monkeypatch.setattr(rate_module, "sample_gram", poisoned)
+    return calls
+
+
 def test_exact_rate_mc_redraws_singular_trial(monkeypatch):
     # a zeroed Bartlett factor and w leave the rank-one (singular) Gram x x^H
     cfg = toy_config(K=3, M=12, N=16, delta=0.0, seed=3)
     ph = PhaseShifts.identity(cfg.N)
-    draw = rate_module.sample_gram
 
-    def poisoned(law, rng, trials):
-        w, bartlett, z = draw(law, rng, trials)
-        if trials > 1:                        # chunk draws, not single-trial redraws
-            w[1] = 0.0
-            bartlett[1] = 0.0
-        return w, bartlett, z
+    def singular(w, bartlett, z):
+        w[1] = 0.0
+        bartlett[1] = 0.0
 
-    monkeypatch.setattr(rate_module, "sample_gram", poisoned)
+    calls = _poison_first_draw(monkeypatch, singular)
     a = exact_rate_mc(cfg, ph, 10, seed=4)
+    assert calls == [10, 10]                  # the whole chunk is redrawn, once
+    calls.clear()
     b = exact_rate_mc(cfg, ph, 10, seed=4)
     assert a.singular_retries == 1
     assert np.all(np.isfinite(a.rates)) and np.all(np.isfinite(a.std_errors))
@@ -440,18 +458,15 @@ def test_exact_rate_mc_redraws_singular_trial(monkeypatch):
 
 def test_exact_rate_mc_redraws_trial_with_non_finite_rates(monkeypatch):
     # a NaN in Z leaves the Bartlett factor regular but the trial's rates NaN:
-    # that trial too is redrawn, and counted
+    # that trial's chunk too is redrawn, and counted
+
+    def nan_leakage(w, bartlett, z):
+        z[2, 0, 0] = np.nan
+
     cfg = toy_config(K=3, M=12, N=16, delta=0.5, seed=3)
-    draw = rate_module.sample_gram
-
-    def poisoned(law, rng, trials):
-        w, bartlett, z = draw(law, rng, trials)
-        if trials > 1:
-            z[2, 0, 0] = np.nan
-        return w, bartlett, z
-
-    monkeypatch.setattr(rate_module, "sample_gram", poisoned)
+    calls = _poison_first_draw(monkeypatch, nan_leakage)
     a = exact_rate_mc(cfg, PhaseShifts.identity(cfg.N), 10, seed=4)
+    assert calls == [10, 10]
     assert a.singular_retries == 1
     assert np.all(np.isfinite(a.rates)) and np.all(np.isfinite(a.std_errors))
 
@@ -460,15 +475,19 @@ def test_exact_rate_mc_gives_up_on_persistent_singularity(monkeypatch):
     cfg = toy_config(K=3, M=12, N=16, delta=0.0, seed=3)
     draw = rate_module.sample_gram
 
+    calls = []
+
     def always_zero(law, rng, trials):
         w, bartlett, z = draw(law, rng, trials)
+        calls.append(trials)
         w[0] = 0.0
         bartlett[0] = 0.0
         return w, bartlett, z
 
     monkeypatch.setattr(rate_module, "sample_gram", always_zero)
-    with pytest.raises(NumericalError, match="stayed singular"):
+    with pytest.raises(NumericalError, match="chunk 0: .* stayed singular"):
         exact_rate_mc(cfg, PhaseShifts.identity(cfg.N), 4, seed=5)
+    assert calls == [4] * (rate_module._MAX_RESAMPLE + 1)
 
 
 def test_exact_rate_mc_rejects_underflowed_lambda():
