@@ -90,8 +90,8 @@ def mse(ctx, validate):
         "mse_per_user": (config.M * stats.epsilon).tolist(),
     }
     if validate:
-        check_memory(config, "case4_identity")
         trials = ctx.obj["trials"]
+        check_memory(config, "case4_identity", draws=trials)
         mean = aggregated_mean(config, PhaseShifts.identity(config.N))
         err_power = np.concatenate([
             np.sum(np.abs(shrink_estimate(q, pilot_noise, mean, stats.kappa)[1]) ** 2, axis=1)

@@ -4,13 +4,15 @@ A scenario couples a configuration with one phase-shift design and an
 optional sweep axis.  Each sweep point is evaluated independently and emits
 one :class:`ResultRow`; rows come back ordered by sweep value.  Only a
 multi-point ``riszf sweep`` spreads its points over a thread pool; a single
-point (``riszf rate``) and the figure sweeps of :func:`reproduce` run
-serially.  A row holds only the per-user arrays a point computes; the sum
-and min columns are derived from them by :func:`row_values`, and
-:func:`rows_text` renders every row, as CSV or as a JSON list, for files
-and stdout alike.  CSV output is schema-versioned and byte-identical for
-identical seeds; a ``.manifest.json`` sidecar records everything needed to
-re-execute the run.
+point (``riszf rate``) runs serially.  The figure sweeps of
+:func:`reproduce` run serially and point-major: for each element count N,
+every phase design's point runs on one config instance, so the designs
+share its per-config caches.  A row holds only the per-user arrays a
+point computes; the sum and min columns are derived from them by
+:func:`row_values`, and :func:`rows_text` renders every row, as CSV or as a
+JSON list, for files and stdout alike.  CSV output is schema-versioned and
+byte-identical for identical seeds; a ``.manifest.json`` sidecar records
+everything needed to re-execute the run.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from .config import SystemConfig, default_profile
 from .errors import ConfigError, NumericalError
 from .optimizer import (align_phase, build_problem, fractional_objective, mm_optimize,
                         quantize_phase)
-from .rate import (_rates_from_snr, _substream, exact_rate_mc, phase_independent_bound,
-                   phase_independent_snr, power_scaling_limit, rate_lower_bound,
-                   required_antennas, upper_bound)
+from .rate import (_DRAW_CHUNK, _rates_from_snr, _substream, exact_rate_mc,
+                   phase_independent_bound, phase_independent_snr, power_scaling_limit,
+                   rate_lower_bound, required_antennas, upper_bound)
 
 SCHEMA_VERSION = 1
 
@@ -158,30 +160,37 @@ def resolve_phase(config: SystemConfig, design: str, rng) -> tuple[PhaseShifts, 
     return trace.final_v, iterations + trace.iterations
 
 
-def check_memory(config: SystemConfig, design: str, quantized: bool = False) -> int:
+def check_memory(config: SystemConfig, design: str, quantized: bool = False,
+                 draws: int = 0) -> int:
     """Estimated peak bytes of a point of ``design``; :class:`ConfigError` if over physical memory.
 
     Counts 16-byte entries: 3 (K + 1)(L_x + L_y) for the per-axis LoS
     factors and their temporaries (a prime N has the 1 x N grid), and the
     N-vectors the design holds at its peak: none for the separable
     alignment and identity phases, 3 for a random phase, K + 12 for the MM
-    designs (G is K x N), and 5 more on the ``bits`` axis.  1 MiB +
-    16 KiB K^2 covers the Monte-Carlo chunks.  Every sweep point, the
-    ``bits`` axis before it resolves its base phase, ``riszf optimize`` and
-    ``riszf mse --validate`` call this before anything of size N is
-    allocated.
+    designs (G is K x N), and 5 more on the ``bits`` axis.  ``draws`` trials
+    of M x K channel draws (:func:`riszf.rate.mc_draws`, ``riszf mse
+    --validate``) add the M x K mean and, per trial of a chunk, 5 M x K
+    arrays: q, the pilot noise, the estimate, the error and the next draw
+    under way.  1 MiB + 16 KiB K^2 covers the Monte-Carlo chunks of the
+    K x K law.  Every sweep point, the ``bits`` axis before it resolves its
+    base phase, ``riszf optimize`` and ``riszf mse --validate`` call this
+    before anything of size N or M is allocated.
     """
     k = config.K
     lx, ly = decompose_grid(config.N)
     vectors = 5 * quantized + {"case3_random": 3, "case5_maxsum": k + 12,
                                "case6_maxmin": k + 12}.get(design, 0)
-    need = 16 * (3 * (k + 1) * (lx + ly) + vectors * config.N) + 2**20 + 2**14 * k * k
+    mk_arrays = 1 + 5 * min(draws, _DRAW_CHUNK) if draws else 0
+    need = (16 * (3 * (k + 1) * (lx + ly) + vectors * config.N + mk_arrays * config.M * k)
+            + 2**20 + 2**14 * k * k)
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # a platform without these
         return need
     if need > have:
-        raise ConfigError(f"N={config.N} under {design} needs an estimated "
+        sizes = f"N={config.N}" + (f", M={config.M}" if draws else "")
+        raise ConfigError(f"{sizes} under {design} needs an estimated "
                           f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB "
                           f"of physical memory")
     return need
@@ -191,14 +200,29 @@ def _point_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence(entropy=seed, spawn_key=(index,)).generate_state(1)[0])
 
 
-def _run_point(scenario: Scenario, index: int, value,
+def _point_config(scenario: Scenario, value) -> SystemConfig | None:
+    """The config of the sweep point at ``value``; None when the value makes it invalid."""
+    if scenario.sweep_axis in (None, "bits"):
+        return scenario.config
+    try:
+        return scenario.config.replace(**{scenario.sweep_axis: value})
+    except ConfigError:
+        return None
+
+
+def _run_point(scenario: Scenario, config: SystemConfig | None, index: int, value,
                base_phase: PhaseShifts | None) -> ResultRow:
+    """Row of the point ``index`` at ``value``, evaluated on the caller's ``config``.
+
+    ``config`` comes from :func:`_point_config`.  Its per-config caches (LoS
+    factors, statistics, design problem, ZF-law factors) serve every design
+    that the caller runs on the same instance.
+    """
     sweep_value = float(value) if value is not None else float("nan")
     k = scenario.config.K
+    if config is None:
+        return _nan_row(sweep_value, "invalid_config", k)
     try:
-        config = scenario.config
-        if scenario.sweep_axis not in (None, "bits"):
-            config = config.replace(**{scenario.sweep_axis: value})
         check_memory(config, scenario.phase_design, quantized=base_phase is not None)
         phase = None if base_phase is None else quantize_phase(base_phase, value)
     except ConfigError:
@@ -226,26 +250,32 @@ def _run_point(scenario: Scenario, index: int, value,
 def run_scenario(scenario: Scenario, max_workers: int | None = None) -> list[ResultRow]:
     """Evaluate every sweep point of a scenario; rows ordered by sweep value.
 
-    Points are independent and, unless ``max_workers`` is 1, run on a
-    thread pool of up to ``max_workers`` threads (default: min(4, points)).
-    :func:`reproduce` passes 1: each of its points is a few ms of numpy work
-    that holds the GIL, so threads there add only start-up and hand-offs.
-    Per-point seeds derive from (scenario seed, point index), so results do
-    not depend on worker count or completion order.
+    Each point gets a config of its own, built when it runs, so a sweep
+    holds at most one point's config and its caches per worker.  Points are
+    independent and, unless ``max_workers`` is 1, run on a thread pool of up
+    to ``max_workers`` threads (default: min(4, points)).  Per-point seeds
+    derive from (scenario seed, point index), so results do not depend on
+    worker count or completion order.  :func:`reproduce` does not come
+    through here: it runs the points of all its designs serially, one N at a
+    time, on one config per N.
     """
     if scenario.sweep_axis is None:
-        return [_run_point(scenario, 0, None, None)]
+        return [_run_point(scenario, scenario.config, 0, None, None)]
     base_phase = None
     if scenario.sweep_axis == "bits":
         check_memory(scenario.config, scenario.phase_design)
         base_phase, _ = resolve_phase(scenario.config, scenario.phase_design,
                                       _substream(scenario.seed, (0, 1)))
+
+    def point(index, value):
+        return _run_point(scenario, _point_config(scenario, value), index, value, base_phase)
+
     points = list(enumerate(scenario.sweep_values))
     workers = max_workers or min(4, len(points))
     if workers <= 1 or len(points) == 1:
-        return [_run_point(scenario, i, v, base_phase) for i, v in points]
+        return [point(i, v) for i, v in points]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_point, scenario, i, v, base_phase) for i, v in points]
+        futures = [pool.submit(point, i, v) for i, v in points]
         return [f.result() for f in futures]
 
 
@@ -381,11 +411,15 @@ def reproduce(figure_id: str, out_dir, config: SystemConfig | None = None,
     """Write the sweep data underlying one of the reference experiments.
 
     ``fig2*``/``fig3*`` sweep the element count under the named phase-design
-    cases (one CSV per case); ``fig4a`` tabulates the antenna/element
-    trade-off at delta = 0 against the closed-form prediction; ``fig4b``
-    follows the power-scaling law p = 10/N toward its limit.  Each CSV gets
-    a ``.manifest.json`` sidecar.  Default trial counts are desk-scale;
-    raise ``trials`` for figure-faithful noise floors.
+    cases (one CSV per case).  They run serially and point-major: each N gets
+    one config, and every case's point at that N runs on it, so the cases
+    share its LoS factors, statistics, design problem and ZF-law factors.
+    Points keep their sweep index and seeds, so each CSV is byte-identical
+    to ``run_scenario`` over that case alone.  ``fig4a`` tabulates the
+    antenna/element trade-off at delta = 0 against the closed-form
+    prediction; ``fig4b`` follows the power-scaling law p = 10/N toward its
+    limit.  Each CSV gets a ``.manifest.json`` sidecar.  Default trial
+    counts are desk-scale; raise ``trials`` for figure-faithful noise floors.
     """
     if figure_id not in FIGURE_IDS:
         raise ConfigError(f"unknown figure id {figure_id!r}; expected one of {FIGURE_IDS}")
@@ -396,13 +430,17 @@ def reproduce(figure_id: str, out_dir, config: SystemConfig | None = None,
     written: list[str] = []
 
     if figure_id in _FIG_CASES:
-        for case in _FIG_CASES[figure_id]:
-            scenario = Scenario(config=config, phase_design=case, sweep_axis="N",
-                                sweep_values=_FIG_N_SWEEP[figure_id],
-                                trials=trials, seed=seed)
-            rows = run_scenario(scenario, max_workers=1)
-            path = out_dir / f"{figure_id}_{case.split('_')[0]}.csv"
-            written += write_scenario_outputs(rows, scenario, path, figure=figure_id)
+        scenarios = [Scenario(config=config, phase_design=case, sweep_axis="N",
+                              sweep_values=_FIG_N_SWEEP[figure_id], trials=trials, seed=seed)
+                     for case in _FIG_CASES[figure_id]]
+        rows = [[] for _ in scenarios]
+        for index, value in enumerate(scenarios[0].sweep_values):
+            config_n = _point_config(scenarios[0], value)
+            for scenario, design_rows in zip(scenarios, rows):
+                design_rows.append(_run_point(scenario, config_n, index, value, None))
+        for scenario, design_rows in zip(scenarios, rows):
+            path = out_dir / f"{figure_id}_{scenario.phase_design.split('_')[0]}.csv"
+            written += write_scenario_outputs(design_rows, scenario, path, figure=figure_id)
         return written
 
     if figure_id == "fig4a":

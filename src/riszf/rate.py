@@ -10,12 +10,12 @@ tau_overhead = (tau_c - tau) / tau_c.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import PhaseShifts, mean_row, sample_aggregated
-from .config import SystemConfig
+from .config import SystemConfig, _once_per_config
 from .errors import ConfigError, NumericalError
 from .estimation import cholesky_factor, compute_statistics, hermitian_inverse
 
@@ -192,16 +192,37 @@ class GramLaw:
     ``noise_root_h`` is S_F^H for a root S_F S_F^H = Sigma_F; ``dof`` holds
     M - 1 - i, the shape of |A_ii|^2 for the Bartlett factor A of the Wishart
     part of G; ``lower`` is the K x K strictly-lower mask that A's
-    off-diagonal normals fill.
+    off-diagonal normals fill.  The two phase fields, ``white_mean`` and
+    ``bias_row``, are None in the per-config factorization that
+    :func:`gram_law` completes.
     """
 
     lam_factor_inv: np.ndarray
-    white_mean: np.ndarray
+    white_mean: np.ndarray | None
     bias: np.ndarray
-    bias_row: np.ndarray
+    bias_row: np.ndarray | None
     noise_root_h: np.ndarray
     dof: np.ndarray
     lower: np.ndarray
+
+
+@_once_per_config
+def _gram_factors(config: SystemConfig) -> GramLaw:
+    """The phase-independent fields of :func:`gram_law`, once per config instance."""
+    stats = compute_statistics(config)
+    k = config.K
+    cov_factor = cholesky_factor(stats.cov, "channel row covariance")
+    t_factor = cholesky_factor(cov_factor.conj().T @ cov_factor + stats.noise * np.eye(k),
+                               "estimation-error covariance")
+    # factored before the solve, so that a Lambda that is not positive
+    # definite raises NumericalError, not numpy's LinAlgError
+    lam_factor = cholesky_factor(stats.lam, "estimate correlation matrix")
+    lam_factor_inv = _lower_inverse(lam_factor[None])[0]
+    bias = np.linalg.solve(stats.lam, stats.kappa[:, None] * stats.cov) - np.eye(k)
+    return GramLaw(lam_factor_inv=lam_factor_inv, white_mean=None, bias=bias, bias_row=None,
+                   noise_root_h=(math.sqrt(stats.noise)
+                                 * np.linalg.solve(t_factor, cov_factor.conj().T)),
+                   dof=config.M - 1.0 - np.arange(k), lower=np.tri(k, k, -1, dtype=bool))
 
 
 def gram_law(config: SystemConfig, phase: PhaseShifts) -> GramLaw:
@@ -219,24 +240,15 @@ def gram_law(config: SystemConfig, phase: PhaseShifts) -> GramLaw:
     positive-definite matrix, and no cancellation.  Lambda is factored first,
     so a Lambda that is not positive definite (it underflows to 0 at
     p = 1e-200) raises :class:`NumericalError`; the trials then need only
-    L^{-1}, never L.
+    L^{-1}, never L.  Only the phase fields m and b are computed per call:
+    L^{-1}, B, S_F^H, ``dof`` and ``lower`` depend on the config alone and
+    are factored once per config instance, so the phase designs of a figure
+    at one N share them.
     """
-    stats = compute_statistics(config)
-    k = config.K
-    cov_factor = cholesky_factor(stats.cov, "channel row covariance")
-    t_factor = cholesky_factor(cov_factor.conj().T @ cov_factor + stats.noise * np.eye(k),
-                               "estimation-error covariance")
-    # factored before the solve, so that a Lambda that is not positive
-    # definite raises NumericalError, not numpy's LinAlgError
-    lam_factor = cholesky_factor(stats.lam, "estimate correlation matrix")
-    lam_factor_inv = _lower_inverse(lam_factor[None])[0]
-    bias = np.linalg.solve(stats.lam, stats.kappa[:, None] * stats.cov) - np.eye(k)
+    law = _gram_factors(config)
     r1_mean = math.sqrt(config.M) * mean_row(config, phase)
-    return GramLaw(lam_factor_inv=lam_factor_inv, white_mean=lam_factor_inv @ r1_mean.conj(),
-                   bias=bias, bias_row=r1_mean @ bias,
-                   noise_root_h=(math.sqrt(stats.noise)
-                                 * np.linalg.solve(t_factor, cov_factor.conj().T)),
-                   dof=config.M - 1.0 - np.arange(k), lower=np.tri(k, k, -1, dtype=bool))
+    return replace(law, white_mean=law.lam_factor_inv @ r1_mean.conj(),
+                   bias_row=r1_mean @ law.bias)
 
 
 def sample_gram(law: GramLaw, rng_seed, trials: int

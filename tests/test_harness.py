@@ -15,10 +15,12 @@ from riszf.channel import PhaseShifts
 from riszf.cli import main as cli_main
 from riszf.config import default_profile, write_config_file
 from riszf.errors import ConfigError
-from riszf.harness import (PHASE_CASES, Scenario, _run_point, check_memory, csv_header,
-                           csv_text, manifest_path, reproduce, resolve_phase, row_values,
-                           rows_text, run_scenario, solve_antennas_for_snr,
-                           write_scenario_outputs)
+from riszf.estimation import compute_statistics
+from riszf.harness import (_FIG_CASES, _FIG_N_SWEEP, PHASE_CASES, Scenario, _run_point,
+                           check_memory, csv_header, csv_text, manifest_path, reproduce,
+                           resolve_phase, row_values, rows_text, run_scenario,
+                           solve_antennas_for_snr, write_scenario_outputs)
+from riszf.optimizer import build_problem
 from riszf.rate import rate_lower_bound, required_antennas
 
 from conftest import deadline
@@ -141,12 +143,43 @@ def test_memory_estimate_bounds_the_traced_peak(k):
         try:
             # a bits point quantizes the design's phase, resolved first
             base = resolve_phase(cfg, design, 0)[0] if quantized else None
-            row = _run_point(sc, 0, 3 if quantized else None, base)
+            row = _run_point(sc, cfg, 0, 3 if quantized else None, base)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert row.error == ""
         assert peak <= check_memory(cfg, design, quantized), (n, design, quantized, peak)
+
+
+def test_mse_validate_refuses_draws_beyond_memory(tmp_path, capsys):
+    # at M = 1e10 the M x K draws need terabytes: refused (exit 2) before any
+    # of them is allocated, while the closed-form report still runs
+    huge_m = tmp_path / "huge_m.cfg"
+    write_config_file(default_profile().replace(M=10**10), huge_m)
+    tracemalloc.start()
+    try:
+        assert cli_main(["--config", str(huge_m), "mse", "--validate"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**24
+    assert "M=10000000000" in capsys.readouterr().err
+    assert cli_main(["--config", str(huge_m), "mse"]) == 0
+
+
+@pytest.mark.parametrize("k, m, trials", [(2, 16384, 40), (8, 8192, 3)])
+def test_memory_estimate_bounds_the_mse_draws(tmp_path, capsys, k, m, trials):
+    cfg = default_profile(K=k, M=m)
+    path = tmp_path / "m.cfg"
+    write_config_file(cfg, path)
+    tracemalloc.start()
+    try:
+        code = cli_main(["--config", str(path), "--trials", str(trials), "mse", "--validate"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= check_memory(cfg, "case4_identity", draws=trials), peak
 
 
 def test_run_scenario_bits_axis(small_config):
@@ -302,22 +335,66 @@ def test_reproduce_small_fig2a(tmp_path):
 
 def test_reproduce_runs_serially_and_matches_pooled_sweep(tmp_path, small_config,
                                                          monkeypatch):
-    cases = ("case1_align_nearest", "case2_align_farthest", "case3_random",
-             "case5_maxsum", "case6_maxmin")
-    for case in cases:
-        sc = Scenario(config=small_config, phase_design=case, sweep_axis="N",
-                      sweep_values=(64, 128, 256), trials=20, seed=5)
-        write_scenario_outputs(run_scenario(sc, max_workers=4), sc,
-                               tmp_path / f"pooled_{case}.csv")
+    # fig3b covers the alignment, random and MM designs over 3 N values,
+    # fig2b the identity and random designs over 4
+    for figure in ("fig3b", "fig2b"):
+        for case in _FIG_CASES[figure]:
+            sc = Scenario(config=small_config, phase_design=case, sweep_axis="N",
+                          sweep_values=_FIG_N_SWEEP[figure], trials=20, seed=5)
+            write_scenario_outputs(run_scenario(sc, max_workers=4), sc,
+                                   tmp_path / f"pooled_{figure}_{case}.csv")
 
     def no_pool(*args, **kwargs):
         raise AssertionError("reproduce started a thread pool")
 
     monkeypatch.setattr("riszf.harness.ThreadPoolExecutor", no_pool)
-    reproduce("fig3b", tmp_path / "figs", config=small_config, trials=20, seed=5)
-    for case in cases:
-        figure_csv = tmp_path / "figs" / f"fig3b_{case.split('_')[0]}.csv"
-        assert figure_csv.read_bytes() == (tmp_path / f"pooled_{case}.csv").read_bytes()
+    for figure in ("fig3b", "fig2b"):
+        reproduce(figure, tmp_path / "figs", config=small_config, trials=20, seed=5)
+        for case in _FIG_CASES[figure]:
+            figure_csv = tmp_path / "figs" / f"{figure}_{case.split('_')[0]}.csv"
+            pooled_csv = tmp_path / f"pooled_{figure}_{case}.csv"
+            assert figure_csv.read_bytes() == pooled_csv.read_bytes(), (figure, case)
+
+
+def _count_builds(monkeypatch, build) -> list[int]:
+    """N of every call of the once-per-config ``build`` that builds, not one that hits its cache.
+
+    The counting wrapper replaces ``build`` in every riszf module that holds it.
+    """
+    key = f"_{build.__name__}"
+    built = []
+
+    def counting(config):
+        if config.__dict__.get(key) is None:
+            built.append(config.N)
+        return build(config)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "riszf" and getattr(module, build.__name__, None) is build:
+            monkeypatch.setattr(module, build.__name__, counting)
+    return built
+
+
+def test_reproduce_shares_one_config_per_n(tmp_path, small_config, monkeypatch):
+    # every design's point at one N runs on one config instance, so the
+    # statistics and the design problem are built once per N, not per design
+    configs = {}
+
+    def spy(scenario, config, index, value, base_phase):
+        configs.setdefault(value, []).append((scenario.phase_design, config))
+        return _run_point(scenario, config, index, value, base_phase)
+
+    monkeypatch.setattr("riszf.harness._run_point", spy)
+    stats_built = _count_builds(monkeypatch, compute_statistics)
+    problems_built = _count_builds(monkeypatch, build_problem)
+    reproduce("fig3b", tmp_path, config=small_config, trials=5, seed=5)
+    assert sorted(configs) == [64.0, 128.0, 256.0]
+    for value, points in configs.items():
+        assert [design for design, _ in points] == list(_FIG_CASES["fig3b"])
+        assert all(config is points[0][1] for _, config in points), value
+        assert points[0][1].N == value
+    assert stats_built == [64, 128, 256]
+    assert problems_built == [64, 128, 256]
 
 
 def test_reproduce_unknown_figure(tmp_path):
