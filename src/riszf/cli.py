@@ -27,7 +27,7 @@ from .rate import _mean_and_se, exact_rate_mc, mc_draws
 @click.group()
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Flat key-value config file (default: bundled profile).")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--trials", type=click.IntRange(min=1), default=2000, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Output file (figures: output directory). Prints to stdout if omitted.")
@@ -91,7 +91,7 @@ def mse(ctx, validate):
     }
     if validate:
         trials = ctx.obj["trials"]
-        check_memory(config, "case4_identity", draws=trials)
+        check_memory(config, "case4_identity", draws=trials, trials=trials)
         mean = aggregated_mean(config, PhaseShifts.identity(config.N))
         err_power = np.concatenate([
             np.sum(np.abs(shrink_estimate(q, pilot_noise, mean, stats.kappa)[1]) ** 2, axis=1)
@@ -113,7 +113,8 @@ def mse(ctx, validate):
 def optimize(ctx, objective, max_iter, rel_tol):
     """Design RIS phases for the sum-rate or min-rate objective."""
     config = ctx.obj["config"]
-    check_memory(config, "case5_maxsum" if objective == "sum" else "case6_maxmin")
+    check_memory(config, "case5_maxsum" if objective == "sum" else "case6_maxmin",
+                 trials=ctx.obj["trials"])
     trace = mm_optimize(config, objective=objective, max_iter=max_iter, rel_tol=rel_tol)
     final = trace.final_v
     mc = exact_rate_mc(config, final, ctx.obj["trials"], ctx.obj["seed"])

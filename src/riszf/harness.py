@@ -1,18 +1,17 @@
 """Scenario orchestration: phase-design cases, sweeps, and persistence.
 
 A scenario couples a configuration with one phase-shift design and an
-optional sweep axis.  Each sweep point is evaluated independently and emits
-one :class:`ResultRow`; rows come back ordered by sweep value.  Only a
-multi-point ``riszf sweep`` spreads its points over a thread pool; a single
-point (``riszf rate``) runs serially.  The figure sweeps of
-:func:`reproduce` run serially and point-major: for each element count N,
-every phase design's point runs on one config instance, so the designs
-share its per-config caches.  A row holds only the per-user arrays a
-point computes; the sum and min columns are derived from them by
-:func:`row_values`, and :func:`rows_text` renders every row, as CSV or as a
-JSON list, for files and stdout alike.  CSV output is schema-versioned and
-byte-identical for identical seeds; a ``.manifest.json`` sidecar records
-everything needed to re-execute the run.
+optional sweep axis.  :func:`run_scenario` is the one point loop: it takes
+one scenario or several that differ only in their design, builds one config
+per sweep point and evaluates every design's point on it, so the designs
+share its per-config caches; each point emits one :class:`ResultRow`.
+Only a multi-point ``riszf sweep`` spreads its points over a thread pool;
+``riszf rate`` and the figure sweeps of :func:`reproduce` run serially.  A
+row holds only the per-user arrays a point computes; the sum and min
+columns are derived from them by :func:`row_values`, and :func:`rows_text`
+renders every row, as CSV or as a JSON list, for files and stdout alike.
+CSV output is schema-versioned and byte-identical for identical seeds; a
+``.manifest.json`` sidecar records everything needed to re-execute the run.
 """
 
 from __future__ import annotations
@@ -77,6 +76,8 @@ class Scenario:
             object.__setattr__(self, "sweep_values", values)
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -161,7 +162,7 @@ def resolve_phase(config: SystemConfig, design: str, rng) -> tuple[PhaseShifts, 
 
 
 def check_memory(config: SystemConfig, design: str, quantized: bool = False,
-                 draws: int = 0) -> int:
+                 draws: int = 0, trials: int = 0) -> int:
     """Estimated peak bytes of a point of ``design``; :class:`ConfigError` if over physical memory.
 
     Counts 16-byte entries: 3 (K + 1)(L_x + L_y) for the per-axis LoS
@@ -172,24 +173,27 @@ def check_memory(config: SystemConfig, design: str, quantized: bool = False,
     of M x K channel draws (:func:`riszf.rate.mc_draws`, ``riszf mse
     --validate``) add the M x K mean and, per trial of a chunk, 5 M x K
     arrays: q, the pilot noise, the estimate, the error and the next draw
-    under way.  1 MiB + 16 KiB K^2 covers the Monte-Carlo chunks of the
+    under way.  ``trials`` kept results add K + 1 per trial: K float64
+    rates (or ``mse --validate`` error powers) with a temporary, and their
+    sum with one.  1 MiB + 16 KiB K^2 covers the Monte-Carlo chunks of the
     K x K law.  Every sweep point, the ``bits`` axis before it resolves its
     base phase, ``riszf optimize`` and ``riszf mse --validate`` call this
-    before anything of size N or M is allocated.
+    before anything of size N, M or ``trials`` is allocated.
     """
     k = config.K
     lx, ly = decompose_grid(config.N)
     vectors = 5 * quantized + {"case3_random": 3, "case5_maxsum": k + 12,
                                "case6_maxmin": k + 12}.get(design, 0)
     mk_arrays = 1 + 5 * min(draws, _DRAW_CHUNK) if draws else 0
-    need = (16 * (3 * (k + 1) * (lx + ly) + vectors * config.N + mk_arrays * config.M * k)
-            + 2**20 + 2**14 * k * k)
+    need = (16 * (3 * (k + 1) * (lx + ly) + vectors * config.N + mk_arrays * config.M * k
+                  + trials * (k + 1)) + 2**20 + 2**14 * k * k)
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # a platform without these
         return need
     if need > have:
-        sizes = f"N={config.N}" + (f", M={config.M}" if draws else "")
+        sizes = (f"N={config.N}" + (f", M={config.M}" if draws else "")
+                 + (f", {trials} trials" if trials else ""))
         raise ConfigError(f"{sizes} under {design} needs an estimated "
                           f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB "
                           f"of physical memory")
@@ -200,30 +204,20 @@ def _point_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence(entropy=seed, spawn_key=(index,)).generate_state(1)[0])
 
 
-def _point_config(scenario: Scenario, value) -> SystemConfig | None:
-    """The config of the sweep point at ``value``; None when the value makes it invalid."""
-    if scenario.sweep_axis in (None, "bits"):
-        return scenario.config
-    try:
-        return scenario.config.replace(**{scenario.sweep_axis: value})
-    except ConfigError:
-        return None
-
-
 def _run_point(scenario: Scenario, config: SystemConfig | None, index: int, value,
                base_phase: PhaseShifts | None) -> ResultRow:
-    """Row of the point ``index`` at ``value``, evaluated on the caller's ``config``.
+    """Row of ``scenario``'s point ``index`` at ``value``, evaluated on ``config``.
 
-    ``config`` comes from :func:`_point_config`.  Its per-config caches (LoS
-    factors, statistics, design problem, ZF-law factors) serve every design
-    that the caller runs on the same instance.
+    :func:`run_scenario` passes the point's one config (None when ``value``
+    makes it invalid) to every design it runs, so their per-config caches
+    (LoS factors, statistics, design problem, ZF-law factors) serve them all.
     """
     sweep_value = float(value) if value is not None else float("nan")
     k = scenario.config.K
     if config is None:
         return _nan_row(sweep_value, "invalid_config", k)
     try:
-        check_memory(config, scenario.phase_design, quantized=base_phase is not None)
+        check_memory(config, scenario.phase_design, base_phase is not None, trials=scenario.trials)
         phase = None if base_phase is None else quantize_phase(base_phase, value)
     except ConfigError:
         return _nan_row(sweep_value, "invalid_config", k)
@@ -247,36 +241,46 @@ def _run_point(scenario: Scenario, config: SystemConfig | None, index: int, valu
                      lower_bound=lower_bound, floor_bound=floor_bound, ub=ub)
 
 
-def run_scenario(scenario: Scenario, max_workers: int | None = None) -> list[ResultRow]:
-    """Evaluate every sweep point of a scenario; rows ordered by sweep value.
+def run_scenario(*scenarios: Scenario, max_workers: int | None = None) -> list[ResultRow]:
+    """Evaluate every sweep point of one or more scenarios; rows grouped by scenario.
 
-    Each point gets a config of its own, built when it runs, so a sweep
-    holds at most one point's config and its caches per worker.  Points are
-    independent and, unless ``max_workers`` is 1, run on a thread pool of up
-    to ``max_workers`` threads (default: min(4, points)).  Per-point seeds
-    derive from (scenario seed, point index), so results do not depend on
-    worker count or completion order.  :func:`reproduce` does not come
-    through here: it runs the points of all its designs serially, one N at a
-    time, on one config per N.
+    The scenarios may differ only in ``phase_design``, else :class:`ConfigError`.
+    Each point builds one config when it runs and evaluates every scenario's
+    point on it, so the designs share its per-config caches.  The rows come
+    in one list, each scenario's in sweep order, scenario after scenario.
+    Unless ``max_workers`` is 1, points run on a thread pool of up to
+    ``max_workers`` threads (default: min(4, points)).  Per-point seeds derive
+    from (seed, point index), so no row depends on the workers or the other
+    scenarios.
     """
-    if scenario.sweep_axis is None:
-        return [_run_point(scenario, scenario.config, 0, None, None)]
-    base_phase = None
-    if scenario.sweep_axis == "bits":
-        check_memory(scenario.config, scenario.phase_design)
-        base_phase, _ = resolve_phase(scenario.config, scenario.phase_design,
-                                      _substream(scenario.seed, (0, 1)))
+    if len({(id(s.config), s.sweep_axis, s.sweep_values, s.trials, s.seed)
+            for s in scenarios}) != 1:
+        raise ConfigError("scenarios of one run may differ only in phase_design")
+    first, axis = scenarios[0], scenarios[0].sweep_axis
+    base_phases = [None] * len(scenarios)
+    if axis == "bits":
+        for j, s in enumerate(scenarios):
+            check_memory(s.config, s.phase_design)
+            base_phases[j], _ = resolve_phase(s.config, s.phase_design, _substream(s.seed, (0, 1)))
 
     def point(index, value):
-        return _run_point(scenario, _point_config(scenario, value), index, value, base_phase)
+        config = first.config
+        if axis not in (None, "bits"):
+            try:
+                config = config.replace(**{axis: value})
+            except ConfigError:
+                config = None
+        return [_run_point(s, config, index, value, base)
+                for s, base in zip(scenarios, base_phases)]
 
-    points = list(enumerate(scenario.sweep_values))
-    workers = max_workers or min(4, len(points))
-    if workers <= 1 or len(points) == 1:
-        return [point(i, v) for i, v in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(point, i, v) for i, v in points]
-        return [f.result() for f in futures]
+    points = list(enumerate(first.sweep_values if axis else (None,)))
+    workers = min(max_workers or 4, len(points))
+    if workers <= 1:
+        by_point = [point(i, v) for i, v in points]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            by_point = list(pool.map(point, *zip(*points)))
+    return [rows[j] for j in range(len(scenarios)) for rows in by_point]
 
 
 # --- persistence ------------------------------------------------------------
@@ -411,11 +415,10 @@ def reproduce(figure_id: str, out_dir, config: SystemConfig | None = None,
     """Write the sweep data underlying one of the reference experiments.
 
     ``fig2*``/``fig3*`` sweep the element count under the named phase-design
-    cases (one CSV per case).  They run serially and point-major: each N gets
-    one config, and every case's point at that N runs on it, so the cases
-    share its LoS factors, statistics, design problem and ZF-law factors.
-    Points keep their sweep index and seeds, so each CSV is byte-identical
-    to ``run_scenario`` over that case alone.  ``fig4a`` tabulates the
+    cases (one CSV per case) in one serial :func:`run_scenario` call: the
+    cases at each N share one config, with its LoS factors, statistics,
+    design problem and ZF-law factors, and each CSV is byte-identical to
+    ``run_scenario`` over that case alone.  ``fig4a`` tabulates the
     antenna/element trade-off at delta = 0 against the closed-form
     prediction; ``fig4b`` follows the power-scaling law p = 10/N toward its
     limit.  Each CSV gets a ``.manifest.json`` sidecar.  Default trial
@@ -433,14 +436,11 @@ def reproduce(figure_id: str, out_dir, config: SystemConfig | None = None,
         scenarios = [Scenario(config=config, phase_design=case, sweep_axis="N",
                               sweep_values=_FIG_N_SWEEP[figure_id], trials=trials, seed=seed)
                      for case in _FIG_CASES[figure_id]]
-        rows = [[] for _ in scenarios]
-        for index, value in enumerate(scenarios[0].sweep_values):
-            config_n = _point_config(scenarios[0], value)
-            for scenario, design_rows in zip(scenarios, rows):
-                design_rows.append(_run_point(scenario, config_n, index, value, None))
-        for scenario, design_rows in zip(scenarios, rows):
+        rows = run_scenario(*scenarios, max_workers=1)
+        n = len(_FIG_N_SWEEP[figure_id])
+        for j, scenario in enumerate(scenarios):
             path = out_dir / f"{figure_id}_{scenario.phase_design.split('_')[0]}.csv"
-            written += write_scenario_outputs(design_rows, scenario, path, figure=figure_id)
+            written += write_scenario_outputs(rows[j * n:][:n], scenario, path, figure=figure_id)
         return written
 
     if figure_id == "fig4a":

@@ -388,6 +388,8 @@ def exact_rate_mc(config: SystemConfig, phase: PhaseShifts, trials: int,
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if phase.n != config.N:
         raise ConfigError(f"phase vector has {phase.n} entries, config expects {config.N}")
     law = gram_law(config, phase)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import os
@@ -44,6 +45,8 @@ def test_scenario_validation(small_config):
         Scenario(config=small_config, sweep_axis="N", sweep_values=(32, np.nan, 16))
     with pytest.raises(ConfigError):
         Scenario(config=small_config, trials=0)
+    with pytest.raises(ConfigError, match="seed"):
+        Scenario(config=small_config, seed=-1)
     with pytest.raises(ConfigError, match="non-empty"):
         Scenario(config=small_config, sweep_axis="N", sweep_values=())
 
@@ -182,6 +185,59 @@ def test_memory_estimate_bounds_the_mse_draws(tmp_path, capsys, k, m, trials):
     assert peak <= check_memory(cfg, "case4_identity", draws=trials), peak
 
 
+@pytest.mark.parametrize("k", [2, 8])
+def test_memory_estimate_bounds_the_traced_peak_of_many_trials(k):
+    # at 2e5 trials the trials x K per-trial rates dominate a point's peak
+    cfg = default_profile(K=k, N=64)
+    trials = 200_000
+    sc = Scenario(config=cfg, phase_design="case4_identity", trials=trials, seed=0)
+    tracemalloc.start()
+    try:
+        row = _run_point(sc, cfg, 0, None, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row.error == ""
+    assert check_memory(cfg, "case4_identity") < peak  # the trials charge is needed
+    assert peak <= check_memory(cfg, "case4_identity", trials=trials), peak
+
+
+def test_memory_estimate_bounds_the_mse_error_powers(tmp_path, capsys):
+    # ``mse --validate`` keeps every trial's K error powers
+    cfg = default_profile(K=8, M=16)
+    trials = 200_000
+    path = tmp_path / "m.cfg"
+    write_config_file(cfg, path)
+    tracemalloc.start()
+    try:
+        code = cli_main(["--config", str(path), "--trials", str(trials), "mse", "--validate"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert check_memory(cfg, "case4_identity", draws=trials) < peak
+    assert peak <= check_memory(cfg, "case4_identity", draws=trials, trials=trials), peak
+
+
+def test_trials_beyond_memory_are_refused_before_allocation(capsys):
+    # 1e11 trials of K rates need terabytes: every command refuses them
+    # before it allocates anything of that size
+    trials = str(10**11)
+    tracemalloc.start()
+    try:
+        for argv in (["rate"], ["sweep", "--axis", "N", "--values", "16,32"]):
+            assert cli_main(["--trials", trials, "--format", "json", *argv]) == 0
+            rows = json.loads(capsys.readouterr().out)
+            assert [row["error"] for row in rows] == ["invalid_config"] * len(rows), argv
+        for argv in (["optimize"], ["mse", "--validate"]):
+            assert cli_main(["--trials", trials, *argv]) == 2, argv
+            assert f"{trials} trials" in capsys.readouterr().err
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**24
+
+
 def test_run_scenario_bits_axis(small_config):
     sc = Scenario(config=small_config, phase_design="case1_align_nearest",
                   sweep_axis="bits", sweep_values=(1, 2, 8), trials=30, seed=4)
@@ -201,6 +257,40 @@ def test_run_scenario_rows_independent_of_workers(small_config):
         texts = [csv_text(header, [row_values(row) for row in run_scenario(sc, max_workers=w)])
                  for w in (1, 4)]
         assert texts[0] == texts[1], axis
+
+
+@pytest.mark.parametrize("axis, values, designs", [
+    ("N", (0, 16, 32), ("case1_align_nearest", "case3_random", "case5_maxsum")),
+    ("bits", (1, 2, 3), ("case2_align_farthest", "case5_maxsum", "case6_maxmin")),
+    (None, (), ("case3_random", "case4_identity", "case6_maxmin")),
+])
+def test_run_scenario_of_many_designs_matches_each_alone(small_config, axis, values, designs):
+    header = csv_header(small_config.K)
+    scenarios = [Scenario(config=small_config, phase_design=design, sweep_axis=axis,
+                          sweep_values=values, trials=20, seed=6) for design in designs]
+    rows = run_scenario(*scenarios)
+    n = len(values) or 1
+    assert len(rows) == n * len(scenarios)
+    for j, sc in enumerate(scenarios):
+        together = csv_text(header, [row_values(row) for row in rows[j * n:(j + 1) * n]])
+        alone = csv_text(header, [row_values(row) for row in run_scenario(sc)])
+        assert together == alone, sc.phase_design
+    if axis == "N":
+        assert {row.error for row in rows[::n]} == {"invalid_config"}  # N = 0
+
+
+def test_run_scenario_refuses_a_mix_beyond_the_design(small_config):
+    base = Scenario(config=small_config, phase_design="case1_align_nearest", sweep_axis="N",
+                    sweep_values=(16, 32), trials=10, seed=0)
+    mixes = [dict(config=small_config.replace()), dict(seed=1), dict(trials=11),
+             dict(sweep_values=(16, 48)), dict(sweep_axis="M"),
+             dict(sweep_axis=None, sweep_values=())]
+    for change in mixes:
+        other = dataclasses.replace(base, phase_design="case4_identity", **change)
+        with pytest.raises(ConfigError, match="differ only in phase_design"):
+            run_scenario(base, other)
+    with pytest.raises(ConfigError):
+        run_scenario()
 
 
 def test_csv_byte_identical_roundtrip(tmp_path, small_config):
@@ -397,6 +487,19 @@ def test_reproduce_shares_one_config_per_n(tmp_path, small_config, monkeypatch):
     assert problems_built == [64, 128, 256]
 
 
+def test_reproduce_runs_its_designs_in_one_run_scenario_call(tmp_path, small_config,
+                                                            monkeypatch):
+    calls = []
+
+    def spy(*scenarios, **kwargs):
+        calls.append(([sc.phase_design for sc in scenarios], kwargs))
+        return run_scenario(*scenarios, **kwargs)
+
+    monkeypatch.setattr("riszf.harness.run_scenario", spy)
+    reproduce("fig3b", tmp_path, config=small_config, trials=5, seed=5)
+    assert calls == [(list(_FIG_CASES["fig3b"]), {"max_workers": 1})]
+
+
 def test_reproduce_unknown_figure(tmp_path):
     with pytest.raises(ConfigError):
         reproduce("fig9z", tmp_path)
@@ -591,6 +694,13 @@ def test_cli_exit_codes(tmp_path):
     assert cli_main(["--trials", "5", "sweep", "--axis", "bits", "--values", "1,2000"]) == 0
     assert cli_main(["--trials", "0", "mse", "--validate"]) == 2
     assert cli_main(["--trials", "0", "optimize"]) == 2
+
+
+def test_cli_negative_seed_exits_2(capsys):
+    for argv in (["rate"], ["sweep", "--axis", "N", "--values", "8,16"],
+                 ["optimize", "--max-iter", "2"]):
+        assert cli_main(["--seed", "-1", "--trials", "5", *argv]) == 2, argv
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def _src_env() -> dict:

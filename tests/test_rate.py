@@ -326,6 +326,8 @@ def test_exact_rate_mc_rejects_bad_arguments(reference_config):
     for trials in (0, -3):
         with pytest.raises(ConfigError, match="trials"):
             exact_rate_mc(reference_config, ph, trials, seed=0)
+    with pytest.raises(ConfigError, match="seed"):
+        exact_rate_mc(reference_config, ph, 5, seed=-1)
     with pytest.raises(ConfigError, match="phase vector"):
         exact_rate_mc(reference_config, PhaseShifts.identity(reference_config.N + 1), 5, seed=0)
 
