@@ -62,6 +62,8 @@ class Scenario:
         if not isinstance(self.phase_design, str) or self.phase_design not in PHASE_CASES:
             raise ConfigError(f"unknown phase design {self.phase_design!r}; "
                               f"expected one of {PHASE_CASES}")
+        if self.sweep_axis is None and len(self.sweep_values):
+            raise ConfigError("sweep_values need a sweep_axis")
         if self.sweep_axis is not None:
             if self.sweep_axis not in SWEEP_AXES:
                 raise ConfigError(f"unknown sweep axis {self.sweep_axis!r}; "
@@ -116,48 +118,49 @@ def _alignment_indices(config: SystemConfig) -> tuple[int, int]:
     return int(np.argmin(config.user_ris_dist)), int(np.argmax(config.user_ris_dist))
 
 
+def _heuristic_phase(config: SystemConfig, design: str, rng) -> PhaseShifts:
+    """Phases of one of the four heuristic designs, cases 1-4 of :data:`PHASE_CASES`."""
+    if design == "case4_identity":
+        return PhaseShifts.identity(config.N)
+    if design == "case3_random":
+        return PhaseShifts.random(config.N, rng)
+    nearest, farthest = _alignment_indices(config)
+    return align_phase(config, nearest if design == "case1_align_nearest" else farthest)
+
+
 def resolve_phase(config: SystemConfig, design: str, rng) -> tuple[PhaseShifts, int]:
     """Concrete phases for a design of :data:`PHASE_CASES`; returns (phase, optimizer iters).
 
     The optimizer cases warm-start from the best of the four heuristic cases
+    (:func:`_heuristic_phase`, in case order from ``rng``), each scored once,
     under their own objective; monotonicity of the optimizer then guarantees
     they never fall below that heuristic.  The min-rate case additionally
     seeds from the sum-rate solution, so its minimum rate dominates every
     other case of the same run.  Both run :func:`mm_optimize` with its
     default iteration cap and tolerance.
     """
-    if design == "case4_identity":
-        return PhaseShifts.identity(config.N), 0
-    if design == "case3_random":
-        return PhaseShifts.random(config.N, rng), 0
-    nearest, farthest = _alignment_indices(config)
-    if design == "case1_align_nearest":
-        return align_phase(config, nearest), 0
-    if design == "case2_align_farthest":
-        return align_phase(config, farthest), 0
-
-    candidates = [align_phase(config, nearest), align_phase(config, farthest),
-                  PhaseShifts.random(config.N, rng), PhaseShifts.identity(config.N)]
+    if design in PHASE_CASES[:4]:
+        return _heuristic_phase(config, design, rng), 0
+    candidates = [_heuristic_phase(config, case, rng) for case in PHASE_CASES[:4]]
     objective = "sum" if design == "case5_maxsum" else "min"
 
     # f_k = ln(1 + SNR_k) of the statistical-CSI lower bound, so these rank
     # candidates as the bound's sum and minimum rates do
     problem = build_problem(config)
+    values = [fractional_objective(problem, phase.v) for phase in candidates]
 
-    def sum_score(phase):
-        return float(fractional_objective(problem, phase.v).sum())
-
-    def min_score(phase):
-        return float(fractional_objective(problem, phase.v).min())
+    def best(reduce):
+        return candidates[max(range(len(candidates)), key=lambda i: float(reduce(values[i])))]
 
     iterations = 0
     if objective == "min":
-        sum_trace = mm_optimize(config, objective="sum", init=max(candidates, key=sum_score))
+        sum_trace = mm_optimize(config, objective="sum", init=best(np.ndarray.sum))
         iterations += sum_trace.iterations
         candidates.append(sum_trace.final_v)
+        values.append(fractional_objective(problem, sum_trace.final_v.v))
 
-    score = sum_score if objective == "sum" else min_score
-    trace = mm_optimize(config, objective=objective, init=max(candidates, key=score))
+    trace = mm_optimize(config, objective=objective,
+                        init=best(np.ndarray.sum if objective == "sum" else np.ndarray.min))
     return trace.final_v, iterations + trace.iterations
 
 
@@ -370,11 +373,17 @@ def manifest_path(out_path) -> str:
     return f"{out_path}.manifest.json"
 
 
+def _write_outputs(path, text: str, scenario: Scenario, figure: str | None = None,
+                   extra: dict | None = None) -> list[str]:
+    """Write ``text`` to ``path``, then its manifest; returns both paths."""
+    _write_text(path, text)
+    write_manifest(manifest_path(path), scenario, figure=figure, extra=extra)
+    return [str(path), manifest_path(path)]
+
+
 def write_scenario_outputs(rows, scenario: Scenario, out_path, fmt: str = "csv",
                            figure: str | None = None) -> list[str]:
-    _write_text(out_path, rows_text(rows, scenario.config.K, fmt))
-    write_manifest(manifest_path(out_path), scenario, figure=figure)
-    return [str(out_path), manifest_path(out_path)]
+    return _write_outputs(out_path, rows_text(rows, scenario.config.K, fmt), scenario, figure)
 
 
 # --- antenna-count inversion (trade-off curves) ------------------------------
@@ -398,15 +407,14 @@ def solve_antennas_for_snr(config: SystemConfig, C0: float, k: int) -> float:
 
 FIGURE_IDS = ("fig2a", "fig2b", "fig3a", "fig3b", "fig4a", "fig4b")
 
-_FIG_N_SWEEP = {"fig2a": (50, 100, 200, 400), "fig2b": (50, 100, 200, 400),
-                "fig3a": (64, 128, 256), "fig3b": (64, 128, 256)}
-_FIG_CASES = {
-    "fig2a": ("case1_align_nearest", "case2_align_farthest"),
-    "fig2b": ("case2_align_farthest", "case3_random", "case4_identity"),
-    "fig3a": ("case1_align_nearest", "case2_align_farthest", "case3_random",
-              "case5_maxsum"),
-    "fig3b": ("case1_align_nearest", "case2_align_farthest", "case3_random",
-              "case5_maxsum", "case6_maxmin"),
+#: (N values, phase designs) of each element-count figure.
+_FIG_SWEEPS = {
+    "fig2a": ((50, 100, 200, 400), ("case1_align_nearest", "case2_align_farthest")),
+    "fig2b": ((50, 100, 200, 400), ("case2_align_farthest", "case3_random", "case4_identity")),
+    "fig3a": ((64, 128, 256), ("case1_align_nearest", "case2_align_farthest", "case3_random",
+                               "case5_maxsum")),
+    "fig3b": ((64, 128, 256), ("case1_align_nearest", "case2_align_farthest", "case3_random",
+                               "case5_maxsum", "case6_maxmin")),
 }
 
 
@@ -432,12 +440,13 @@ def reproduce(figure_id: str, out_dir, config: SystemConfig | None = None,
         config = default_profile()
     written: list[str] = []
 
-    if figure_id in _FIG_CASES:
+    if figure_id in _FIG_SWEEPS:
+        n_values, cases = _FIG_SWEEPS[figure_id]
         scenarios = [Scenario(config=config, phase_design=case, sweep_axis="N",
-                              sweep_values=_FIG_N_SWEEP[figure_id], trials=trials, seed=seed)
-                     for case in _FIG_CASES[figure_id]]
+                              sweep_values=n_values, trials=trials, seed=seed)
+                     for case in cases]
         rows = run_scenario(*scenarios, max_workers=1)
-        n = len(_FIG_N_SWEEP[figure_id])
+        n = len(n_values)
         for j, scenario in enumerate(scenarios):
             path = out_dir / f"{figure_id}_{scenario.phase_design.split('_')[0]}.csv"
             written += write_scenario_outputs(rows[j * n:][:n], scenario, path, figure=figure_id)
@@ -455,29 +464,21 @@ def reproduce(figure_id: str, out_dir, config: SystemConfig | None = None,
             m_formula = required_antennas(cfg_n, c0, user)
             gain = n * config.alpha[user] * config.beta + config.gamma[user]
             rows.append([n, c0, user, m_solved, m_formula, (m_solved - config.K) * gain])
-        path = out_dir / "fig4a.csv"
-        _write_text(path, csv_text(header, rows))
-        scenario = Scenario(config=config, trials=trials, seed=seed)
-        write_manifest(manifest_path(path), scenario, figure="fig4a",
-                       extra={"C0": c0, "user": user, "columns": header})
-        return [str(path), manifest_path(path)]
-
-    # fig4b: power scaling p = 10/N at two antenna counts
-    e_u = 10.0
-    header = ["N", "M", "p_w", "rate_lb_avg", "rate_limit_avg", "rate_bound_avg"]
-    rows = []
-    for m in (32, 64):
-        for n in (1000, 10_000, 100_000):
-            cfg = config.replace(M=m, N=n, p=e_u / n)
-            phase = PhaseShifts.identity(n)
-            lb_avg = float(np.mean(rate_lower_bound(cfg, phase)))
-            limit_snr, bound_snr = power_scaling_limit(cfg, phase, e_u)
-            limit_avg = float(np.mean(_rates_from_snr(cfg, limit_snr)))
-            bound_avg = float(np.mean(_rates_from_snr(cfg, bound_snr)))
-            rows.append([n, m, e_u / n, lb_avg, limit_avg, bound_avg])
-    path = out_dir / "fig4b.csv"
-    _write_text(path, csv_text(header, rows))
-    scenario = Scenario(config=config, trials=trials, seed=seed)
-    write_manifest(manifest_path(path), scenario, figure="fig4b",
-                   extra={"E_u": e_u, "columns": header})
-    return [str(path), manifest_path(path)]
+        extra = {"C0": c0, "user": user}
+    else:  # fig4b: power scaling p = 10/N at two antenna counts
+        e_u = 10.0
+        header = ["N", "M", "p_w", "rate_lb_avg", "rate_limit_avg", "rate_bound_avg"]
+        rows = []
+        for m in (32, 64):
+            for n in (1000, 10_000, 100_000):
+                cfg = config.replace(M=m, N=n, p=e_u / n)
+                phase = PhaseShifts.identity(n)
+                lb_avg = float(np.mean(rate_lower_bound(cfg, phase)))
+                limit_snr, bound_snr = power_scaling_limit(cfg, phase, e_u)
+                limit_avg = float(np.mean(_rates_from_snr(cfg, limit_snr)))
+                bound_avg = float(np.mean(_rates_from_snr(cfg, bound_snr)))
+                rows.append([n, m, e_u / n, lb_avg, limit_avg, bound_avg])
+        extra = {"E_u": e_u}
+    return _write_outputs(out_dir / f"{figure_id}.csv", csv_text(header, rows),
+                          Scenario(config=config, trials=trials, seed=seed), figure_id,
+                          {**extra, "columns": header})

@@ -163,8 +163,10 @@ def _point(problem: FractionalProblem, v: np.ndarray) -> _Point:
     vv = np.vdot(v, v).real
     vbv = vv / problem.n + problem.rho * np.vdot(u, y).real
     vcv = problem.scale * (problem.lam_inv_diag * vbv - problem.rho * y2)
-    if (vcv <= 0.0).any():
-        raise NumericalError(f"user {np.flatnonzero(vcv <= 0.0)[0]}: denominator "
+    # not (vcv > 0), so that a NaN form is rejected too
+    bad = ~(vcv > 0.0)
+    if bad.any():
+        raise NumericalError(f"user {np.flatnonzero(bad)[0]}: denominator "
                              "quadratic form is not positive (degenerate problem)")
     return _Point(v, u, y, y2, vv, vbv, vcv, np.log1p(vbv / vcv))
 

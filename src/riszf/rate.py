@@ -10,7 +10,7 @@ tau_overhead = (tau_c - tau) / tau_c.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -184,48 +184,26 @@ def mc_draws(config: SystemConfig, mean: np.ndarray, trials: int, seed: int):
 
 @dataclass(frozen=True)
 class GramLaw:
-    """Per-point constants of the K x K law of (G, G^{-1} Qhat^H E) (see :func:`gram_law`).
+    """Per-config constants of the K x K law of (G, G^{-1} Qhat^H E) (see :func:`gram_law`).
 
-    ``lam_factor_inv`` is L^{-1}, L = chol(Lambda); ``white_mean`` is the
-    whitened mean m = L^{-1} sqrt(M) mu^H (length K); ``bias`` is
-    B = Lambda^{-1} U R - I and ``bias_row`` b = sqrt(M) mu B;
-    ``noise_root_h`` is S_F^H for a root S_F S_F^H = Sigma_F; ``dof`` holds
-    M - 1 - i, the shape of |A_ii|^2 for the Bartlett factor A of the Wishart
-    part of G; ``lower`` is the K x K strictly-lower mask that A's
-    off-diagonal normals fill.  The two phase fields, ``white_mean`` and
-    ``bias_row``, are None in the per-config factorization that
-    :func:`gram_law` completes.
+    ``lam_factor_inv`` is L^{-1}, L = chol(Lambda); ``bias`` is
+    B = Lambda^{-1} U R - I; ``noise_root_h`` is S_F^H for a root
+    S_F S_F^H = Sigma_F; ``dof`` holds M - 1 - i, the shape of |A_ii|^2 for
+    the Bartlett factor A of the Wishart part of G; ``lower`` is the K x K
+    strictly-lower mask that A's off-diagonal normals fill.  None of them
+    depends on the phase: :func:`exact_rate_mc` forms the phase's whitened
+    mean m and bias row b from them.
     """
 
     lam_factor_inv: np.ndarray
-    white_mean: np.ndarray | None
     bias: np.ndarray
-    bias_row: np.ndarray | None
     noise_root_h: np.ndarray
     dof: np.ndarray
     lower: np.ndarray
 
 
 @_once_per_config
-def _gram_factors(config: SystemConfig) -> GramLaw:
-    """The phase-independent fields of :func:`gram_law`, once per config instance."""
-    stats = compute_statistics(config)
-    k = config.K
-    cov_factor = cholesky_factor(stats.cov, "channel row covariance")
-    t_factor = cholesky_factor(cov_factor.conj().T @ cov_factor + stats.noise * np.eye(k),
-                               "estimation-error covariance")
-    # factored before the solve, so that a Lambda that is not positive
-    # definite raises NumericalError, not numpy's LinAlgError
-    lam_factor = cholesky_factor(stats.lam, "estimate correlation matrix")
-    lam_factor_inv = _lower_inverse(lam_factor[None])[0]
-    bias = np.linalg.solve(stats.lam, stats.kappa[:, None] * stats.cov) - np.eye(k)
-    return GramLaw(lam_factor_inv=lam_factor_inv, white_mean=None, bias=bias, bias_row=None,
-                   noise_root_h=(math.sqrt(stats.noise)
-                                 * np.linalg.solve(t_factor, cov_factor.conj().T)),
-                   dof=config.M - 1.0 - np.arange(k), lower=np.tri(k, k, -1, dtype=bool))
-
-
-def gram_law(config: SystemConfig, phase: PhaseShifts) -> GramLaw:
+def gram_law(config: SystemConfig) -> GramLaw:
     """The law of one trial's ZF statistics, from K x K quantities only.
 
     With U = diag(kappa), s2 = sigma2/(tau p) and R the row covariance of
@@ -240,15 +218,23 @@ def gram_law(config: SystemConfig, phase: PhaseShifts) -> GramLaw:
     positive-definite matrix, and no cancellation.  Lambda is factored first,
     so a Lambda that is not positive definite (it underflows to 0 at
     p = 1e-200) raises :class:`NumericalError`; the trials then need only
-    L^{-1}, never L.  Only the phase fields m and b are computed per call:
-    L^{-1}, B, S_F^H, ``dof`` and ``lower`` depend on the config alone and
-    are factored once per config instance, so the phase designs of a figure
-    at one N share them.
+    L^{-1}, never L.  Nothing here depends on the phase, so the law is
+    factored once per config instance and the phase designs of a figure at
+    one N share it.
     """
-    law = _gram_factors(config)
-    r1_mean = math.sqrt(config.M) * mean_row(config, phase)
-    return replace(law, white_mean=law.lam_factor_inv @ r1_mean.conj(),
-                   bias_row=r1_mean @ law.bias)
+    stats = compute_statistics(config)
+    k = config.K
+    cov_factor = cholesky_factor(stats.cov, "channel row covariance")
+    t_factor = cholesky_factor(cov_factor.conj().T @ cov_factor + stats.noise * np.eye(k),
+                               "estimation-error covariance")
+    # factored before the solve, so that a Lambda that is not positive
+    # definite raises NumericalError, not numpy's LinAlgError
+    lam_factor = cholesky_factor(stats.lam, "estimate correlation matrix")
+    return GramLaw(lam_factor_inv=_lower_inverse(lam_factor[None])[0],
+                   bias=np.linalg.solve(stats.lam, stats.kappa[:, None] * stats.cov) - np.eye(k),
+                   noise_root_h=(math.sqrt(stats.noise)
+                                 * np.linalg.solve(t_factor, cov_factor.conj().T)),
+                   dof=config.M - 1.0 - np.arange(k), lower=np.tri(k, k, -1, dtype=bool))
 
 
 def sample_gram(law: GramLaw, rng_seed, trials: int
@@ -303,11 +289,12 @@ def _row_norms2(a: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", pairs, pairs)
 
 
-def _zf_root(law: GramLaw, w: np.ndarray, bartlett: np.ndarray
+def _zf_root(law: GramLaw, white_mean: np.ndarray, w: np.ndarray, bartlett: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray]:
     """``(V, G^{-1} x)`` of stacked draws, V V^H = G^{-1} (see :func:`zf_terms`), with no Gram.
 
-    ``V`` is (trials, K, K) and ``G^{-1} x`` (trials, K, 1).  Raises
+    ``white_mean`` is the phase's whitened mean m (length K).  ``V`` is
+    (trials, K, K) and ``G^{-1} x`` (trials, K, 1).  Raises
     :class:`NumericalError` when an A has a diagonal entry that is not
     positive (G singular).
     """
@@ -315,7 +302,7 @@ def _zf_root(law: GramLaw, w: np.ndarray, bartlett: np.ndarray
     if not np.all(np.diagonal(bartlett, axis1=-2, axis2=-1).real > 0.0):
         raise NumericalError("estimate Gram matrix: Bartlett factor is singular")
     a_inv = _lower_inverse(bartlett)
-    y = a_inv @ (law.white_mean + w.conj())[:, :, None]
+    y = a_inv @ (white_mean + w.conj())[:, :, None]
     p_inv = (a_inv.reshape(trials * k, k) @ law.lam_factor_inv).reshape(trials, k, k)
     v = np.conjugate(p_inv.swapaxes(-1, -2), order="C")     # P^{-H}, before the update
     g = v @ y
@@ -325,10 +312,12 @@ def _zf_root(law: GramLaw, w: np.ndarray, bartlett: np.ndarray
     return v, g / r2
 
 
-def zf_terms(law: GramLaw, w: np.ndarray, bartlett: np.ndarray, z: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray]:
+def zf_terms(law: GramLaw, white_mean: np.ndarray, bias_row: np.ndarray, w: np.ndarray,
+             bartlett: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(leakage, rx_norm2)`` of stacked draws from :func:`sample_gram`, with no Gram.
 
+    ``white_mean`` m = L^{-1} sqrt(M) mu^H and ``bias_row`` b = sqrt(M) mu B
+    carry the phase, through the channel-mean row mu; both have length K.
     G = P (I + y y^H) P^H with y = P^{-1} x = A^{-1} (m + w^H), so by
     Sherman & Morrison (1950), with r = sqrt(1 + |y|^2) and
     c = 1 / (r (r + 1)), V = P^{-H} (I - c y y^H) satisfies V V^H = G^{-1},
@@ -344,21 +333,21 @@ def zf_terms(law: GramLaw, w: np.ndarray, bartlett: np.ndarray, z: np.ndarray
     has a diagonal entry that is not positive (G singular).
     """
     trials, k, _ = z.shape
-    v, gram_inv_x = _zf_root(law, w, bartlett)
+    v, gram_inv_x = _zf_root(law, white_mean, w, bartlett)
     leakage = v @ (z.reshape(trials * k, k) @ law.noise_root_h).reshape(trials, k, k)
-    leakage -= gram_inv_x * law.bias_row
+    leakage -= gram_inv_x * bias_row
     leakage += law.bias
     return leakage, _row_norms2(v)
 
 
-def _zf_rates(config: SystemConfig, law: GramLaw, w: np.ndarray, bartlett: np.ndarray,
-              z: np.ndarray) -> np.ndarray:
+def _zf_rates(config: SystemConfig, law: GramLaw, white_mean: np.ndarray, bias_row: np.ndarray,
+              w: np.ndarray, bartlett: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Per-trial ZF rates (trials x K) of stacked draws from :func:`sample_gram`.
 
     Raises :class:`NumericalError` when a trial's G is singular
     (:func:`zf_terms`) or any rate is not finite.
     """
-    leakage, rx_norm2 = zf_terms(law, w, bartlett, z)
+    leakage, rx_norm2 = zf_terms(law, white_mean, bias_row, w, bartlett, z)
     interference = config.p * _row_norms2(leakage)
     rates = _rates_from_snr(config, config.p / (interference + config.sigma2 * rx_norm2))
     if not np.all(np.isfinite(rates)):
@@ -373,7 +362,9 @@ def exact_rate_mc(config: SystemConfig, phase: PhaseShifts, trials: int,
     A trial's rate depends on its channel only through two K x K matrices,
     the estimate Gram G = Qhat^H Qhat and the leakage G^{-1} Qhat^H E, so
     each trial draws them in their exact joint law (:func:`gram_law`,
-    :func:`sample_gram`) and evaluates
+    :func:`sample_gram`; the phase enters only through the whitened mean
+    m = L^{-1} sqrt(M) mu^H and the bias row b = sqrt(M) mu B, formed once
+    per call) and evaluates
         tau_overhead * log2(1 + p / (p sum_i |a_k^H e_i|^2 + sigma2 |a_k|^2))
     for the ZF receiver A = Qhat G^{-1}.  G is never formed or factored: a
     Sherman-Morrison root V with V V^H = G^{-1}, built from the inverse of
@@ -392,7 +383,9 @@ def exact_rate_mc(config: SystemConfig, phase: PhaseShifts, trials: int,
         raise ConfigError(f"seed must be >= 0, got {seed}")
     if phase.n != config.N:
         raise ConfigError(f"phase vector has {phase.n} entries, config expects {config.N}")
-    law = gram_law(config, phase)
+    law = gram_law(config)
+    r1_mean = math.sqrt(config.M) * mean_row(config, phase)
+    white_mean, bias_row = law.lam_factor_inv @ r1_mean.conj(), r1_mean @ law.bias
 
     per_trial = np.empty((trials, config.K))
     retries = 0
@@ -402,7 +395,7 @@ def exact_rate_mc(config: SystemConfig, phase: PhaseShifts, trials: int,
             draws = sample_gram(law, _substream(seed, (c, attempt) if attempt else (c,)),
                                 block.shape[0])
             try:
-                block[:] = _zf_rates(config, law, *draws)
+                block[:] = _zf_rates(config, law, white_mean, bias_row, *draws)
                 break
             except NumericalError:
                 retries += 1

@@ -17,11 +17,11 @@ from riszf.cli import main as cli_main
 from riszf.config import default_profile, write_config_file
 from riszf.errors import ConfigError
 from riszf.estimation import compute_statistics
-from riszf.harness import (_FIG_CASES, _FIG_N_SWEEP, PHASE_CASES, Scenario, _run_point,
+from riszf.harness import (_FIG_SWEEPS, PHASE_CASES, Scenario, _run_point,
                            check_memory, csv_header, csv_text, manifest_path, reproduce,
                            resolve_phase, row_values, rows_text, run_scenario,
                            solve_antennas_for_snr, write_scenario_outputs)
-from riszf.optimizer import build_problem
+from riszf.optimizer import build_problem, fractional_objective
 from riszf.rate import rate_lower_bound, required_antennas
 
 from conftest import deadline
@@ -49,6 +49,9 @@ def test_scenario_validation(small_config):
         Scenario(config=small_config, seed=-1)
     with pytest.raises(ConfigError, match="non-empty"):
         Scenario(config=small_config, sweep_axis="N", sweep_values=())
+    # values with no axis used to run one NaN-valued point and record both values
+    with pytest.raises(ConfigError, match="sweep_axis"):
+        Scenario(config=small_config, sweep_values=(16, 32))
 
 
 def test_resolve_phase_cases(small_config):
@@ -75,6 +78,21 @@ def test_resolve_phase_optimizer_beats_heuristics(small_config):
         for p in [PhaseShifts.identity(small_config.N),
                   PhaseShifts.random(small_config.N, np.random.default_rng(1))])
     assert rate_lower_bound(small_config, phase).sum() >= best_heuristic - 1e-9
+
+
+@pytest.mark.parametrize("design, scored", [("case5_maxsum", 4), ("case6_maxmin", 5)])
+def test_resolve_phase_scores_each_candidate_once(small_config, monkeypatch, design, scored):
+    # the four heuristic candidates, and for case 6 the sum-rate solution
+    # too, are each scored once, not once per objective that ranks them
+    calls = []
+
+    def spy(problem, v):
+        calls.append(v)
+        return fractional_objective(problem, v)
+
+    monkeypatch.setattr("riszf.harness.fractional_objective", spy)
+    resolve_phase(small_config, design, np.random.default_rng(3))
+    assert len(calls) == scored
 
 
 def test_run_scenario_rows_and_monotone_lb(small_config):
@@ -425,12 +443,12 @@ def test_reproduce_small_fig2a(tmp_path):
 
 def test_reproduce_runs_serially_and_matches_pooled_sweep(tmp_path, small_config,
                                                          monkeypatch):
-    # fig3b covers the alignment, random and MM designs over 3 N values,
-    # fig2b the identity and random designs over 4
-    for figure in ("fig3b", "fig2b"):
-        for case in _FIG_CASES[figure]:
+    # every element-count figure: fig3b covers the alignment, random and MM
+    # designs over 3 N values, fig2b the identity and random designs over 4
+    for figure, (n_values, cases) in _FIG_SWEEPS.items():
+        for case in cases:
             sc = Scenario(config=small_config, phase_design=case, sweep_axis="N",
-                          sweep_values=_FIG_N_SWEEP[figure], trials=20, seed=5)
+                          sweep_values=n_values, trials=20, seed=5)
             write_scenario_outputs(run_scenario(sc, max_workers=4), sc,
                                    tmp_path / f"pooled_{figure}_{case}.csv")
 
@@ -438,9 +456,9 @@ def test_reproduce_runs_serially_and_matches_pooled_sweep(tmp_path, small_config
         raise AssertionError("reproduce started a thread pool")
 
     monkeypatch.setattr("riszf.harness.ThreadPoolExecutor", no_pool)
-    for figure in ("fig3b", "fig2b"):
+    for figure, (_, cases) in _FIG_SWEEPS.items():
         reproduce(figure, tmp_path / "figs", config=small_config, trials=20, seed=5)
-        for case in _FIG_CASES[figure]:
+        for case in cases:
             figure_csv = tmp_path / "figs" / f"{figure}_{case.split('_')[0]}.csv"
             pooled_csv = tmp_path / f"pooled_{figure}_{case}.csv"
             assert figure_csv.read_bytes() == pooled_csv.read_bytes(), (figure, case)
@@ -480,7 +498,7 @@ def test_reproduce_shares_one_config_per_n(tmp_path, small_config, monkeypatch):
     reproduce("fig3b", tmp_path, config=small_config, trials=5, seed=5)
     assert sorted(configs) == [64.0, 128.0, 256.0]
     for value, points in configs.items():
-        assert [design for design, _ in points] == list(_FIG_CASES["fig3b"])
+        assert [design for design, _ in points] == list(_FIG_SWEEPS["fig3b"][1])
         assert all(config is points[0][1] for _, config in points), value
         assert points[0][1].N == value
     assert stats_built == [64, 128, 256]
@@ -497,7 +515,7 @@ def test_reproduce_runs_its_designs_in_one_run_scenario_call(tmp_path, small_con
 
     monkeypatch.setattr("riszf.harness.run_scenario", spy)
     reproduce("fig3b", tmp_path, config=small_config, trials=5, seed=5)
-    assert calls == [(list(_FIG_CASES["fig3b"]), {"max_workers": 1})]
+    assert calls == [(list(_FIG_SWEEPS["fig3b"][1]), {"max_workers": 1})]
 
 
 def test_reproduce_unknown_figure(tmp_path):

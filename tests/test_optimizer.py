@@ -427,6 +427,14 @@ def test_mm_optimize_converges_on_sum(reference_config):
     assert trace.iterations < 500
 
 
+def test_objective_rejects_a_nan_denominator(reference_config):
+    # a NaN v^H C_k v fails every comparison, so a check for <= 0 let it
+    # through and f_k came back NaN; every form that is not > 0 must raise
+    cfg = reference_config
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="not positive"):
+        fractional_objective(build_problem(cfg), np.full(cfg.N, np.nan + 0j))
+
+
 def test_mm_optimize_rejects_bad_arguments(reference_config):
     with pytest.raises(ConfigError):
         mm_optimize(reference_config, objective="max")

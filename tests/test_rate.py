@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import riszf.rate as rate_module
-from riszf.channel import PhaseShifts, aggregated_mean, build_los, sample_channels
+from riszf.channel import PhaseShifts, aggregated_mean, build_los, mean_row, sample_channels
 from riszf.config import default_profile
 from riszf.errors import ConfigError, NumericalError
 from riszf.estimation import compute_statistics, random_component_power
@@ -507,7 +507,7 @@ def test_lower_inverse_matches_dense_inverse():
     for cfg in (default_profile(N=400), toy_config(K=3, M=12, N=16, seed=2),
                 toy_config(K=1, M=4, N=9, seed=3)):
         ph = PhaseShifts.random(cfg.N, 1)
-        w, bartlett, _ = sample_gram(gram_law(cfg, ph), 1, 200)
+        w, bartlett, _ = sample_gram(gram_law(cfg), 1, 200)
         gram, _ = gram_from_draw(cfg, ph, w, bartlett)
         for lower in (bartlett, np.linalg.cholesky(gram)):
             dense = np.linalg.inv(lower)
@@ -517,16 +517,23 @@ def test_lower_inverse_matches_dense_inverse():
                                        atol=1e-14 * np.abs(dense).max())
 
 
+def _phase_terms(cfg, law, ph):
+    """The whitened mean m and bias row b of ``ph``, formed as exact_rate_mc forms them."""
+    r1_mean = math.sqrt(cfg.M) * mean_row(cfg, ph)
+    return law.lam_factor_inv @ r1_mean.conj(), r1_mean @ law.bias
+
+
 def _root_errors(cfg, ph, seed):
     """Per-draw relative errors of the Sherman-Morrison root against the dense Gram.
 
     ``(V V^H vs G^{-1}, G^{-1} x, rx_norm2 vs the Cholesky path, median |y|^2)``,
     each the worst of 200 trials of one draw; G is rebuilt from the same (w, A).
     """
-    law = gram_law(cfg, ph)
+    law = gram_law(cfg)
+    white_mean, bias_row = _phase_terms(cfg, law, ph)
     w, bartlett, z = sample_gram(law, seed, 200)
-    v, gram_inv_x = rate_module._zf_root(law, w, bartlett)
-    _, rx_norm2 = zf_terms(law, w, bartlett, z)
+    v, gram_inv_x = rate_module._zf_root(law, white_mean, w, bartlett)
+    _, rx_norm2 = zf_terms(law, white_mean, bias_row, w, bartlett, z)
     gram, x = gram_from_draw(cfg, ph, w, bartlett)
     inverse = np.linalg.inv(gram)
     root_err = np.max(np.abs(v @ v.conj().swapaxes(-1, -2) - inverse)
@@ -576,9 +583,9 @@ def test_gram_draw_matches_first_moments():
     signal = 0.0
     for cfg, seed in cases:
         ph = PhaseShifts.random(cfg.N, seed)
-        law = gram_law(cfg, ph)
+        law = gram_law(cfg)
         w, bartlett, z = sample_gram(law, seed, 20000)
-        leakage, _ = zf_terms(law, w, bartlett, z)
+        leakage, _ = zf_terms(law, *_phase_terms(cfg, law, ph), w, bartlett, z)
         gram, _ = gram_from_draw(cfg, ph, w, bartlett)
         stats = compute_statistics(cfg)
         cross = cfg.M * (stats.kappa[:, None] * stats.cov - stats.lam)
@@ -598,7 +605,7 @@ def test_gram_law_error_root():
     cfgs = [random_config(rng) for _ in range(8)]
     cfgs.append(toy_config(K=3, tau=10**6, tau_c=4 * 10**6, p=1e6, sigma2=1.0, seed=15))
     for cfg in cfgs:
-        law = gram_law(cfg, PhaseShifts.identity(cfg.N))
+        law = gram_law(cfg)
         stats = compute_statistics(cfg)
         cov = stats.cov
         noise = cfg.sigma2 / (cfg.tau * cfg.p)
