@@ -30,7 +30,7 @@ from .config import SystemConfig, default_profile
 from .errors import ConfigError, NumericalError
 from .optimizer import (align_phase, build_problem, fractional_objective, mm_optimize,
                         quantize_phase)
-from .rate import (_DRAW_CHUNK, _rates_from_snr, _substream, exact_rate_mc,
+from .rate import (_DRAW_CHUNK, MonteCarloRate, _rates_from_snr, _substream, exact_rates_mc,
                    phase_independent_bound, phase_independent_snr, power_scaling_limit,
                    rate_lower_bound, required_antennas, upper_bound)
 
@@ -128,68 +128,104 @@ def _heuristic_phase(config: SystemConfig, design: str, rng) -> PhaseShifts:
     return align_phase(config, nearest if design == "case1_align_nearest" else farthest)
 
 
+def resolve_phases(config: SystemConfig, designs, rng) -> list:
+    """(phase, optimizer iters) of each design of :data:`PHASE_CASES`, sharing their work.
+
+    Each heuristic phase (:func:`_heuristic_phase`, the random one from
+    ``rng``) is built once.  The optimizer cases warm-start from the best of
+    the four under their own objective, each scored once; monotonicity of
+    the optimizer then guarantees they never fall below that heuristic.  The
+    min-rate case also seeds from the sum-rate solution, case 5's own, run
+    once for both, so its minimum rate dominates every other case of the
+    same run.  Both run :func:`mm_optimize` with its default iteration cap
+    and tolerance.  A design whose resolution raises :class:`NumericalError`
+    gets that error in place of its pair; the others go on.
+    """
+    shared: dict = {}
+
+    def once(key, build):
+        # a build that raises is not stored: each design that needs it raises
+        if key not in shared:
+            shared[key] = build()
+        return shared[key]
+
+    def scored():
+        # f_k = ln(1 + SNR_k) of the statistical-CSI lower bound, so these rank
+        # candidates as the bound's sum and minimum rates do
+        problem = build_problem(config)
+        candidates = [resolve(case)[0] for case in PHASE_CASES[:4]]
+        return problem, candidates, [fractional_objective(problem, ph.v) for ph in candidates]
+
+    def best(candidates, values, reduce):
+        return candidates[max(range(len(candidates)), key=lambda i: float(reduce(values[i])))]
+
+    def max_sum():
+        _, candidates, values = once("scored", scored)
+        return mm_optimize(config, objective="sum", init=best(candidates, values, np.ndarray.sum))
+
+    def resolve(design):
+        if design in PHASE_CASES[:4]:
+            return once(design, lambda: _heuristic_phase(config, design, rng)), 0
+        sum_trace = once("max_sum", max_sum)
+        if design == "case5_maxsum":
+            return sum_trace.final_v, sum_trace.iterations
+        problem, candidates, values = once("scored", scored)
+        final = sum_trace.final_v
+        trace = mm_optimize(config, objective="min", init=best(
+            [*candidates, final], [*values, fractional_objective(problem, final.v)], np.ndarray.min))
+        return trace.final_v, sum_trace.iterations + trace.iterations
+
+    resolved = []
+    for design in designs:
+        try:
+            resolved.append(resolve(design))
+        except NumericalError as exc:
+            resolved.append(exc)
+    return resolved
+
+
 def resolve_phase(config: SystemConfig, design: str, rng) -> tuple[PhaseShifts, int]:
     """Concrete phases for a design of :data:`PHASE_CASES`; returns (phase, optimizer iters).
 
-    The optimizer cases warm-start from the best of the four heuristic cases
-    (:func:`_heuristic_phase`, in case order from ``rng``), each scored once,
-    under their own objective; monotonicity of the optimizer then guarantees
-    they never fall below that heuristic.  The min-rate case additionally
-    seeds from the sum-rate solution, so its minimum rate dominates every
-    other case of the same run.  Both run :func:`mm_optimize` with its
-    default iteration cap and tolerance.
+    The one-design call of :func:`resolve_phases`.
     """
-    if design in PHASE_CASES[:4]:
-        return _heuristic_phase(config, design, rng), 0
-    candidates = [_heuristic_phase(config, case, rng) for case in PHASE_CASES[:4]]
-    objective = "sum" if design == "case5_maxsum" else "min"
-
-    # f_k = ln(1 + SNR_k) of the statistical-CSI lower bound, so these rank
-    # candidates as the bound's sum and minimum rates do
-    problem = build_problem(config)
-    values = [fractional_objective(problem, phase.v) for phase in candidates]
-
-    def best(reduce):
-        return candidates[max(range(len(candidates)), key=lambda i: float(reduce(values[i])))]
-
-    iterations = 0
-    if objective == "min":
-        sum_trace = mm_optimize(config, objective="sum", init=best(np.ndarray.sum))
-        iterations += sum_trace.iterations
-        candidates.append(sum_trace.final_v)
-        values.append(fractional_objective(problem, sum_trace.final_v.v))
-
-    trace = mm_optimize(config, objective=objective,
-                        init=best(np.ndarray.sum if objective == "sum" else np.ndarray.min))
-    return trace.final_v, iterations + trace.iterations
+    (resolved,) = resolve_phases(config, [design], rng)
+    if isinstance(resolved, NumericalError):
+        raise resolved
+    return resolved
 
 
-def check_memory(config: SystemConfig, design: str, quantized: bool = False,
+def check_memory(config: SystemConfig, designs, quantized: bool = False,
                  draws: int = 0, trials: int = 0) -> int:
-    """Estimated peak bytes of a point of ``design``; :class:`ConfigError` if over physical memory.
+    """Estimated peak bytes of a point of ``designs``; :class:`ConfigError` if over physical memory.
 
-    Counts 16-byte entries: 3 (K + 1)(L_x + L_y) for the per-axis LoS
-    factors and their temporaries (a prime N has the 1 x N grid), and the
-    N-vectors the design holds at its peak: none for the separable
-    alignment and identity phases, 3 for a random phase, K + 12 for the MM
-    designs (G is K x N), and 5 more on the ``bits`` axis.  ``draws`` trials
-    of M x K channel draws (:func:`riszf.rate.mc_draws`, ``riszf mse
-    --validate``) add the M x K mean and, per trial of a chunk, 5 M x K
-    arrays: q, the pilot noise, the estimate, the error and the next draw
-    under way.  ``trials`` kept results add K + 1 per trial: K float64
-    rates (or ``mse --validate`` error powers) with a temporary, and their
-    sum with one.  1 MiB + 16 KiB K^2 covers the Monte-Carlo chunks of the
-    K x K law.  Every sweep point, the ``bits`` axis before it resolves its
-    base phase, ``riszf optimize`` and ``riszf mse --validate`` call this
-    before anything of size N, M or ``trials`` is allocated.
+    ``designs`` is one design of :data:`PHASE_CASES` or the several that
+    share a point.  Counts 16-byte entries: 3 (K + 1)(L_x + L_y) for the
+    per-axis LoS factors and their temporaries (a prime N has the 1 x N
+    grid), and the N-vectors of the largest design at its peak: none for
+    the separable alignment and identity phases, 3 for a random phase,
+    K + 12 for the MM designs (G is K x N), 5 more on the ``bits`` axis, and
+    one per further design for the phases the point holds at once.
+    ``draws`` trials of M x K channel draws (:func:`riszf.rate.mc_draws`,
+    ``riszf mse --validate``) add the M x K mean and, per trial of a chunk,
+    5 M x K arrays: q, the pilot noise, the estimate, the error and the next
+    draw under way.  ``trials`` kept results add K + 1 per trial and
+    design: K float64 rates (or ``mse --validate`` error powers) with a
+    temporary, and their sum with one.  1 MiB + 16 KiB K^2 covers the
+    Monte-Carlo chunks of the K x K law.  Every sweep point, the ``bits``
+    axis before it resolves its base phases, ``riszf optimize`` and ``riszf
+    mse --validate`` call this before anything of size N, M or ``trials``
+    is allocated.
     """
+    designs = (designs,) if isinstance(designs, str) else tuple(designs)
     k = config.K
     lx, ly = decompose_grid(config.N)
-    vectors = 5 * quantized + {"case3_random": 3, "case5_maxsum": k + 12,
-                               "case6_maxmin": k + 12}.get(design, 0)
+    peak = max({"case3_random": 3, "case5_maxsum": k + 12,
+                "case6_maxmin": k + 12}.get(design, 0) for design in designs)
+    vectors = 5 * quantized + peak + len(designs) - 1
     mk_arrays = 1 + 5 * min(draws, _DRAW_CHUNK) if draws else 0
     need = (16 * (3 * (k + 1) * (lx + ly) + vectors * config.N + mk_arrays * config.M * k
-                  + trials * (k + 1)) + 2**20 + 2**14 * k * k)
+                  + len(designs) * trials * (k + 1)) + 2**20 + 2**14 * k * k)
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # a platform without these
@@ -197,7 +233,7 @@ def check_memory(config: SystemConfig, design: str, quantized: bool = False,
     if need > have:
         sizes = (f"N={config.N}" + (f", M={config.M}" if draws else "")
                  + (f", {trials} trials" if trials else ""))
-        raise ConfigError(f"{sizes} under {design} needs an estimated "
+        raise ConfigError(f"{sizes} under {', '.join(designs)} needs an estimated "
                           f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB "
                           f"of physical memory")
     return need
@@ -207,50 +243,80 @@ def _point_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence(entropy=seed, spawn_key=(index,)).generate_state(1)[0])
 
 
-def _run_point(scenario: Scenario, config: SystemConfig | None, index: int, value,
-               base_phase: PhaseShifts | None) -> ResultRow:
-    """Row of ``scenario``'s point ``index`` at ``value``, evaluated on ``config``.
+def _design_row(config: SystemConfig, sweep_value: float, resolved, mc, floor_bound) -> ResultRow:
+    """Row of one design of a point from its (phase, iters) and its MC result, else failed."""
+    if isinstance(mc, MonteCarloRate):
+        phase, opt_iters = resolved
+        try:
+            ub, lower_bound = upper_bound(config, phase)[0], rate_lower_bound(config, phase)
+        except NumericalError:
+            ub = lower_bound = np.nan
+        # an overflow at an edge of scale (say 1/scale at p = 1e300) gives inf, not an error
+        if all(np.all(np.isfinite(x)) for x in (mc.rates, mc.std_errors, mc.sum_rate_se,
+                                                 lower_bound, floor_bound, ub)):
+            return ResultRow(sweep_value=sweep_value, error="", opt_iterations=opt_iters,
+                             mc_rate=mc.rates, mc_se=mc.std_errors,
+                             sum_rate_mc_se=mc.sum_rate_se, lower_bound=lower_bound,
+                             floor_bound=floor_bound, ub=ub)
+    return _nan_row(sweep_value, "numerical_failure", config.K)
+
+
+def _run_point(scenarios, config: SystemConfig | None, index: int, value,
+               base_phases) -> list[ResultRow]:
+    """Rows of the ``scenarios``' point ``index`` at ``value``, evaluated on ``config``.
 
     :func:`run_scenario` passes the point's one config (None when ``value``
-    makes it invalid) to every design it runs, so their per-config caches
-    (LoS factors, statistics, design problem, ZF-law factors) serve them all.
+    makes it invalid), so the designs share its per-config caches (LoS
+    factors, statistics, design problem, ZF-law factors).  They also share
+    one :func:`resolve_phases` (on the ``bits`` axis, the quantized
+    ``base_phases`` instead), one :func:`riszf.rate.exact_rates_mc` over all
+    their phases and one phase-independent bound.  A design whose phase,
+    rates or bounds fail gets its own failed row; designs too large to hold
+    at once run one at a time.
     """
     sweep_value = float(value) if value is not None else float("nan")
-    k = scenario.config.K
+    invalid = [_nan_row(sweep_value, "invalid_config", scenarios[0].config.K)] * len(scenarios)
     if config is None:
-        return _nan_row(sweep_value, "invalid_config", k)
+        return invalid
+    first = scenarios[0]
+    designs = [s.phase_design for s in scenarios]
+    quantized = base_phases[0] is not None
     try:
-        check_memory(config, scenario.phase_design, base_phase is not None, trials=scenario.trials)
-        phase = None if base_phase is None else quantize_phase(base_phase, value)
+        check_memory(config, designs, quantized, trials=first.trials)
     except ConfigError:
-        return _nan_row(sweep_value, "invalid_config", k)
+        if len(scenarios) == 1:
+            return invalid
+        return [row for s, base in zip(scenarios, base_phases)
+                for row in _run_point([s], config, index, value, [base])]
+    if not quantized:
+        resolved = resolve_phases(config, designs, _substream(first.seed, (index, 1)))
+    else:
+        try:
+            # an invalid bit width is invalid for every design
+            resolved = [(quantize_phase(base, value), 0) for base in base_phases]
+        except ConfigError:
+            return invalid
+    live = [j for j, r in enumerate(resolved) if not isinstance(r, NumericalError)]
     try:
-        opt_iters = 0
-        if phase is None:
-            phase, opt_iters = resolve_phase(config, scenario.phase_design,
-                                             _substream(scenario.seed, (index, 1)))
-        mc = exact_rate_mc(config, phase, scenario.trials, _point_seed(scenario.seed, index))
+        mcs = exact_rates_mc(config, [resolved[j][0] for j in live], first.trials,
+                             _point_seed(first.seed, index))
         floor_bound, _ = phase_independent_bound(config)
-        ub, _ = upper_bound(config, phase)
-        lower_bound = rate_lower_bound(config, phase)
     except NumericalError:
-        return _nan_row(sweep_value, "numerical_failure", k)
-    # an overflow at an edge of scale (say 1/scale at p = 1e300) gives inf, not an error
-    if not all(np.all(np.isfinite(x)) for x in (mc.rates, mc.std_errors, mc.sum_rate_se,
-                                                 lower_bound, floor_bound, ub)):
-        return _nan_row(sweep_value, "numerical_failure", k)
-    return ResultRow(sweep_value=sweep_value, error="", opt_iterations=opt_iters,
-                     mc_rate=mc.rates, mc_se=mc.std_errors, sum_rate_mc_se=mc.sum_rate_se,
-                     lower_bound=lower_bound, floor_bound=floor_bound, ub=ub)
+        mcs, floor_bound = [None] * len(live), None
+    mc_of = dict(zip(live, mcs))
+    return [_design_row(config, sweep_value, r, mc_of.get(j), floor_bound)
+            for j, r in enumerate(resolved)]
 
 
 def run_scenario(*scenarios: Scenario, max_workers: int | None = None) -> list[ResultRow]:
     """Evaluate every sweep point of one or more scenarios; rows grouped by scenario.
 
     The scenarios may differ only in ``phase_design``, else :class:`ConfigError`.
-    Each point builds one config when it runs and evaluates every scenario's
-    point on it, so the designs share its per-config caches.  The rows come
-    in one list, each scenario's in sweep order, scenario after scenario.
+    Each point builds one config when it runs and evaluates every
+    scenario's design on it in one shared point (:func:`_run_point`): one
+    set of per-config caches, one phase resolution, one Monte-Carlo call
+    over all the phases and one phase-independent bound.  The rows come in
+    one list, each scenario's in sweep order, scenario after scenario.
     Unless ``max_workers`` is 1, points run on a thread pool of up to
     ``max_workers`` threads (default: min(4, points)).  Per-point seeds derive
     from (seed, point index), so no row depends on the workers or the other
@@ -262,9 +328,13 @@ def run_scenario(*scenarios: Scenario, max_workers: int | None = None) -> list[R
     first, axis = scenarios[0], scenarios[0].sweep_axis
     base_phases = [None] * len(scenarios)
     if axis == "bits":
-        for j, s in enumerate(scenarios):
-            check_memory(s.config, s.phase_design)
-            base_phases[j], _ = resolve_phase(s.config, s.phase_design, _substream(s.seed, (0, 1)))
+        designs = [s.phase_design for s in scenarios]
+        check_memory(first.config, designs)
+        resolved = resolve_phases(first.config, designs, _substream(first.seed, (0, 1)))
+        for r in resolved:
+            if isinstance(r, NumericalError):
+                raise r
+        base_phases = [phase for phase, _ in resolved]
 
     def point(index, value):
         config = first.config
@@ -273,8 +343,7 @@ def run_scenario(*scenarios: Scenario, max_workers: int | None = None) -> list[R
                 config = config.replace(**{axis: value})
             except ConfigError:
                 config = None
-        return [_run_point(s, config, index, value, base)
-                for s, base in zip(scenarios, base_phases)]
+        return _run_point(scenarios, config, index, value, base_phases)
 
     points = list(enumerate(first.sweep_values if axis else (None,)))
     workers = min(max_workers or 4, len(points))

@@ -33,6 +33,10 @@ _BOUND_PAD = 1e-12
 # finest quantization grid a float64 phase in [0, 2 pi) can resolve
 _MAX_BITS = 52
 
+# the reductions of ndarray.sum, .min and .max on 1-D arrays, without their
+# Python-level wrappers: the MM loop calls them a few times per point
+_sum, _min, _max = np.add.reduce, np.minimum.reduce, np.maximum.reduce
+
 
 @dataclass(frozen=True)
 class FractionalProblem:
@@ -132,12 +136,12 @@ def build_problem(config: SystemConfig) -> FractionalProblem:
     r_lam = r @ lam_inv                      # column k is R l_k
     r_lam_r = r_lam @ r.conj().T
     weight = 1.0 + stats.scale * lam_inv_diag
-    bounds = np.empty(config.K)
-    for k in range(config.K):
-        m = weight[k] * r_lam_r - stats.scale * np.outer(r_lam[:, k], np.conj(r_lam[:, k]))
-        # M_k is PSD, so the top eigenvalue is never below c_k
-        top = max(float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1]), 0.0)
-        bounds[k] = (weight[k] / config.N + rho * top) * (1.0 + _BOUND_PAD)
+    # the K matrices R M_k R^H, stacked: one eigvalsh call for all of them
+    cols = r_lam.T
+    m = weight[:, None, None] * r_lam_r - stats.scale * (cols[:, :, None] * np.conj(cols)[:, None, :])
+    top = np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2)))[:, -1]
+    # M_k is PSD, so the top eigenvalue is never below c_k
+    bounds = (weight / config.N + rho * np.maximum(top, 0.0)) * (1.0 + _BOUND_PAD)
     return FractionalProblem(g=g, lam_inv=lam_inv, lam_inv_diag=lam_inv_diag, rho=rho,
                              scale=stats.scale, spectral_bounds=bounds, gram=stats.gram)
 
@@ -157,18 +161,22 @@ class _Point:
 
 def _point(problem: FractionalProblem, v: np.ndarray) -> _Point:
     """Evaluate the problem at v with one matrix-vector product, O(NK)."""
+    rho = problem.rho
     u = problem.g @ v
     y = problem.lam_inv @ u
-    y2 = np.abs(y) ** 2
-    vv = np.vdot(v, v).real
-    vbv = vv / problem.n + problem.rho * np.vdot(u, y).real
-    vcv = problem.scale * (problem.lam_inv_diag * vbv - problem.rho * y2)
-    # not (vcv > 0), so that a NaN form is rejected too
-    bad = ~(vcv > 0.0)
-    if bad.any():
-        raise NumericalError(f"user {np.flatnonzero(bad)[0]}: denominator "
+    y2 = np.abs(y)
+    y2 *= y2
+    vv = float(np.vdot(v, v).real)
+    vbv = vv / problem.n + rho * float(np.vdot(u, y).real)
+    vcv = problem.lam_inv_diag * vbv
+    vcv -= rho * y2
+    vcv *= problem.scale
+    # not (min > 0) fails on a NaN form too
+    if not _min(vcv) > 0.0:
+        raise NumericalError(f"user {np.flatnonzero(~(vcv > 0.0))[0]}: denominator "
                              "quadratic form is not positive (degenerate problem)")
-    return _Point(v, u, y, y2, vv, vbv, vcv, np.log1p(vbv / vcv))
+    values = vbv / vcv
+    return _Point(v, u, y, y2, vv, vbv, vcv, np.log1p(values, out=values))
 
 
 def fractional_objective(problem: FractionalProblem, v: np.ndarray) -> np.ndarray:
@@ -180,12 +188,13 @@ def _softmin(values: np.ndarray, mu: float) -> tuple[np.ndarray, float]:
     """``(weights, smoothed)``: the softmin weights exp(-mu f_k) / sum_j exp(-mu f_j),
     computed in log-space with a max shift, and the soft minimum
     -(1/mu) ln sum exp(-mu f_k), a lower bound on min f_k."""
-    scaled = -mu * values
-    shift = scaled.max()
-    weights = np.exp(scaled - shift)
-    total = weights.sum()
+    weights = values * -mu
+    shift = float(_max(weights))
+    weights -= shift
+    np.exp(weights, out=weights)
+    total = float(_sum(weights))
     weights /= total
-    return weights, float(-(shift + math.log(total)) / mu)
+    return weights, -(shift + math.log(total)) / mu
 
 
 def _surrogate_factors(problem: FractionalProblem, p: _Point
@@ -213,11 +222,17 @@ def _surrogate_factors(problem: FractionalProblem, p: _Point
     weighted sums of the fvec_k (:func:`_weighted_fvec`) and their norms
     (:func:`_fvec_norms`), never the K x N array itself.
     """
-    rho, scale = problem.rho, problem.scale
-    psi = p.vbv / (p.vcv * (p.vcv + p.vbv))
-    alpha = (-scale * rho / p.vbv) * psi * p.y2
-    s = alpha / problem.n + psi * problem.spectral_bounds
-    r = p.y[:, None] * (rho * alpha) + problem.lam_inv * ((scale * rho) * psi * p.y)
+    rho, scale, vbv = problem.rho, problem.scale, p.vbv
+    psi = p.vcv + vbv
+    psi *= p.vcv
+    np.divide(vbv, psi, out=psi)
+    alpha = psi * (-scale * rho / vbv)
+    alpha *= p.y2
+    s = alpha / problem.n
+    s += psi * problem.spectral_bounds
+    r = p.y[:, None] * (rho * alpha)
+    psi *= scale * rho
+    r += problem.lam_inv * (psi * p.y)
     return s, r
 
 
@@ -272,11 +287,11 @@ def _maxmin_from(problem: FractionalProblem, p: _Point, weights: np.ndarray, flo
     s, r = _surrogate_factors(problem, p)
     fbar = _weighted_fvec(problem, p, s, r, weights)
     norm2 = _fvec_norms(problem, p, s, r)
-    valid = 2.0 * mu * float(norm2.max())
+    valid = 2.0 * mu * float(_max(norm2))
     if not math.isfinite(valid):
         # the guard below ends only once prox reaches a finite valid constant
         raise NumericalError("min-rate step: surrogate norms are not finite")
-    spread = float(weights @ norm2) - np.vdot(fbar, fbar).real
+    spread = float(weights @ norm2) - float(np.vdot(fbar, fbar).real)
     prox = min(2.0 * mu * max(spread, 0.0), valid)
     doubled = 0
     while True:
@@ -352,14 +367,14 @@ def mm_optimize(config: SystemConfig, objective: str = "sum",
     if objective == "sum":
         def evaluate(v):
             p = _point(problem, v)
-            return p, float(p.values.sum())
+            return p, float(_sum(p.values))
 
         def step(state):
             p = state[0]
             return evaluate(_phase_align(_maxsum_coeff(problem, p), p.v))
 
         def true_value(p):
-            return float(p.values.sum())
+            return float(_sum(p.values))
     else:
         def evaluate(v):
             p = _point(problem, v)
@@ -372,7 +387,7 @@ def mm_optimize(config: SystemConfig, objective: str = "sum",
             return p, weights, smoothed
 
         def true_value(p):
-            return float(p.values.min())
+            return float(_min(p.values))
 
     # an overflow (as at p = 1e300) is reported by the finite checks, not as a warning
     with np.errstate(over="ignore"):
@@ -388,7 +403,8 @@ def mm_optimize(config: SystemConfig, objective: str = "sum",
             s2 = step(s1)
             v = state[0].v
             d1 = s1[0].v - v
-            d2 = s2[0].v - s1[0].v - d1
+            d2 = s2[0].v - s1[0].v
+            d2 -= d1
             d1_norm = math.sqrt(np.vdot(d1, d1).real)
             d2_norm = math.sqrt(np.vdot(d2, d2).real)
 
@@ -397,7 +413,9 @@ def mm_optimize(config: SystemConfig, objective: str = "sum",
             if d1_norm != 0.0 and d2_norm != 0.0:
                 rho = -d1_norm / d2_norm
                 while True:
-                    cand = evaluate(-np.exp(1j * np.angle(v - 2.0 * rho * d1 + rho**2 * d2)))
+                    # -exp(i angle(x)); arctan2 is np.angle without its Python wrapper
+                    x = v - 2.0 * rho * d1 + rho**2 * d2
+                    cand = evaluate(-np.exp(1j * np.arctan2(x.imag, x.real)))
                     if cand[-1] >= obj or backtracks >= _MAX_BACKTRACK:
                         break
                     rho = (rho - 1.0) / 2.0

@@ -10,6 +10,7 @@ tau_overhead = (tau_c - tau) / tau_c.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,9 @@ _CHUNK = 64
 #: Trials per chunk of the M x K draws of :func:`mc_draws`; small, so that a
 #: chunk's (trials, M, K) arrays stay in cache.
 _DRAW_CHUNK = 16
+
+#: Per-thread buffers of the chunk loop of :func:`exact_rates_mc` (:func:`_scratch`).
+_WORK = threading.local()
 
 
 def _rates_from_snr(config: SystemConfig, snr: np.ndarray) -> np.ndarray:
@@ -237,7 +241,25 @@ def gram_law(config: SystemConfig) -> GramLaw:
                    dof=config.M - 1.0 - np.arange(k), lower=np.tri(k, k, -1, dtype=bool))
 
 
-def sample_gram(law: GramLaw, rng_seed, trials: int
+def _scratch(work: dict | None, name: str, shape: tuple, dtype=complex) -> np.ndarray:
+    """A ``shape`` array, zero when made: new, or with ``work`` a view of its buffer ``name``.
+
+    :func:`exact_rates_mc` passes its thread's ``work``, so every chunk and
+    every later call on the thread writes into the same buffers.  Fresh
+    chunk-sized temporaries let glibc trim the heap as a chunk frees them
+    and fault the pages back in for the next chunk: up to 1400 page faults
+    and 15 % of the time of a 1000-trial point.  Entries that a caller
+    never writes (the upper triangles of A and A^{-1}) stay zero.
+    """
+    if work is None:
+        return np.zeros(shape, dtype)
+    buf = work.get(name)
+    if buf is None or buf.shape[0] < shape[0] or buf.shape[1:] != shape[1:]:
+        buf = work[name] = np.zeros(shape, dtype)
+    return buf[:shape[0]]
+
+
+def sample_gram(law: GramLaw, rng_seed, trials: int, work: dict | None = None
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(w, A, z)`` of ``trials`` draws, exactly in the law of the M x K draw.
 
@@ -250,33 +272,34 @@ def sample_gram(law: GramLaw, rng_seed, trials: int
     CN(0, 1) and carries the part of the leakage that is independent of
     Qhat (:func:`zf_terms`).  Per trial: K + K(K-1)/2 + K^2 complex normals
     and K gammas, drawn in that order; nothing of size M or N.  G itself is
-    never formed.
+    never formed.  ``work`` as for :func:`_scratch`.
     """
     rng = np.random.default_rng(rng_seed)
     k = law.bias.shape[0]
     n_lower = k * (k - 1) // 2
     # (..., 2) float pairs viewed as complex: real part first, as _complex_randn
-    normals = rng.standard_normal((trials, k + n_lower + k * k, 2)).view(complex)[..., 0]
+    normals = rng.standard_normal(
+        out=_scratch(work, "normals", (trials, k + n_lower + k * k, 2), float)).view(complex)[..., 0]
     normals *= math.sqrt(0.5)
-    bartlett = np.zeros((trials, k, k), dtype=complex)
+    bartlett = _scratch(work, "bartlett", (trials, k, k))
     bartlett[:, law.lower] = normals[:, k:k + n_lower]
     diag = np.arange(k)
     bartlett[:, diag, diag] = np.sqrt(rng.standard_gamma(law.dof, size=(trials, k)))
     return normals[:, :k], bartlett, normals[:, k + n_lower:].reshape(trials, k, k)
 
 
-def _lower_inverse(lower: np.ndarray) -> np.ndarray:
+def _lower_inverse(lower: np.ndarray, work: dict | None = None) -> np.ndarray:
     """Inverses of stacked lower-triangular matrices (trials, K, K), by forward substitution.
 
     Row i of L^{-1} is -L[i, :i] L^{-1}[:i, :] / L[i, i] off the diagonal and
     1 / L[i, i] on it; each of the K steps runs over every trial at once.
     """
     trials, k, _ = lower.shape
-    inv = np.zeros_like(lower)
+    inv = _scratch(work, "a_inv", lower.shape)
     recip = 1.0 / np.diagonal(lower, axis1=-2, axis2=-1)
     inv.reshape(trials, k * k)[:, ::k + 1] = recip
     # rows scaled by -1 / L[i, i], so that each step is one product written in place
-    scaled = lower * -recip[:, :, None]
+    scaled = np.multiply(lower, -recip[:, :, None], out=_scratch(work, "scaled", lower.shape))
     for i in range(1, k):
         # as L^{-1}[:i, i:] = 0, entries :i of row i need only the leading block
         np.matmul(scaled[:, i:i + 1, :i], inv[:, :i, :i], out=inv[:, i:i + 1, :i])
@@ -289,70 +312,156 @@ def _row_norms2(a: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", pairs, pairs)
 
 
-def _zf_root(law: GramLaw, white_mean: np.ndarray, w: np.ndarray, bartlett: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """``(V, G^{-1} x)`` of stacked draws, V V^H = G^{-1} (see :func:`zf_terms`), with no Gram.
+def zf_chunk(law: GramLaw, w: np.ndarray, bartlett: np.ndarray, z: np.ndarray,
+             work: dict | None = None) -> tuple:
+    """``(A^{-1}, conj(w), P^{-H}, Z S_F^H)`` of draws from :func:`sample_gram`: the part of
+    :func:`zf_terms` that no phase enters, formed once per chunk.
 
-    ``white_mean`` is the phase's whitened mean m (length K).  ``V`` is
-    (trials, K, K) and ``G^{-1} x`` (trials, K, 1).  Raises
-    :class:`NumericalError` when an A has a diagonal entry that is not
-    positive (G singular).
+    P^{-1} = A^{-1} L^{-1} costs one triangular inverse per trial and one
+    GEMM per chunk.  Raises :class:`NumericalError` when an A has a diagonal
+    entry that is not positive (G singular).  ``work`` as for :func:`_scratch`.
     """
     trials, k, _ = bartlett.shape
     if not np.all(np.diagonal(bartlett, axis1=-2, axis2=-1).real > 0.0):
         raise NumericalError("estimate Gram matrix: Bartlett factor is singular")
-    a_inv = _lower_inverse(bartlett)
-    y = a_inv @ (white_mean + w.conj())[:, :, None]
-    p_inv = (a_inv.reshape(trials * k, k) @ law.lam_factor_inv).reshape(trials, k, k)
-    v = np.conjugate(p_inv.swapaxes(-1, -2), order="C")     # P^{-H}, before the update
+    a_inv = _lower_inverse(bartlett, work)
+    p_inv = np.matmul(a_inv.reshape(trials * k, k), law.lam_factor_inv,
+                      out=_scratch(work, "p_inv", (trials * k, k)))
+    root = np.conjugate(p_inv.reshape(trials, k, k).swapaxes(-1, -2),
+                        out=_scratch(work, "root", (trials, k, k)))
+    z_rows = _scratch(work, "z_rows", (trials * k, k))
+    z_rows.reshape(trials, k, k)[...] = z
+    noise = np.matmul(z_rows, law.noise_root_h, out=_scratch(work, "noise", (trials * k, k)))
+    return a_inv, w.conj(), root, noise.reshape(trials, k, k)
+
+
+def _zf_root(chunk: tuple, white_mean: np.ndarray, in_place: bool = False,
+             work: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``(V, G^{-1} x)`` on a :func:`zf_chunk` for the whitened mean m, with no Gram.
+
+    V V^H = G^{-1} (see :func:`zf_terms`); ``V`` is (trials, K, K) and
+    ``G^{-1} x`` (trials, K, 1).  With ``in_place`` V overwrites the
+    chunk's P^{-H}, which no later phase may then use.
+    """
+    a_inv, w_conj, v, _ = chunk
+    y = a_inv @ (white_mean + w_conj)[:, :, None]
+    if not in_place:
+        copy = _scratch(work, "v", v.shape)
+        copy[...] = v
+        v = copy
     g = v @ y
     r2 = 1.0 + _row_norms2(y[..., 0])[:, None, None]
     r = np.sqrt(r2)
-    v -= (g / (r * (r + 1.0))) * y.conj().swapaxes(-1, -2)
+    v -= np.multiply(g / (r * (r + 1.0)), y.conj().swapaxes(-1, -2),
+                     out=_scratch(work, "update", v.shape))
     return v, g / r2
 
 
-def zf_terms(law: GramLaw, white_mean: np.ndarray, bias_row: np.ndarray, w: np.ndarray,
-             bartlett: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def zf_terms(law: GramLaw, chunk: tuple, white_mean: np.ndarray, bias_row: np.ndarray,
+             in_place: bool = False, work: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``(leakage, rx_norm2)`` of stacked draws from :func:`sample_gram`, with no Gram.
 
-    ``white_mean`` m = L^{-1} sqrt(M) mu^H and ``bias_row`` b = sqrt(M) mu B
-    carry the phase, through the channel-mean row mu; both have length K.
+    ``chunk`` is the draws' :func:`zf_chunk`.  ``white_mean``
+    m = L^{-1} sqrt(M) mu^H and ``bias_row`` b = sqrt(M) mu B carry the
+    phase, through the channel-mean row mu; both have length K.
     G = P (I + y y^H) P^H with y = P^{-1} x = A^{-1} (m + w^H), so by
     Sherman & Morrison (1950), with r = sqrt(1 + |y|^2) and
     c = 1 / (r (r + 1)), V = P^{-H} (I - c y y^H) satisfies V V^H = G^{-1},
-    and G^{-1} x = g / r^2 with g = P^{-H} y.  P^{-1} = A^{-1} L^{-1} costs
-    one triangular inverse per trial and one GEMM per chunk.  V is not the
+    and G^{-1} x = g / r^2 with g = P^{-H} y.  V is not the
     Cholesky root: V = C^{-H} U with C = chol(G) and U = C^H V unitary, a
     function of (A, w) alone and so independent of Z, and U Z has the law of
     Z.  Hence the ZF leakage G^{-1} Qhat^H E, in law
     B - G^{-1} x b + C^{-H} Z S_F^H, is drawn exactly as
     B - (g / r^2) b + V Z S_F^H (trials, K, K).  rx_norm2, the diagonal of
     G^{-1} (trials, K) and the squared norms of the ZF receiver columns, is
-    the squared row norms of V.  Raises :class:`NumericalError` when an A
-    has a diagonal entry that is not positive (G singular).
+    the squared row norms of V.  ``in_place`` as for :func:`_zf_root`,
+    ``work`` as for :func:`_scratch`.
     """
-    trials, k, _ = z.shape
-    v, gram_inv_x = _zf_root(law, white_mean, w, bartlett)
-    leakage = v @ (z.reshape(trials * k, k) @ law.noise_root_h).reshape(trials, k, k)
-    leakage -= gram_inv_x * bias_row
+    v, gram_inv_x = _zf_root(chunk, white_mean, in_place, work)
+    leakage = np.matmul(v, chunk[3], out=_scratch(work, "leakage", v.shape))
+    leakage -= np.multiply(gram_inv_x, bias_row, out=_scratch(work, "update", v.shape))
     leakage += law.bias
     return leakage, _row_norms2(v)
 
 
-def _zf_rates(config: SystemConfig, law: GramLaw, white_mean: np.ndarray, bias_row: np.ndarray,
-              w: np.ndarray, bartlett: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Per-trial ZF rates (trials x K) of stacked draws from :func:`sample_gram`.
+def _zf_rates(config: SystemConfig, law: GramLaw, rng_seed, trials: int, terms: list,
+              work: dict) -> list:
+    """Per-trial ZF rates (trials x K) of each phase's (m, b) in ``terms`` on one draw.
 
-    Raises :class:`NumericalError` when a trial's G is singular
-    (:func:`zf_terms`) or any rate is not finite.
+    A phase whose rates are not all finite gets None; a singular G raises
+    :class:`NumericalError` (:func:`zf_chunk`).  The draw and its
+    temporaries live in ``work`` (:func:`_scratch`), and the last phase
+    updates the chunk's P^{-H} in place.
     """
-    leakage, rx_norm2 = zf_terms(law, white_mean, bias_row, w, bartlett, z)
-    interference = config.p * _row_norms2(leakage)
-    rates = _rates_from_snr(config, config.p / (interference + config.sigma2 * rx_norm2))
-    if not np.all(np.isfinite(rates)):
-        raise NumericalError("estimate Gram matrix: ZF rates are not finite")
-    return rates
+    chunk = zf_chunk(law, *sample_gram(law, rng_seed, trials, work), work)
+    out = []
+    for i, (white_mean, bias_row) in enumerate(terms):
+        leakage, rx_norm2 = zf_terms(law, chunk, white_mean, bias_row, i == len(terms) - 1, work)
+        interference = config.p * _row_norms2(leakage)
+        rates = _rates_from_snr(config, config.p / (interference + config.sigma2 * rx_norm2))
+        out.append(rates if np.all(np.isfinite(rates)) else None)
+    return out
+
+
+def exact_rates_mc(config: SystemConfig, phases, trials: int, seed: int
+                   ) -> list[MonteCarloRate | NumericalError]:
+    """:func:`exact_rate_mc` of each phase in ``phases``, on one set of draws.
+
+    Each chunk's draw, Bartlett inverse and noise leakage are formed once
+    for all phases (common random numbers), and each result is
+    bit-identical to its own :func:`exact_rate_mc`: a singular Bartlett
+    factor redraws the chunk for every phase still pending on it, and a
+    phase whose rates are not finite is redrawn alone.  A phase that stays
+    singular gets the :class:`NumericalError` that :func:`exact_rate_mc`
+    raises, in place of its result.
+    """
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    for phase in phases:
+        if phase.n != config.N:
+            raise ConfigError(f"phase vector has {phase.n} entries, config expects {config.N}")
+    law = gram_law(config)
+    terms = []
+    for phase in phases:
+        r1_mean = math.sqrt(config.M) * mean_row(config, phase)
+        terms.append((law.lam_factor_inv @ r1_mean.conj(), r1_mean @ law.bias))
+
+    per_trial = [np.empty((trials, config.K)) for _ in phases]
+    retries = [0] * len(phases)
+    results: list = [None] * len(phases)
+    work = vars(_WORK).setdefault("buffers", {})
+    for c, start in enumerate(range(0, trials, _CHUNK)):
+        pending = [j for j, result in enumerate(results) if result is None]
+        size = min(_CHUNK, trials - start)
+        for attempt in range(_MAX_RESAMPLE + 1):
+            if not pending:
+                break
+            try:
+                chunk_rates = _zf_rates(config, law,
+                                        _substream(seed, (c, attempt) if attempt else (c,)),
+                                        size, [terms[j] for j in pending], work)
+            except NumericalError:
+                chunk_rates = [None] * len(pending)
+            for j, rates in zip(pending, chunk_rates):
+                if rates is None:
+                    retries[j] += 1
+                else:
+                    per_trial[j][start:start + size] = rates
+            pending = [j for j, rates in zip(pending, chunk_rates) if rates is None]
+        for j in pending:
+            results[j] = NumericalError(f"chunk {c}: Gram matrix stayed singular after "
+                                        f"{_MAX_RESAMPLE} redraws")
+
+    for j, samples in enumerate(per_trial):
+        if results[j] is None:
+            rates, std_errors = _mean_and_se(samples)
+            _, sum_se = _mean_and_se(samples.sum(axis=1))
+            results[j] = MonteCarloRate(rates=rates, std_errors=std_errors,
+                                        sum_rate=float(rates.sum()), sum_rate_se=float(sum_se),
+                                        trials=trials, seed=seed, singular_retries=retries[j])
+    return results
 
 
 def exact_rate_mc(config: SystemConfig, phase: PhaseShifts, trials: int,
@@ -375,36 +484,10 @@ def exact_rate_mc(config: SystemConfig, phase: PhaseShifts, trials: int,
     rates are not finite; then its whole chunk is redrawn from
     (seed, c, attempt), at most ``_MAX_RESAMPLE`` times.  Trials are
     i.i.d., so requiring a regular chunk leaves the law of each trial
-    unchanged.  Results are bit-identical for a given seed.
+    unchanged.  Results are bit-identical for a given seed.  This is the
+    one-phase call of :func:`exact_rates_mc`, which runs the chunk loop.
     """
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    if phase.n != config.N:
-        raise ConfigError(f"phase vector has {phase.n} entries, config expects {config.N}")
-    law = gram_law(config)
-    r1_mean = math.sqrt(config.M) * mean_row(config, phase)
-    white_mean, bias_row = law.lam_factor_inv @ r1_mean.conj(), r1_mean @ law.bias
-
-    per_trial = np.empty((trials, config.K))
-    retries = 0
-    for c, start in enumerate(range(0, trials, _CHUNK)):
-        block = per_trial[start:start + _CHUNK]
-        for attempt in range(_MAX_RESAMPLE + 1):
-            draws = sample_gram(law, _substream(seed, (c, attempt) if attempt else (c,)),
-                                block.shape[0])
-            try:
-                block[:] = _zf_rates(config, law, white_mean, bias_row, *draws)
-                break
-            except NumericalError:
-                retries += 1
-        else:
-            raise NumericalError(f"chunk {c}: Gram matrix stayed singular after "
-                                 f"{_MAX_RESAMPLE} redraws")
-
-    rates, std_errors = _mean_and_se(per_trial)
-    _, sum_se = _mean_and_se(per_trial.sum(axis=1))
-    return MonteCarloRate(rates=rates, std_errors=std_errors,
-                          sum_rate=float(rates.sum()), sum_rate_se=float(sum_se),
-                          trials=trials, seed=seed, singular_retries=retries)
+    (result,) = exact_rates_mc(config, [phase], trials, seed)
+    if isinstance(result, NumericalError):
+        raise result
+    return result

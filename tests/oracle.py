@@ -1,7 +1,8 @@
 """Reference implementations that the tests compare the package against.
 
-The K x N surrogate of the MM steps, the mean Gram of the channel estimate
-from its definition, the MMSE estimate of one dense draw
+The K x N surrogate of the MM steps, the spectral bounds of the design
+problem one user at a time, the mean Gram of the channel estimate from its
+definition, the MMSE estimate of one dense draw
 (:func:`riszf.channel.sample_channels`), and the dense Gram of one K x K
 Monte-Carlo draw.
 """
@@ -12,8 +13,8 @@ import numpy as np
 
 from riszf.channel import ChannelRealization, PhaseShifts, aggregated_mean, mean_row
 from riszf.config import SystemConfig
-from riszf.estimation import compute_statistics, shrink_estimate
-from riszf.optimizer import FractionalProblem, _point
+from riszf.estimation import compute_statistics, hermitian_inverse, shrink_estimate
+from riszf.optimizer import _BOUND_PAD, FractionalProblem, _point
 
 
 def surrogate_maxsum(v_n: np.ndarray, problem: FractionalProblem
@@ -41,6 +42,28 @@ def surrogate_maxsum(v_n: np.ndarray, problem: FractionalProblem
              - psi * (lam * n - (vcv + vbv))
              - n * psi * lam)
     return const, fvec
+
+
+def spectral_bounds(config: SystemConfig) -> np.ndarray:
+    """``FractionalProblem.spectral_bounds`` with one K x K eigenproblem per user, in a loop.
+
+    The per-user form of :func:`riszf.optimizer.build_problem`, which solves
+    the K Hermitian R M_k R^H in one stacked call.
+    """
+    stats = compute_statistics(config)
+    lam_inv = hermitian_inverse(stats.lam, "estimate correlation matrix")
+    weight = 1.0 + stats.scale * np.real(np.diag(lam_inv))
+    rho = config.beta * config.delta / (config.delta + 1.0)
+    eigval, eigvec = np.linalg.eigh(stats.gram)
+    r = np.sqrt(np.clip(eigval, 0.0, None))[:, None] * eigvec.conj().T
+    r_lam = r @ lam_inv
+    r_lam_r = r_lam @ r.conj().T
+    bounds = np.empty(config.K)
+    for k in range(config.K):
+        m = weight[k] * r_lam_r - stats.scale * np.outer(r_lam[:, k], np.conj(r_lam[:, k]))
+        top = max(float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1]), 0.0)
+        bounds[k] = (weight[k] / config.N + rho * top) * (1.0 + _BOUND_PAD)
+    return bounds
 
 
 def qhat_gram_mean(config: SystemConfig, phase: PhaseShifts) -> np.ndarray:

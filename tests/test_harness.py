@@ -12,16 +12,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import riszf.harness as harness_module
+import riszf.rate as rate_module
 from riszf.channel import PhaseShifts
 from riszf.cli import main as cli_main
 from riszf.config import default_profile, write_config_file
-from riszf.errors import ConfigError
+from riszf.errors import ConfigError, NumericalError
 from riszf.estimation import compute_statistics
 from riszf.harness import (_FIG_SWEEPS, PHASE_CASES, Scenario, _run_point,
                            check_memory, csv_header, csv_text, manifest_path, reproduce,
-                           resolve_phase, row_values, rows_text, run_scenario,
+                           resolve_phase, resolve_phases, row_values, rows_text, run_scenario,
                            solve_antennas_for_snr, write_scenario_outputs)
-from riszf.optimizer import build_problem, fractional_objective
+from riszf.optimizer import build_problem, fractional_objective, mm_optimize
 from riszf.rate import rate_lower_bound, required_antennas
 
 from conftest import deadline
@@ -164,12 +166,29 @@ def test_memory_estimate_bounds_the_traced_peak(k):
         try:
             # a bits point quantizes the design's phase, resolved first
             base = resolve_phase(cfg, design, 0)[0] if quantized else None
-            row = _run_point(sc, cfg, 0, 3 if quantized else None, base)
+            (row,) = _run_point([sc], cfg, 0, 3 if quantized else None, [base])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert row.error == ""
         assert peak <= check_memory(cfg, design, quantized), (n, design, quantized, peak)
+    # a figure point holds its five designs' phases and rates at once
+    designs = _FIG_SWEEPS["fig3b"][1]
+    for n, quantized in itertools.product((2**16, 65537), (False, True)):
+        cfg = default_profile(K=k, N=n)
+        scenarios = [Scenario(config=cfg, phase_design=design, sweep_axis="bits",
+                              sweep_values=(3,), trials=200, seed=0) for design in designs]
+        tracemalloc.start()
+        try:
+            bases = ([phase for phase, _ in resolve_phases(cfg, designs, 0)] if quantized
+                     else [None] * len(designs))
+            rows = _run_point(scenarios, cfg, 0, 3 if quantized else None, bases)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [row.error for row in rows] == [""] * len(designs)
+        need = check_memory(cfg, designs, quantized, trials=200)
+        assert peak <= need, (n, quantized, peak)
 
 
 def test_mse_validate_refuses_draws_beyond_memory(tmp_path, capsys):
@@ -211,7 +230,7 @@ def test_memory_estimate_bounds_the_traced_peak_of_many_trials(k):
     sc = Scenario(config=cfg, phase_design="case4_identity", trials=trials, seed=0)
     tracemalloc.start()
     try:
-        row = _run_point(sc, cfg, 0, None, None)
+        (row,) = _run_point([sc], cfg, 0, None, [None])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -295,6 +314,58 @@ def test_run_scenario_of_many_designs_matches_each_alone(small_config, axis, val
         assert together == alone, sc.phase_design
     if axis == "N":
         assert {row.error for row in rows[::n]} == {"invalid_config"}  # N = 0
+
+
+def test_a_failing_design_gets_its_own_row(small_config, monkeypatch):
+    # the min-rate MM fails: case 6 alone gets numerical_failure, and every
+    # other design's rows are those it gets when run alone
+    designs = ("case1_align_nearest", "case3_random", "case5_maxsum", "case6_maxmin")
+    scenarios = [Scenario(config=small_config, phase_design=design, sweep_axis="N",
+                          sweep_values=(16, 32), trials=70, seed=2) for design in designs]
+    optimize = mm_optimize
+
+    def failing(config, objective="sum", **kwargs):
+        if objective == "min":
+            raise NumericalError("min objective: the designed phases are not finite")
+        return optimize(config, objective, **kwargs)
+
+    monkeypatch.setattr("riszf.harness.mm_optimize", failing)
+    rows = run_scenario(*scenarios, max_workers=1)
+    header = csv_header(small_config.K)
+    for j, sc in enumerate(scenarios[:3]):
+        together = csv_text(header, [row_values(row) for row in rows[2 * j:2 * j + 2]])
+        alone = csv_text(header, [row_values(row) for row in run_scenario(sc, max_workers=1)])
+        assert together == alone, sc.phase_design
+    assert [row.error for row in rows[6:]] == ["numerical_failure"] * 2
+    with pytest.raises(NumericalError):
+        resolve_phase(small_config, "case6_maxmin", 0)
+
+
+def test_resolve_phases_equal_each_design_alone(small_config):
+    # one point's designs share the heuristic phases, their scores and the
+    # sum-rate MM, and still resolve bit for bit as each does alone
+    designs = ("case3_random", "case5_maxsum", "case6_maxmin", "case1_align_nearest")
+    shared = resolve_phases(small_config, designs, np.random.default_rng(4))
+    for design, (phase, iters) in zip(designs, shared):
+        alone, alone_iters = resolve_phase(small_config, design, np.random.default_rng(4))
+        assert np.array_equal(phase.v, alone.v) and iters == alone_iters, design
+
+
+def test_reproduce_fig3b_draws_once_per_n(tmp_path, small_config, monkeypatch):
+    # per N: one Monte-Carlo draw and one phase-independent bound for the five
+    # designs, one sum-rate and one min-rate MM, and five candidates scored
+    counts = dict.fromkeys(("sample_gram", "mm_optimize", "fractional_objective",
+                            "phase_independent_bound"), 0)
+    for module, name in ((rate_module, "sample_gram"), (harness_module, "mm_optimize"),
+                         (harness_module, "fractional_objective"),
+                         (harness_module, "phase_independent_bound")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    reproduce("fig3b", tmp_path, config=small_config, trials=50, seed=1)
+    assert counts == {"sample_gram": 3, "mm_optimize": 6, "fractional_objective": 15,
+                      "phase_independent_bound": 3}
 
 
 def test_run_scenario_refuses_a_mix_beyond_the_design(small_config):
@@ -488,9 +559,9 @@ def test_reproduce_shares_one_config_per_n(tmp_path, small_config, monkeypatch):
     # statistics and the design problem are built once per N, not per design
     configs = {}
 
-    def spy(scenario, config, index, value, base_phase):
-        configs.setdefault(value, []).append((scenario.phase_design, config))
-        return _run_point(scenario, config, index, value, base_phase)
+    def spy(scenarios, config, index, value, base_phases):
+        configs.setdefault(value, []).extend((sc.phase_design, config) for sc in scenarios)
+        return _run_point(scenarios, config, index, value, base_phases)
 
     monkeypatch.setattr("riszf.harness._run_point", spy)
     stats_built = _count_builds(monkeypatch, compute_statistics)

@@ -10,10 +10,10 @@ from riszf.config import default_profile
 from riszf.errors import ConfigError, NumericalError
 from riszf.estimation import compute_statistics, random_component_power
 from riszf.optimizer import align_phase
-from riszf.rate import (MonteCarloRate, exact_rate_mc, phase_independent_bound,
+from riszf.rate import (MonteCarloRate, exact_rate_mc, exact_rates_mc, phase_independent_bound,
                         rate_lower_bound, power_scaling_limit,
                         required_antennas, rate_lower_bound_snr, upper_bound,
-                        gram_law, sample_gram, zf_terms)
+                        gram_law, sample_gram, zf_chunk, zf_terms)
 
 from conftest import random_config, toy_config
 from oracle import gram_from_draw, mmse_estimate, qhat_gram_mean
@@ -427,8 +427,8 @@ def _poison_first_draw(monkeypatch, poison):
     draw = rate_module.sample_gram
     calls = []
 
-    def poisoned(law, rng, trials):
-        w, bartlett, z = draw(law, rng, trials)
+    def poisoned(law, rng, trials, work=None):
+        w, bartlett, z = draw(law, rng, trials, work)
         calls.append(trials)
         if len(calls) == 1:                   # the chunk's first draw, not its redraw
             poison(w, bartlett, z)
@@ -479,8 +479,8 @@ def test_exact_rate_mc_gives_up_on_persistent_singularity(monkeypatch):
 
     calls = []
 
-    def always_zero(law, rng, trials):
-        w, bartlett, z = draw(law, rng, trials)
+    def always_zero(law, rng, trials, work=None):
+        w, bartlett, z = draw(law, rng, trials, work)
         calls.append(trials)
         w[0] = 0.0
         bartlett[0] = 0.0
@@ -498,6 +498,87 @@ def test_exact_rate_mc_rejects_underflowed_lambda():
     assert not np.any(compute_statistics(cfg).lam)
     with pytest.raises(NumericalError, match="estimate correlation matrix"):
         exact_rate_mc(cfg, PhaseShifts.identity(cfg.N), 3, seed=0)
+
+
+def _assert_same_mc(a, b):
+    """Two MonteCarloRate results agree bit for bit."""
+    np.testing.assert_array_equal(a.rates, b.rates)
+    np.testing.assert_array_equal(a.std_errors, b.std_errors)
+    assert (a.sum_rate, a.sum_rate_se, a.trials, a.seed, a.singular_retries) == \
+        (b.sum_rate, b.sum_rate_se, b.trials, b.seed, b.singular_retries)
+
+
+def _three_phases(cfg):
+    return [PhaseShifts.identity(cfg.N), align_phase(cfg, 0), PhaseShifts.random(cfg.N, 7)]
+
+
+@pytest.mark.parametrize("trials", [1, 63, 64, 65, 130])
+def test_exact_rates_mc_equals_each_phase_alone(trials):
+    # the phases share every chunk's draw, and the last one updates the
+    # shared P^{-H} in place: none of that may change a bit of any result
+    cfg = default_profile(N=64)
+    phases = _three_phases(cfg)
+    shared = exact_rates_mc(cfg, phases, trials, 11)
+    assert len(shared) == len(phases)
+    for phase, result in zip(phases, shared):
+        _assert_same_mc(result, exact_rate_mc(cfg, phase, trials, 11))
+
+
+def test_exact_rates_mc_redraws_one_phase_alone(monkeypatch):
+    # phase 1's rates are not finite on attempt 0 of chunk 1: it alone is
+    # redrawn, from (seed, 1, 1), and the other phases keep the first draw
+    cfg = default_profile(N=64)
+    phases = _three_phases(cfg)
+    alone = [exact_rate_mc(cfg, phase, 130, 11) for phase in phases]
+    target, _ = _phase_terms(cfg, gram_law(cfg), phases[1])
+    substream, terms = rate_module._substream, rate_module.zf_terms
+    keys = []
+
+    def recording(seed, key):
+        keys.append(key)
+        return substream(seed, key)
+
+    def spoiled(law, chunk, white_mean, bias_row, in_place=False, work=None):
+        leakage, rx_norm2 = terms(law, chunk, white_mean, bias_row, in_place, work)
+        if keys[-1] == (1,) and np.array_equal(white_mean, target):
+            leakage[0, 0, 0] = np.nan
+        return leakage, rx_norm2
+
+    monkeypatch.setattr(rate_module, "_substream", recording)
+    monkeypatch.setattr(rate_module, "zf_terms", spoiled)
+    shared = exact_rates_mc(cfg, phases, 130, 11)
+    assert keys == [(0,), (1,), (1, 1), (2,)]
+    _assert_same_mc(shared[0], alone[0])
+    _assert_same_mc(shared[2], alone[2])
+    assert shared[1].singular_retries == 1
+    assert np.all(np.isfinite(shared[1].rates))
+    assert not np.array_equal(shared[1].rates, alone[1].rates)
+    _assert_same_mc(shared[1], exact_rate_mc(cfg, phases[1], 130, 11))
+
+
+def test_exact_rates_mc_fails_one_phase_alone(monkeypatch):
+    # a phase whose rates stay non-finite gets exact_rate_mc's error in place
+    # of its result; the others are unchanged
+    cfg = default_profile(N=64)
+    phases = _three_phases(cfg)
+    alone = [exact_rate_mc(cfg, phase, 70, 3) for phase in phases]
+    target, _ = _phase_terms(cfg, gram_law(cfg), phases[0])
+    terms = rate_module.zf_terms
+
+    def spoiled(law, chunk, white_mean, bias_row, in_place=False, work=None):
+        leakage, rx_norm2 = terms(law, chunk, white_mean, bias_row, in_place, work)
+        if np.array_equal(white_mean, target):
+            leakage[:] = np.nan
+        return leakage, rx_norm2
+
+    monkeypatch.setattr(rate_module, "zf_terms", spoiled)
+    failed, *rest = exact_rates_mc(cfg, phases, 70, 3)
+    assert isinstance(failed, NumericalError)
+    assert "chunk 0: Gram matrix stayed singular" in str(failed)
+    for result, single in zip(rest, alone[1:]):
+        _assert_same_mc(result, single)
+    with pytest.raises(NumericalError, match="chunk 0: .* stayed singular"):
+        exact_rate_mc(cfg, phases[0], 70, 3)
 
 
 def test_lower_inverse_matches_dense_inverse():
@@ -532,8 +613,9 @@ def _root_errors(cfg, ph, seed):
     law = gram_law(cfg)
     white_mean, bias_row = _phase_terms(cfg, law, ph)
     w, bartlett, z = sample_gram(law, seed, 200)
-    v, gram_inv_x = rate_module._zf_root(law, white_mean, w, bartlett)
-    _, rx_norm2 = zf_terms(law, white_mean, bias_row, w, bartlett, z)
+    chunk = zf_chunk(law, w, bartlett, z)
+    v, gram_inv_x = rate_module._zf_root(chunk, white_mean)
+    _, rx_norm2 = zf_terms(law, chunk, white_mean, bias_row)
     gram, x = gram_from_draw(cfg, ph, w, bartlett)
     inverse = np.linalg.inv(gram)
     root_err = np.max(np.abs(v @ v.conj().swapaxes(-1, -2) - inverse)
@@ -585,7 +667,7 @@ def test_gram_draw_matches_first_moments():
         ph = PhaseShifts.random(cfg.N, seed)
         law = gram_law(cfg)
         w, bartlett, z = sample_gram(law, seed, 20000)
-        leakage, _ = zf_terms(law, *_phase_terms(cfg, law, ph), w, bartlett, z)
+        leakage, _ = zf_terms(law, zf_chunk(law, w, bartlett, z), *_phase_terms(cfg, law, ph))
         gram, _ = gram_from_draw(cfg, ph, w, bartlett)
         stats = compute_statistics(cfg)
         cross = cfg.M * (stats.kappa[:, None] * stats.cov - stats.lam)
