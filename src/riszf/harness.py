@@ -220,8 +220,8 @@ def check_memory(config: SystemConfig, designs, quantized: bool = False,
     designs = (designs,) if isinstance(designs, str) else tuple(designs)
     k = config.K
     lx, ly = decompose_grid(config.N)
-    peak = max({"case3_random": 3, "case5_maxsum": k + 12,
-                "case6_maxmin": k + 12}.get(design, 0) for design in designs)
+    own = {"case3_random": 3, "case5_maxsum": k + 12, "case6_maxmin": k + 12}
+    peak = max(own.get(design, 0) for design in designs)
     vectors = 5 * quantized + peak + len(designs) - 1
     mk_arrays = 1 + 5 * min(draws, _DRAW_CHUNK) if draws else 0
     need = (16 * (3 * (k + 1) * (lx + ly) + vectors * config.N + mk_arrays * config.M * k
@@ -275,9 +275,12 @@ def _run_point(scenarios, config: SystemConfig | None, index: int, value,
     at once run one at a time.
     """
     sweep_value = float(value) if value is not None else float("nan")
-    invalid = [_nan_row(sweep_value, "invalid_config", scenarios[0].config.K)] * len(scenarios)
+
+    def invalid():
+        return [_nan_row(sweep_value, "invalid_config", scenarios[0].config.K)] * len(scenarios)
+
     if config is None:
-        return invalid
+        return invalid()
     first = scenarios[0]
     designs = [s.phase_design for s in scenarios]
     quantized = base_phases[0] is not None
@@ -285,7 +288,7 @@ def _run_point(scenarios, config: SystemConfig | None, index: int, value,
         check_memory(config, designs, quantized, trials=first.trials)
     except ConfigError:
         if len(scenarios) == 1:
-            return invalid
+            return invalid()
         return [row for s, base in zip(scenarios, base_phases)
                 for row in _run_point([s], config, index, value, [base])]
     if not quantized:
@@ -295,7 +298,7 @@ def _run_point(scenarios, config: SystemConfig | None, index: int, value,
             # an invalid bit width is invalid for every design
             resolved = [(quantize_phase(base, value), 0) for base in base_phases]
         except ConfigError:
-            return invalid
+            return invalid()
     live = [j for j, r in enumerate(resolved) if not isinstance(r, NumericalError)]
     try:
         mcs = exact_rates_mc(config, [resolved[j][0] for j in live], first.trials,
