@@ -121,6 +121,8 @@ def optimize(ctx, objective, max_iter, rel_tol):
     payload = {
         "objective": objective,
         "converged": trace.converged,
+        "stop_rule": trace.stop_rule,
+        "grad_norm": trace.grad_norm,
         "iterations": trace.iterations,
         "curvature_doublings": trace.curvature_doublings,
         "objective_trace": [{"iteration": i, "value": val, "backtracks": b}

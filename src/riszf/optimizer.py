@@ -253,6 +253,44 @@ def _fvec_norms(problem: FractionalProblem, p: _Point, s: np.ndarray, r: np.ndar
             + (r.conj() * (problem.gram @ r)).sum(axis=0).real)
 
 
+def _riemannian_gradient(problem: FractionalProblem, p: _Point, weights: np.ndarray
+                         ) -> np.ndarray:
+    """Riemannian gradient xi of sum_k weights_k f_k at p on the unit-modulus manifold.
+
+    Each f_k touches its linear minorant const_k + 2 Re{fvec_k^H v'} at p's
+    v from below on the manifold, so their gradients agree there: with
+    c = 2 sum_k weights_k fvec_k, xi = c - Re(c . conj(v)) . v, the
+    projection onto the tangent space {Re(conj(v) . x) = 0}, and the
+    directional derivative along x is Re(xi^H x).  With the softmin weights
+    of p this is the gradient of the smoothed minimum.  One product by G^H.
+    """
+    coeff = _weighted_fvec(problem, p, *_surrogate_factors(problem, p), weights)
+    coeff *= 2.0
+    coeff -= (coeff * p.v.conj()).real * p.v
+    return coeff
+
+
+def _armijo_gain(evaluate, state: tuple, xi: np.ndarray, xi2: float, tol: float) -> float:
+    """Predicted gain t ||xi||^2 of an Armijo step from ``state`` along the gradient xi.
+
+    From t = 1 / max_n |xi_n|, which turns no phase by more than 45 degrees,
+    t halves until the retracted point (v + t xi) / |v + t xi| gains at least
+    ``_ARMIJO`` of the predicted t ||xi||^2, or until the prediction is at
+    most ``tol``; at most ``_MAX_BACKTRACK`` times.  Moves no phase of the run.
+    """
+    peak = float(_max(np.abs(xi)))
+    t = 1.0 / peak if peak > 0.0 else 0.0
+    for _ in range(_MAX_BACKTRACK + 1):
+        gain = t * xi2
+        if gain <= tol:
+            break
+        x = state[0].v + t * xi
+        if evaluate(x / np.abs(x))[-1] - state[-1] >= _ARMIJO * gain:
+            break
+        t /= 2.0
+    return gain
+
+
 def _phase_align(coeff: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     """Unit-modulus maximizer of Re{coeff^H v}; zero entries keep ``fallback``."""
     out = np.exp(1j * np.arctan2(coeff.imag, coeff.real))
@@ -316,12 +354,23 @@ class OptTrace:
     minimum over accepted iterates is returned).  ``curvature_doublings``
     counts the curvature raises of the min step's guard (:func:`_maxmin_from`)
     over the run; it is 0 for the sum objective.
+
+    ``stop_rule`` says why the run stopped: ``"max_iter"``; ``"converged"``,
+    when the last accepted gain and the gain that one Armijo probe along the
+    Riemannian gradient predicts (:func:`_armijo_gain`) are both at most
+    ``rel_tol`` |f|; or ``"stalled"``, when the gain was that small but the
+    probe predicts more.  ``converged`` is true for ``"converged"`` alone.
+    ``grad_norm`` is ||xi||, the norm of the Riemannian gradient of the
+    maximized objective (the sum, or the smoothed minimum) at the last
+    accepted iterate.
     """
 
     iterates: list[tuple[int, float, int]]
     converged: bool
     final_v: PhaseShifts
     curvature_doublings: int
+    stop_rule: str
+    grad_norm: float
 
     @property
     def iterations(self) -> int:
@@ -329,6 +378,42 @@ class OptTrace:
 
 
 _MAX_BACKTRACK = 30
+
+# share of its predicted gain t ||xi||^2 that an Armijo probe step must realize.
+# On a quadratic model, halving then stops at a t whose prediction is 1/2 to 1
+# times the largest gain along xi, so a prediction above rel_tol |f| is reachable
+_ARMIJO = 0.75
+
+
+def _mm_iteration(evaluate, step, state: tuple) -> tuple[tuple, int]:
+    """``(new state, backtracks)`` of one iteration of :func:`mm_optimize` from ``state``.
+
+    Two steps, an extrapolation through them, and halving back until the
+    objective does not decrease.  Its N-vectors are freed on return.
+    """
+    obj = state[-1]
+    s1 = step(state)
+    s2 = step(s1)
+    v = state[0].v
+    d1 = s1[0].v - v
+    d2 = s2[0].v - s1[0].v
+    d2 -= d1
+    d1_norm = math.sqrt(np.vdot(d1, d1).real)
+    d2_norm = math.sqrt(np.vdot(d2, d2).real)
+    backtracks = 0
+    if d1_norm != 0.0 and d2_norm != 0.0:
+        rho = -d1_norm / d2_norm
+        while True:
+            # -exp(i angle(x)); arctan2 is np.angle without its Python wrapper
+            x = v - 2.0 * rho * d1 + rho**2 * d2
+            cand = evaluate(-np.exp(1j * np.arctan2(x.imag, x.real)))
+            if cand[-1] >= obj or backtracks >= _MAX_BACKTRACK:
+                break
+            rho = (rho - 1.0) / 2.0
+            backtracks += 1
+        if cand[-1] >= obj:
+            return cand, backtracks
+    return s2, backtracks
 
 
 def mm_optimize(config: SystemConfig, objective: str = "sum",
@@ -347,7 +432,9 @@ def mm_optimize(config: SystemConfig, objective: str = "sum",
     exactly, the min step by its guard).  Every point is evaluated once: the
     product G v that gives its objective is reused by the step taken from
     it.  Terminates when the relative objective change drops below
-    ``rel_tol`` or after ``max_iter`` iterations.
+    ``rel_tol`` or after ``max_iter`` iterations; a run that stops on a
+    small change reports ``converged`` only if one Armijo probe along the
+    Riemannian gradient predicts no larger gain either (``OptTrace.stop_rule``).
 
     Defaults to the identity phase configuration when ``init`` is omitted.
     Raises :class:`NumericalError` when the best point is not finite.
@@ -399,29 +486,7 @@ def mm_optimize(config: SystemConfig, objective: str = "sum",
         converged = False
 
         for it in range(1, max_iter + 1):
-            s1 = step(state)
-            s2 = step(s1)
-            v = state[0].v
-            d1 = s1[0].v - v
-            d2 = s2[0].v - s1[0].v
-            d2 -= d1
-            d1_norm = math.sqrt(np.vdot(d1, d1).real)
-            d2_norm = math.sqrt(np.vdot(d2, d2).real)
-
-            backtracks = 0
-            new = s2
-            if d1_norm != 0.0 and d2_norm != 0.0:
-                rho = -d1_norm / d2_norm
-                while True:
-                    # -exp(i angle(x)); arctan2 is np.angle without its Python wrapper
-                    x = v - 2.0 * rho * d1 + rho**2 * d2
-                    cand = evaluate(-np.exp(1j * np.arctan2(x.imag, x.real)))
-                    if cand[-1] >= obj or backtracks >= _MAX_BACKTRACK:
-                        break
-                    rho = (rho - 1.0) / 2.0
-                    backtracks += 1
-                if cand[-1] >= obj:
-                    new = cand
+            new, backtracks = _mm_iteration(evaluate, step, state)
             obj_new = new[-1]
 
             iterates.append((it, obj_new, backtracks))
@@ -432,14 +497,26 @@ def mm_optimize(config: SystemConfig, objective: str = "sum",
             change = abs(obj_new - obj)
             obj = obj_new
             state = new
-            if change <= rel_tol * max(abs(obj), 1e-12):
+            tol = rel_tol * max(abs(obj), 1e-12)
+            if change <= tol:
                 converged = True
                 break
+
+        # the gradient of the maximized objective: the sum, or the smoothed minimum
+        xi = _riemannian_gradient(problem, state[0],
+                                  state[1] if objective == "min" else np.ones(problem.k))
+        xi2 = float(np.vdot(xi, xi).real)
+        if converged:
+            converged = _armijo_gain(evaluate, state, xi, xi2, tol) <= tol
+            stop_rule = "converged" if converged else "stalled"
+        else:
+            stop_rule = "max_iter"
 
     if not np.all(np.isfinite(best_v)):
         raise NumericalError(f"{objective} objective: the designed phases are not finite")
     return OptTrace(iterates=iterates, converged=converged, final_v=PhaseShifts(best_v),
-                    curvature_doublings=doublings)
+                    curvature_doublings=doublings, stop_rule=stop_rule,
+                    grad_norm=math.sqrt(xi2))
 
 
 def align_phase(config: SystemConfig, k: int) -> PhaseShifts:

@@ -318,8 +318,10 @@ def zf_chunk(law: GramLaw, w: np.ndarray, bartlett: np.ndarray, z: np.ndarray,
     :func:`zf_terms` that no phase enters, formed once per chunk.
 
     P^{-1} = A^{-1} L^{-1} costs one triangular inverse per trial and one
-    GEMM per chunk.  Raises :class:`NumericalError` when an A has a diagonal
-    entry that is not positive (G singular).  ``work`` as for :func:`_scratch`.
+    GEMM per chunk.  Every phase reads the four arrays, so they are read-only
+    views: a kernel that writes to one raises ``ValueError``.  Raises
+    :class:`NumericalError` when an A has a diagonal entry that is not
+    positive (G singular).  ``work`` as for :func:`_scratch`.
     """
     trials, k, _ = bartlett.shape
     if not np.all(np.diagonal(bartlett, axis1=-2, axis2=-1).real > 0.0):
@@ -332,33 +334,31 @@ def zf_chunk(law: GramLaw, w: np.ndarray, bartlett: np.ndarray, z: np.ndarray,
     z_rows = _scratch(work, "z_rows", (trials * k, k))
     z_rows.reshape(trials, k, k)[...] = z
     noise = np.matmul(z_rows, law.noise_root_h, out=_scratch(work, "noise", (trials * k, k)))
-    return a_inv, w.conj(), root, noise.reshape(trials, k, k)
+    chunk = a_inv.view(), w.conj(), root.view(), noise.reshape(trials, k, k)
+    for array in chunk:
+        array.setflags(write=False)
+    return chunk
 
 
-def _zf_root(chunk: tuple, white_mean: np.ndarray, in_place: bool = False,
-             work: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _zf_root(chunk: tuple, white_mean: np.ndarray, work: dict | None = None
+             ) -> tuple[np.ndarray, np.ndarray]:
     """``(V, G^{-1} x)`` on a :func:`zf_chunk` for the whitened mean m, with no Gram.
 
-    V V^H = G^{-1} (see :func:`zf_terms`); ``V`` is (trials, K, K) and
-    ``G^{-1} x`` (trials, K, 1).  With ``in_place`` V overwrites the
-    chunk's P^{-H}, which no later phase may then use.
+    V V^H = G^{-1} (see :func:`zf_terms`); ``V`` (trials, K, K) is formed out
+    of place, as the chunk is read-only, and ``G^{-1} x`` is (trials, K, 1).
     """
-    a_inv, w_conj, v, _ = chunk
+    a_inv, w_conj, root, _ = chunk
     y = a_inv @ (white_mean + w_conj)[:, :, None]
-    if not in_place:
-        copy = _scratch(work, "v", v.shape)
-        copy[...] = v
-        v = copy
-    g = v @ y
+    g = root @ y
     r2 = 1.0 + _row_norms2(y[..., 0])[:, None, None]
     r = np.sqrt(r2)
-    v -= np.multiply(g / (r * (r + 1.0)), y.conj().swapaxes(-1, -2),
-                     out=_scratch(work, "update", v.shape))
-    return v, g / r2
+    update = np.multiply(g / (r * (r + 1.0)), y.conj().swapaxes(-1, -2),
+                         out=_scratch(work, "v", root.shape))
+    return np.subtract(root, update, out=update), g / r2
 
 
 def zf_terms(law: GramLaw, chunk: tuple, white_mean: np.ndarray, bias_row: np.ndarray,
-             in_place: bool = False, work: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+             work: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``(leakage, rx_norm2)`` of stacked draws from :func:`sample_gram`, with no Gram.
 
     ``chunk`` is the draws' :func:`zf_chunk`.  ``white_mean``
@@ -374,10 +374,9 @@ def zf_terms(law: GramLaw, chunk: tuple, white_mean: np.ndarray, bias_row: np.nd
     B - G^{-1} x b + C^{-H} Z S_F^H, is drawn exactly as
     B - (g / r^2) b + V Z S_F^H (trials, K, K).  rx_norm2, the diagonal of
     G^{-1} (trials, K) and the squared norms of the ZF receiver columns, is
-    the squared row norms of V.  ``in_place`` as for :func:`_zf_root`,
-    ``work`` as for :func:`_scratch`.
+    the squared row norms of V.  ``work`` as for :func:`_scratch`.
     """
-    v, gram_inv_x = _zf_root(chunk, white_mean, in_place, work)
+    v, gram_inv_x = _zf_root(chunk, white_mean, work)
     leakage = np.matmul(v, chunk[3], out=_scratch(work, "leakage", v.shape))
     leakage -= np.multiply(gram_inv_x, bias_row, out=_scratch(work, "update", v.shape))
     leakage += law.bias
@@ -389,14 +388,13 @@ def _zf_rates(config: SystemConfig, law: GramLaw, rng_seed, trials: int, terms: 
     """Per-trial ZF rates (trials x K) of each phase's (m, b) in ``terms`` on one draw.
 
     A phase whose rates are not all finite gets None; a singular G raises
-    :class:`NumericalError` (:func:`zf_chunk`).  The draw and its
-    temporaries live in ``work`` (:func:`_scratch`), and the last phase
-    updates the chunk's P^{-H} in place.
+    :class:`NumericalError` (:func:`zf_chunk`).  Every phase reads the same
+    read-only chunk, whose draw and temporaries live in ``work`` (:func:`_scratch`).
     """
     chunk = zf_chunk(law, *sample_gram(law, rng_seed, trials, work), work)
     out = []
-    for i, (white_mean, bias_row) in enumerate(terms):
-        leakage, rx_norm2 = zf_terms(law, chunk, white_mean, bias_row, i == len(terms) - 1, work)
+    for white_mean, bias_row in terms:
+        leakage, rx_norm2 = zf_terms(law, chunk, white_mean, bias_row, work)
         interference = config.p * _row_norms2(leakage)
         rates = _rates_from_snr(config, config.p / (interference + config.sigma2 * rx_norm2))
         out.append(rates if np.all(np.isfinite(rates)) else None)

@@ -13,9 +13,9 @@ from riszf.config import default_profile
 from riszf.errors import ConfigError, NumericalError
 from riszf.estimation import compute_statistics
 from riszf.optimizer import (FractionalProblem, OptTrace, _fvec_norms, _maxmin_from,
-                             _maxsum_coeff, _phase_align, _point, _softmin,
-                             _surrogate_factors, _weighted_fvec, align_phase, build_problem,
-                             fractional_objective, mm_optimize, quantize_phase)
+                             _maxsum_coeff, _phase_align, _point, _riemannian_gradient,
+                             _softmin, _surrogate_factors, _weighted_fvec, align_phase,
+                             build_problem, fractional_objective, mm_optimize, quantize_phase)
 from riszf.harness import resolve_phase
 from riszf.rate import exact_rates_mc, rate_lower_bound, rate_lower_bound_snr
 
@@ -435,6 +435,71 @@ def test_mm_optimize_converges_on_sum(reference_config):
     trace = mm_optimize(reference_config, objective="sum", rel_tol=1e-8)
     assert trace.converged
     assert trace.iterations < 500
+
+
+def _retracted(v, t, xi):
+    x = v + t * xi
+    return x / np.abs(x)
+
+
+@pytest.mark.parametrize("objective", ["sum", "min"])
+def test_riemannian_gradient_matches_finite_differences(objective):
+    # d/dt f((v + t d) / |v + t d|) at t = 0 is Re(xi^H d) for a tangent d;
+    # along d = xi it is ||xi||^2
+    for cfg in (default_profile(N=64), toy_config(K=3, M=12, N=16, seed=4)):
+        prob = build_problem(cfg)
+        rng = np.random.default_rng(21)
+        v = PhaseShifts.random(cfg.N, rng).v
+        p = _point(prob, v)
+        weights = _softmin(p.values, cfg.mu)[0] if objective == "min" else np.ones(cfg.K)
+
+        def f(u):
+            values = fractional_objective(prob, u)
+            return _softmin(values, cfg.mu)[1] if objective == "min" else values.sum()
+
+        xi = _riemannian_gradient(prob, p, weights)
+        assert np.max(np.abs((xi * v.conj()).real)) < 1e-9 * np.abs(xi).max()   # tangent
+        tangent = 1j * v * rng.standard_normal(cfg.N)
+        for d in (xi, tangent):
+            h = 1e-4 / np.abs(d).max()
+            fd = (f(_retracted(v, h, d)) - f(_retracted(v, -h, d))) / (2.0 * h)
+            assert fd == pytest.approx(np.vdot(xi, d).real, rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [4096, 65536])
+def test_min_rate_mm_does_not_report_its_stall_as_converged(n):
+    # started at the sum-rate design the min-rate MM stops after one step on
+    # a change below rel_tol |f|, yet a step along the Riemannian gradient xi
+    # gains more than that: converged is false, and xi checks against a
+    # finite-difference directional derivative
+    cfg = default_profile(N=n)
+    prob = build_problem(cfg)
+    trace = mm_optimize(cfg, objective="min", init=mm_optimize(cfg, objective="sum").final_v)
+    assert trace.iterations == 1
+    assert trace.converged is False and trace.stop_rule == "stalled"
+    v = trace.final_v.v
+    p = _point(prob, v)
+    weights, smoothed = _softmin(p.values, cfg.mu)
+    assert smoothed == trace.iterates[-1][1]          # final_v is the last iterate
+    xi = _riemannian_gradient(prob, p, weights)
+    xi2 = float(np.vdot(xi, xi).real)
+    assert trace.grad_norm == pytest.approx(math.sqrt(xi2), rel=1e-12)
+
+    def smoothed_min(t):
+        return _softmin(fractional_objective(prob, _retracted(v, t, xi)), cfg.mu)[1]
+
+    h = 1e-3 / np.abs(xi).max()
+    assert (smoothed_min(h) - smoothed_min(-h)) / (2.0 * h) == pytest.approx(xi2, rel=1e-5)
+    # a step that turns no phase by more than a few degrees gains over rel_tol |f|
+    gains = [smoothed_min(2.0**-j / np.abs(xi).max()) - smoothed for j in range(8)]
+    assert max(gains) > 1e-6 * abs(smoothed), gains
+
+
+def test_mm_optimize_records_its_stop_rule(reference_config):
+    assert mm_optimize(reference_config, objective="sum", max_iter=3).stop_rule == "max_iter"
+    trace = mm_optimize(reference_config, objective="sum", rel_tol=1e-8)
+    assert (trace.stop_rule, trace.converged) == ("converged", True)
+    assert 0.0 < trace.grad_norm < 1e-2
 
 
 def test_objective_rejects_a_nan_denominator(reference_config):

@@ -514,14 +514,43 @@ def _three_phases(cfg):
 
 @pytest.mark.parametrize("trials", [1, 63, 64, 65, 130])
 def test_exact_rates_mc_equals_each_phase_alone(trials):
-    # the phases share every chunk's draw, and the last one updates the
-    # shared P^{-H} in place: none of that may change a bit of any result
+    # the phases share every chunk's draw: that may not change a bit of any
+    # result
     cfg = default_profile(N=64)
     phases = _three_phases(cfg)
     shared = exact_rates_mc(cfg, phases, trials, 11)
     assert len(shared) == len(phases)
     for phase, result in zip(phases, shared):
         _assert_same_mc(result, exact_rate_mc(cfg, phase, trials, 11))
+
+
+def test_exact_rates_mc_phases_only_read_the_chunk(monkeypatch):
+    # every phase of a point reads one chunk: each array still holds what
+    # zf_chunk made when the next chunk is made and after the call, and a
+    # write to one raises instead of skewing the phases after it
+    cfg = default_profile(N=64)
+    make = rate_module.zf_chunk
+    made = []
+
+    def assert_unchanged():
+        chunk, copies = made[-1]
+        for array, copy in zip(chunk, copies):
+            np.testing.assert_array_equal(array, copy)
+
+    def spy(*args):
+        if made:
+            assert_unchanged()
+        chunk = make(*args)
+        made.append((chunk, [array.copy() for array in chunk]))
+        return chunk
+
+    monkeypatch.setattr(rate_module, "zf_chunk", spy)
+    exact_rates_mc(cfg, _three_phases(cfg), 130, 11)
+    assert len(made) == 3
+    assert_unchanged()
+    for array in made[-1][0]:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
 
 
 def test_exact_rates_mc_redraws_one_phase_alone(monkeypatch):
@@ -538,8 +567,8 @@ def test_exact_rates_mc_redraws_one_phase_alone(monkeypatch):
         keys.append(key)
         return substream(seed, key)
 
-    def spoiled(law, chunk, white_mean, bias_row, in_place=False, work=None):
-        leakage, rx_norm2 = terms(law, chunk, white_mean, bias_row, in_place, work)
+    def spoiled(law, chunk, white_mean, bias_row, work=None):
+        leakage, rx_norm2 = terms(law, chunk, white_mean, bias_row, work)
         if keys[-1] == (1,) and np.array_equal(white_mean, target):
             leakage[0, 0, 0] = np.nan
         return leakage, rx_norm2
@@ -565,8 +594,8 @@ def test_exact_rates_mc_fails_one_phase_alone(monkeypatch):
     target, _ = _phase_terms(cfg, gram_law(cfg), phases[0])
     terms = rate_module.zf_terms
 
-    def spoiled(law, chunk, white_mean, bias_row, in_place=False, work=None):
-        leakage, rx_norm2 = terms(law, chunk, white_mean, bias_row, in_place, work)
+    def spoiled(law, chunk, white_mean, bias_row, work=None):
+        leakage, rx_norm2 = terms(law, chunk, white_mean, bias_row, work)
         if np.array_equal(white_mean, target):
             leakage[:] = np.nan
         return leakage, rx_norm2
@@ -630,6 +659,70 @@ def _root_errors(cfg, ph, seed):
     p_root = np.linalg.cholesky(compute_statistics(cfg).lam) @ bartlett
     y2 = np.sum(np.abs(np.linalg.solve(p_root, x[:, :, None])) ** 2, axis=(-2, -1))
     return root_err, solve_err, diag_err, float(np.median(y2))
+
+
+def _dense_zf_rates(cfg, phase, seed, trials):
+    """Per-trial ZF rates of ``sample_gram``'s draw, with the Gram formed densely.
+
+    G = P (I + y y^H) P^H with P = L A and y = P^{-1} x (x from
+    :func:`oracle.gram_from_draw`); [G^{-1}]_kk and G^{-1} x come from
+    numpy's inverse and solve of G, and the leakage is
+    B - (G^{-1} x) b + V Z S_F^H with V = P^{-H} (I - y y^H / (r (r + 1))).
+    Also returns the interference-to-noise ratios p ||l_k||^2 / (sigma2 [G^{-1}]_kk).
+    """
+    law = gram_law(cfg)
+    _, bias_row = _phase_terms(cfg, law, phase)
+    w, bartlett, z = sample_gram(law, seed, trials)
+    _, x = gram_from_draw(cfg, phase, w, bartlett)
+    root = np.linalg.cholesky(compute_statistics(cfg).lam) @ bartlett
+    y = np.linalg.solve(root, x[:, :, None])
+    yyh = y @ y.conj().swapaxes(-1, -2)
+    gram = root @ (np.eye(cfg.K) + yyh) @ root.conj().swapaxes(-1, -2)
+    r = np.sqrt(1.0 + np.sum(np.abs(y) ** 2, axis=(-2, -1)))[:, None, None]
+    v = np.linalg.inv(root).conj().swapaxes(-1, -2) @ (np.eye(cfg.K) - yyh / (r * (r + 1.0)))
+    leakage = (law.bias - np.linalg.solve(gram, x[:, :, None]) * bias_row
+               + v @ z @ law.noise_root_h)
+    interference = cfg.p * np.sum(np.abs(leakage) ** 2, axis=-1)
+    noise = cfg.sigma2 * np.real(np.diagonal(np.linalg.inv(gram), axis1=-2, axis2=-1))
+    return cfg.tau_overhead * np.log2(1.0 + cfg.p / (interference + noise)), interference / noise
+
+
+@pytest.mark.parametrize("cfg, dominant", [
+    (default_profile(N=64).replace(p=default_profile().p / 1000), "noise"),
+    (default_profile(M=65536, N=16), "interference")])
+def test_zf_rates_match_the_dense_gram_trial_by_trial(cfg, dominant):
+    # the last step of the MC rate, tau_o log2(1 + p / (p ||l_k||^2 +
+    # sigma2 [G^{-1}]_kk)), trial by trial on one draw, at a point where each
+    # term dominates: scaling either term by 1.02 misses 1e-12 by far
+    phase = PhaseShifts.random(cfg.N, 3)
+    law = gram_law(cfg)
+    (kernel,) = rate_module._zf_rates(cfg, law, 9, 64, [_phase_terms(cfg, law, phase)], {})
+    dense, ratio = _dense_zf_rates(cfg, phase, 9, 64)
+    assert np.median(ratio if dominant == "interference" else 1.0 / ratio) > 5.0
+    np.testing.assert_allclose(kernel, dense, rtol=1e-12, atol=0)
+
+
+def test_sum_rate_se_is_the_se_of_the_per_trial_sum(monkeypatch):
+    # the users of a trial share its draw, so the SE of the sum rate is that
+    # of the per-trial sums, not the root of the summed per-user variances
+    cfg = default_profile(N=64)
+    zf_rates = rate_module._zf_rates
+    drawn = []
+
+    def spy(*args):
+        (rates,) = zf_rates(*args)
+        drawn.append(rates)
+        return [rates]
+
+    monkeypatch.setattr(rate_module, "_zf_rates", spy)
+    mc = exact_rate_mc(cfg, PhaseShifts.random(cfg.N, 2), 130, 5)
+    samples = np.concatenate(drawn)
+    assert samples.shape == (130, cfg.K)
+    sums = samples.sum(axis=1)
+    np.testing.assert_allclose(mc.rates, samples.mean(axis=0), rtol=1e-12, atol=0)
+    assert mc.sum_rate_se == pytest.approx(sums.std(ddof=1) / math.sqrt(130), rel=1e-12, abs=0)
+    # the check bites: treating the users as independent is 1 % or more off
+    assert abs(math.sqrt(np.sum(mc.std_errors**2)) / mc.sum_rate_se - 1.0) > 0.01
 
 
 def test_sherman_morrison_root_matches_dense_gram():
