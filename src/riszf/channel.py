@@ -257,17 +257,24 @@ def build_los(config: SystemConfig) -> LosComponents:
                          ris_rows=ris_rows[:, 0], ris_cols=ris_cols[:, 0])
 
 
-def _response(geometry: LosComponents, phase: PhaseShifts) -> np.ndarray:
-    """a_N^H Phi hbar_k for every user k (length K), from the per-axis factors.
+def alignment_response(config: SystemConfig, phase: PhaseShifts) -> np.ndarray:
+    """Per-user beam response a_N^H @ Phi @ hbar_k (length K).
 
-    conj(a_N) * hbar_k is kron(p_k, q_k) with p_k = conj(r) * r_k (L_x) and
-    q_k = conj(c) * c_k (L_y), where a_N = kron(r, c) and hbar_k =
-    kron(r_k, c_k).  A separable phase v = kron(s, t) splits the sum into
-    (s^H p_k)(t^H q_k): O(K (L_x + L_y)) time and memory, nothing of size N.
-    A dense v, laid out as V = conj(v) on the L_x x L_y grid, gives
-    sum_x p_k[x] (V q_k)[x]: one L_x x L_y by L_y x K product, O(NK) time
-    and O(K (L_x + L_y)) memory beyond v, with no N x K temporary.
+    Modulus N means the RIS beam is perfectly aligned to that user; the
+    triangle inequality caps it at N.  The cascaded LoS response is
+    a_N^H Phi H1 = sqrt(alpha) * alignment_response, and its conjugate is
+    w = H1^H Phi^H a_N.
+
+    Formed from the per-axis factors (:func:`build_los`): conj(a_N) * hbar_k
+    is kron(p_k, q_k) with p_k = conj(r) * r_k (L_x) and q_k = conj(c) * c_k
+    (L_y), where a_N = kron(r, c) and hbar_k = kron(r_k, c_k).  A separable
+    phase v = kron(s, t) splits the sum into (s^H p_k)(t^H q_k):
+    O(K (L_x + L_y)) time and memory, nothing of size N.  A dense v, laid
+    out as V = conj(v) on the L_x x L_y grid, gives sum_x p_k[x] (V q_k)[x]:
+    one L_x x L_y by L_y x K product, O(NK) time and O(K (L_x + L_y)) memory
+    beyond v, with no N x K temporary.
     """
+    geometry = build_los(config)
     rows = np.conj(geometry.ris_rows)[:, None] * geometry.user_rows
     cols = np.conj(geometry.ris_cols)[:, None] * geometry.user_cols
     if phase.factors is not None:
@@ -276,17 +283,6 @@ def _response(geometry: LosComponents, phase: PhaseShifts) -> np.ndarray:
     grid = phase.v.reshape(rows.shape[0], cols.shape[0])
     # V q_k = conj(v_grid conj(q_k)): conjugating the L_x x K product, not v
     return np.sum(rows * np.conj(grid @ np.conj(cols)), axis=0)
-
-
-def alignment_response(config: SystemConfig, phase: PhaseShifts) -> np.ndarray:
-    """Per-user beam response a_N^H @ Phi @ hbar_k (length K).
-
-    Modulus N means the RIS beam is perfectly aligned to that user; the
-    triangle inequality caps it at N.  The cascaded LoS response is
-    a_N^H Phi H1 = sqrt(alpha) * alignment_response, and its conjugate is
-    w = H1^H Phi^H a_N.
-    """
-    return _response(build_los(config), phase)
 
 
 def aggregated_mean(config: SystemConfig, phase: PhaseShifts) -> np.ndarray:

@@ -7,9 +7,9 @@ per sweep point and evaluates every design's point on it, so the designs
 share its per-config caches; each point emits one :class:`ResultRow`.
 Only a multi-point ``riszf sweep`` spreads its points over a thread pool;
 ``riszf rate`` and the figure sweeps of :func:`reproduce` run serially.  A
-row holds only the per-user arrays a point computes; the sum and min
-columns are derived from them by :func:`row_values`, and :func:`rows_text`
-renders every row, as CSV or as a JSON list, for files and stdout alike.
+row holds only the per-user arrays a point computes; :func:`_columns`, the
+one list of the CSV columns, derives the sum and min columns from them, and
+:func:`rows_text` renders every row, as CSV or JSON, for files and stdout.
 CSV output is schema-versioned and byte-identical for identical seeds; a
 ``.manifest.json`` sidecar records everything needed to re-execute the run.
 """
@@ -92,7 +92,7 @@ class ResultRow:
     is a ``numerical_failure``.  ``sum_rate_mc_se`` is the standard error of
     the per-trial sum rate, which the per-user standard errors do not give.
     The other sum and min columns of the CSV are derived from the per-user
-    arrays by :func:`row_values`, and only there.
+    arrays by :func:`_columns`, and only there.
     """
 
     sweep_value: float
@@ -111,21 +111,17 @@ def _nan_row(sweep_value, error, k) -> ResultRow:
     return ResultRow(sweep_value, error, 0, nan_vec, nan_vec, np.nan, nan_vec, nan_vec, nan_vec)
 
 
-def _alignment_indices(config: SystemConfig) -> tuple[int, int]:
-    """(nearest, farthest) user by the config's ``user_ris_dist`` metadata."""
-    if config.user_ris_dist is None:
-        raise ConfigError("alignment cases need a config with user_ris_dist metadata")
-    return int(np.argmin(config.user_ris_dist)), int(np.argmax(config.user_ris_dist))
-
-
 def _heuristic_phase(config: SystemConfig, design: str, rng) -> PhaseShifts:
-    """Phases of one of the four heuristic designs, cases 1-4 of :data:`PHASE_CASES`."""
+    """Phases of a heuristic design, cases 1-4 of :data:`PHASE_CASES`; alignment
+    picks the nearest or farthest user by the config's ``user_ris_dist``."""
     if design == "case4_identity":
         return PhaseShifts.identity(config.N)
     if design == "case3_random":
         return PhaseShifts.random(config.N, rng)
-    nearest, farthest = _alignment_indices(config)
-    return align_phase(config, nearest if design == "case1_align_nearest" else farthest)
+    if config.user_ris_dist is None:
+        raise ConfigError("alignment cases need a config with user_ris_dist metadata")
+    nearest = design == "case1_align_nearest"
+    return align_phase(config, int((np.argmin if nearest else np.argmax)(config.user_ris_dist)))
 
 
 def resolve_phases(config: SystemConfig, designs, rng) -> list:
@@ -360,17 +356,30 @@ def run_scenario(*scenarios: Scenario, max_workers: int | None = None) -> list[R
 
 # --- persistence ------------------------------------------------------------
 
+def _columns(row: ResultRow):
+    """(name, value) of each schema-v1 column of one row, in order: the one list of the columns.
+
+    The sum and min columns are formed here and nowhere else: the sums and
+    minima of the row's per-user MC rates and lower bounds, and the MC
+    standard error of the user with the smallest MC rate.
+    """
+    mc_rate, mc_se, lower_bound = row.mc_rate, row.mc_se, row.lower_bound
+    yield from (("sweep_value", row.sweep_value), ("error", row.error),
+                ("opt_iterations", row.opt_iterations))
+    for j in range(mc_rate.size):
+        yield from ((f"mc_rate_u{j + 1}", mc_rate[j]), (f"mc_se_u{j + 1}", mc_se[j]))
+    for prefix, values in (("lower_bound", lower_bound), ("floor", row.floor_bound),
+                           ("ub", row.ub)):
+        yield from ((f"{prefix}_u{j}", value) for j, value in enumerate(values, 1))
+    min_idx = int(np.argmin(mc_rate))
+    yield from (("sum_rate_mc", float(mc_rate.sum())), ("sum_rate_mc_se", row.sum_rate_mc_se),
+                ("min_rate_mc", mc_rate[min_idx]), ("min_rate_mc_se", mc_se[min_idx]),
+                ("sum_rate_lb", lower_bound.sum()), ("min_rate_lb", lower_bound.min()))
+
+
 def csv_header(k: int) -> list[str]:
     """Schema-v1 column names for K users."""
-    cols = ["sweep_value", "error", "opt_iterations"]
-    for j in range(1, k + 1):
-        cols += [f"mc_rate_u{j}", f"mc_se_u{j}"]
-    cols += [f"lower_bound_u{j}" for j in range(1, k + 1)]
-    cols += [f"floor_u{j}" for j in range(1, k + 1)]
-    cols += [f"ub_u{j}" for j in range(1, k + 1)]
-    cols += ["sum_rate_mc", "sum_rate_mc_se", "min_rate_mc", "min_rate_mc_se",
-             "sum_rate_lb", "min_rate_lb"]
-    return cols
+    return [name for name, _ in _columns(_nan_row(np.nan, "", k))]
 
 
 def _fmt(x) -> str:
@@ -395,21 +404,8 @@ def _write_text(path, text: str) -> None:
 
 
 def row_values(row: ResultRow) -> list:
-    """The schema-v1 values of one row, in :func:`csv_header` order.
-
-    The sum and min columns are formed here and nowhere else: the sums and
-    minima of the row's per-user MC rates and lower bounds, and the MC
-    standard error of the user with the smallest MC rate.
-    """
-    mc_rate, mc_se, lower_bound = row.mc_rate, row.mc_se, row.lower_bound
-    values = [row.sweep_value, row.error, row.opt_iterations]
-    for j in range(mc_rate.size):
-        values += [mc_rate[j], mc_se[j]]
-    values += list(lower_bound) + list(row.floor_bound) + list(row.ub)
-    min_idx = int(np.argmin(mc_rate))
-    values += [float(mc_rate.sum()), row.sum_rate_mc_se, mc_rate[min_idx], mc_se[min_idx],
-               lower_bound.sum(), lower_bound.min()]
-    return values
+    """The schema-v1 values of one row, in :func:`csv_header` order."""
+    return [value for _, value in _columns(row)]
 
 
 def rows_text(rows: list[ResultRow], k: int, fmt: str = "csv") -> str:
@@ -477,8 +473,6 @@ def solve_antennas_for_snr(config: SystemConfig, C0: float, k: int) -> float:
 
 # --- figure reproduction ------------------------------------------------------
 
-FIGURE_IDS = ("fig2a", "fig2b", "fig3a", "fig3b", "fig4a", "fig4b")
-
 #: (N values, phase designs) of each element-count figure.
 _FIG_SWEEPS = {
     "fig2a": ((50, 100, 200, 400), ("case1_align_nearest", "case2_align_farthest")),
@@ -488,6 +482,8 @@ _FIG_SWEEPS = {
     "fig3b": ((64, 128, 256), ("case1_align_nearest", "case2_align_farthest", "case3_random",
                                "case5_maxsum", "case6_maxmin")),
 }
+
+FIGURE_IDS = (*_FIG_SWEEPS, "fig4a", "fig4b")
 
 
 def reproduce(figure_id: str, out_dir, config: SystemConfig | None = None,

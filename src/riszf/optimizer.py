@@ -359,14 +359,12 @@ class OptTrace:
     when the last accepted gain and the gain that one Armijo probe along the
     Riemannian gradient predicts (:func:`_armijo_gain`) are both at most
     ``rel_tol`` |f|; or ``"stalled"``, when the gain was that small but the
-    probe predicts more.  ``converged`` is true for ``"converged"`` alone.
-    ``grad_norm`` is ||xi||, the norm of the Riemannian gradient of the
-    maximized objective (the sum, or the smoothed minimum) at the last
-    accepted iterate.
+    probe predicts more.  ``grad_norm`` is ||xi||, the norm of the
+    Riemannian gradient of the maximized objective (the sum, or the smoothed
+    minimum) at the last accepted iterate.
     """
 
     iterates: list[tuple[int, float, int]]
-    converged: bool
     final_v: PhaseShifts
     curvature_doublings: int
     stop_rule: str
@@ -375,6 +373,11 @@ class OptTrace:
     @property
     def iterations(self) -> int:
         return self.iterates[-1][0]
+
+    @property
+    def converged(self) -> bool:
+        """True for the stop rule ``"converged"`` alone."""
+        return self.stop_rule == "converged"
 
 
 _MAX_BACKTRACK = 30
@@ -483,7 +486,7 @@ def mm_optimize(config: SystemConfig, objective: str = "sum",
         best_true = true_value(state[0])
         best_v = state[0].v
         iterates = [(0, obj, 0)]
-        converged = False
+        stop_rule = "max_iter"
 
         for it in range(1, max_iter + 1):
             new, backtracks = _mm_iteration(evaluate, step, state)
@@ -499,22 +502,19 @@ def mm_optimize(config: SystemConfig, objective: str = "sum",
             state = new
             tol = rel_tol * max(abs(obj), 1e-12)
             if change <= tol:
-                converged = True
+                stop_rule = "converged"
                 break
 
         # the gradient of the maximized objective: the sum, or the smoothed minimum
         xi = _riemannian_gradient(problem, state[0],
                                   state[1] if objective == "min" else np.ones(problem.k))
         xi2 = float(np.vdot(xi, xi).real)
-        if converged:
-            converged = _armijo_gain(evaluate, state, xi, xi2, tol) <= tol
-            stop_rule = "converged" if converged else "stalled"
-        else:
-            stop_rule = "max_iter"
+        if stop_rule == "converged" and not _armijo_gain(evaluate, state, xi, xi2, tol) <= tol:
+            stop_rule = "stalled"
 
     if not np.all(np.isfinite(best_v)):
         raise NumericalError(f"{objective} objective: the designed phases are not finite")
-    return OptTrace(iterates=iterates, converged=converged, final_v=PhaseShifts(best_v),
+    return OptTrace(iterates=iterates, final_v=PhaseShifts(best_v),
                     curvature_doublings=doublings, stop_rule=stop_rule,
                     grad_norm=math.sqrt(xi2))
 

@@ -150,11 +150,15 @@ class MonteCarloRate:
 
     rates: np.ndarray
     std_errors: np.ndarray
-    sum_rate: float
     sum_rate_se: float
     trials: int
     seed: int
     singular_retries: int
+
+    @property
+    def sum_rate(self) -> float:
+        """Sum of the per-user rates."""
+        return float(self.rates.sum())
 
 
 def _mean_and_se(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -457,8 +461,8 @@ def exact_rates_mc(config: SystemConfig, phases, trials: int, seed: int
             rates, std_errors = _mean_and_se(samples)
             _, sum_se = _mean_and_se(samples.sum(axis=1))
             results[j] = MonteCarloRate(rates=rates, std_errors=std_errors,
-                                        sum_rate=float(rates.sum()), sum_rate_se=float(sum_se),
-                                        trials=trials, seed=seed, singular_retries=retries[j])
+                                        sum_rate_se=float(sum_se), trials=trials, seed=seed,
+                                        singular_retries=retries[j])
     return results
 
 

@@ -341,6 +341,34 @@ def test_a_failing_design_gets_its_own_row(small_config, monkeypatch):
         resolve_phase(small_config, "case6_maxmin", 0)
 
 
+def test_designs_too_large_together_run_one_at_a_time(small_config, monkeypatch):
+    # physical memory between the largest one-design charge and the charge of
+    # the fig3b designs together: the point runs each design alone, and each
+    # gets the row it gets when run alone
+    designs = _FIG_SWEEPS["fig3b"][1]
+    scenarios = [Scenario(config=small_config, phase_design=design, trials=50, seed=4)
+                 for design in designs]
+    header = csv_header(small_config.K)
+    alone = [csv_text(header, [row_values(row) for row in run_scenario(sc)]) for sc in scenarios]
+    one = max(check_memory(small_config, design, trials=50) for design in designs)
+    together = check_memory(small_config, designs, trials=50)
+    assert one < together
+    sysconf = os.sysconf
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": (one + together) // 2}
+    monkeypatch.setattr(os, "sysconf", lambda name: pages[name] if name in pages else sysconf(name))
+    calls = []
+    run_point = harness_module._run_point
+
+    def counted(point_scenarios, *args):
+        calls.append(len(point_scenarios))
+        return run_point(point_scenarios, *args)
+
+    monkeypatch.setattr(harness_module, "_run_point", counted)
+    rows = run_scenario(*scenarios)
+    assert calls == [5, 1, 1, 1, 1, 1]
+    assert [csv_text(header, [row_values(row)]) for row in rows] == alone
+
+
 def test_resolve_phases_equal_each_design_alone(small_config):
     # one point's designs share the heuristic phases, their scores and the
     # sum-rate MM, and still resolve bit for bit as each does alone

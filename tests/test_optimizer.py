@@ -495,6 +495,19 @@ def test_min_rate_mm_does_not_report_its_stall_as_converged(n):
     assert max(gains) > 1e-6 * abs(smoothed), gains
 
 
+def test_sum_mm_reports_converged_exactly_when_more_iterations_gain_nothing():
+    # at N = 256 the sum-rate MM stops on a small change far from a stationary
+    # point (300 more iterations gain ~9.5e-3 nats against a tolerance of
+    # ~5.4e-5), so it must say stalled; a run that ends where they gain no
+    # more than the tolerance must say converged
+    cfg = default_profile(N=256)
+    trace = mm_optimize(cfg, "sum")
+    f = trace.iterates[-1][1]
+    more = mm_optimize(cfg, "sum", init=trace.final_v, max_iter=300, rel_tol=0.0)
+    assert trace.stop_rule in ("converged", "stalled")
+    assert trace.converged == (more.iterates[-1][1] - f <= 1e-6 * abs(f))
+
+
 def test_mm_optimize_records_its_stop_rule(reference_config):
     assert mm_optimize(reference_config, objective="sum", max_iter=3).stop_rule == "max_iter"
     trace = mm_optimize(reference_config, objective="sum", rel_tol=1e-8)
